@@ -1,10 +1,13 @@
 #!/usr/bin/env python3
 """Benchmark: compiled kernel extension vs pure-NumPy fallback.
 
-Times the fundamental-mode solver at several batch sizes and one full
-numeric efficiency evaluation per backend.  Run from the repo root:
+Times the seeded fundamental-mode solver at several batch sizes, the build
+of the per-geometry n_eff table and its evaluation at the same batch sizes
+(the path that serves array queries), and one full numeric efficiency
+evaluation per backend.  Run from the repo root (with the package
+installed, or from the source tree):
 
-    python benchmarks/bench_backends.py
+    PYTHONPATH=src python benchmarks/bench_backends.py
 
 Force the fallback in a separate process via SFWMSIM_PURE_PYTHON=1; this
 script spawns both variants itself.
@@ -21,7 +24,8 @@ import numpy as np
 from sfwmsim.backend import active_backend, kernels
 from sfwmsim.constants import omega_from_um
 
-out = {"backend": active_backend(), "solve_us_per_point": {}}
+out = {"backend": active_backend(), "solve_us_per_point": {},
+       "table_us_per_point": {}}
 lam = np.geomspace(0.23, 3.5, 192)
 seed_om = np.sort(2e6 * np.pi * 299792458.0 / lam)
 neff, _u, _w = kernels.he11_solve(seed_om, 0.97e-6, 0.91)
@@ -39,10 +43,27 @@ for size in (32, 150, 1000, 20000):
     dt = (time.perf_counter() - t0) / reps
     out["solve_us_per_point"][str(size)] = 1e6 * dt / size
 
-from sfwmsim.dispersion import FiberSpec
+from sfwmsim.dispersion import FiberSpec, _neff_table, effective_index
+fiber = FiberSpec(core_radius=0.97e-6, air_fill_fraction=0.91, length=0.5)
+builds = []
+for _ in range(5):
+    _neff_table.cache_clear()
+    t0 = time.perf_counter()
+    _neff_table(fiber.core_radius, fiber.air_fill_fraction)
+    builds.append(time.perf_counter() - t0)
+out["table_build_ms"] = 1e3 * sorted(builds)[2]
+for size in (32, 150, 1000, 20000):
+    om = np.linspace(omega_from_um(0.80), omega_from_um(0.60), size)
+    reps = max(3, 20000 // size)
+    effective_index(om, fiber)
+    t0 = time.perf_counter()
+    for _ in range(reps):
+        effective_index(om, fiber)
+    dt = (time.perf_counter() - t0) / reps
+    out["table_us_per_point"][str(size)] = 1e6 * dt / size
+
 from sfwmsim.sfwm import PumpSpec, SourceConfig
 from sfwmsim.efficiency import eta_pulsed_numeric
-fiber = FiberSpec(core_radius=0.97e-6, air_fill_fraction=0.91, length=0.5)
 pump = PumpSpec.from_units(0.708, 3.0, 0.3, 80.0)
 cfg = SourceConfig(fiber=fiber, pump1=pump, pump2=pump)
 t0 = time.perf_counter()
@@ -69,12 +90,17 @@ def main():
     if results[0]["backend"] == results[1]["backend"]:
         print("compiled extension not built; showing the fallback only")
         results = results[:1]
-    print(f"{'batch size':>12} " + " ".join(f"{r['backend']:>14}" for r in results))
+    print(f"{'us per point':>12} " + " ".join(
+        f"{'seeded ' + r['backend']:>18} {'table ' + r['backend']:>18}"
+        for r in results))
     sizes = sorted(results[0]["solve_us_per_point"], key=int)
     for size in sizes:
-        row = " ".join(f"{r['solve_us_per_point'][size]:>11.2f} us"
+        row = " ".join(f"{r['solve_us_per_point'][size]:>15.3f} us "
+                       f"{r['table_us_per_point'][size]:>15.3f} us"
                        for r in results)
         print(f"{size:>12} {row}")
+    print(f"{'table build':>12} " + " ".join(
+        f"{r['table_build_ms']:>34.2f} ms" for r in results))
     print(f"{'eta (1 run)':>12} " + " ".join(
         f"{r['eta_pulsed_seconds']:>12.2f} s" for r in results))
     etas = {r["eta"] for r in results}

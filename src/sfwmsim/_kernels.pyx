@@ -21,6 +21,7 @@ cdef double J11 = 3.8317059702075125
 
 cdef int BISECT_STEPS = 10
 cdef int NEWTON_STEPS = 6
+cdef int POLISH_STEPS = 48
 
 
 cdef inline double _sellmeier_one(double lam_um) nogil:
@@ -76,10 +77,15 @@ cdef inline void _g_gp_one(double b, double V, double q,
     gp_out[0] = dA * Bf + A * dB - dR
 
 
+cdef inline bint _converged_one(double g, double gp) nogil:
+    """Residual test shared by both solvers: |G| <= 1e-13 max(|G'|, 1)."""
+    return fabs(g) <= 1e-13 * (fabs(gp) if fabs(gp) > 1.0 else 1.0)
+
+
 cdef inline double _solve_full_one(double omega, double core_radius,
                                    double fill, double *nco_out,
                                    double *ncl_out, double *V_out) nogil:
-    """Bisection + safeguarded Newton for one frequency; returns b."""
+    """Bisection, safeguarded Newton and rtsafe polish; returns b."""
     cdef double lam_um = 2.0e6 * PI * C / omega
     cdef double nco = _sellmeier_one(lam_um)
     cdef double ncl = fill + (1.0 - fill) * nco
@@ -111,6 +117,24 @@ cdef inline double _solve_full_one(double omega, double core_radius,
             b = step
         else:
             b = 0.5 * (b_lo + b_hi)
+
+    # rtsafe polish of a b the fixed steps left short of the residual test
+    cdef double dx, dx_old = b_hi - b_lo
+    for it in range(POLISH_STEPS):
+        _g_gp_one(b, V, q, &g, &gp)
+        if _converged_one(g, gp):
+            break
+        if g > 0.0:
+            b_lo = b
+        else:
+            b_hi = b
+        dx = g / gp
+        step = b - dx
+        if not (step >= b_lo and step <= b_hi
+                and fabs(2.0 * dx) <= fabs(dx_old)):
+            step = 0.5 * (b_lo + b_hi)
+        dx_old = step - b
+        b = step
     nco_out[0] = nco
     ncl_out[0] = ncl
     V_out[0] = V
@@ -206,7 +230,7 @@ def he11_solve_seeded(omega, core_radius, fill, seed_omega, seed_b):
                 if b > clip_hi:
                     b = clip_hi
             _g_gp_one(b, V, q, &g, &gp)
-            if not (fabs(g) <= 1e-13 * (fabs(gp) if fabs(gp) > 1.0 else 1.0)):
+            if not _converged_one(g, gp):
                 b = _solve_full_one(x, r, f, &nco, &ncl, &V)
             uu[i] = V * sqrt(1.0 - b)
             ww[i] = V * sqrt(b)

@@ -1,6 +1,6 @@
 """Pure-NumPy compute kernels (fallback backend).
 
-The compiled extension ``sfwmsim._kernels`` implements the same two entry
+The compiled extension ``sfwmsim._kernels`` implements the same entry
 points with identical iteration counts and update formulas, so both backends
 agree to rounding error.  Keep any algorithmic change synchronized between
 the two files.
@@ -15,7 +15,19 @@ with u = V sqrt(1-b), w = V sqrt(b).  The fundamental root is the unique
 zero with u below the first zero of J1, where G runs from +inf (at the low-b
 edge) to -inf (at b -> 1); 10 bisection steps localize it and 6 safeguarded
 Newton steps (analytic dG/db, no extra Bessel evaluations) polish to machine
-precision.
+precision.  Near b -> 0 (thin cores in the far infrared, e.g. r = 0.5 um,
+f = 0.6 beyond about 2.9 um) Newton creeps up from a tiny b and those steps
+stop short, so every element that still fails the residual test
+|G| <= 1e-13 max(|G'|, 1) continues with up to _POLISH_STEPS rtsafe steps
+(Press et al., Numerical Recipes): Newton while it stays inside the bracket
+and at least halves the previous step, bisection otherwise.  Elements that
+pass the test after the fixed steps are left untouched.
+
+``he11_solve_seeded`` (Newton seeded from a b(omega) table, with a checked
+fallback to ``he11_solve``) is no longer used by the package, whose array
+queries read a Chebyshev table built from ``he11_solve`` (see
+``dispersion``).  It is kept for ``benchmarks/bench_backends.py`` and for
+benchmark tracing, which binds it by name.
 """
 import numpy as np
 from scipy.special import j0, j1, k0, k1
@@ -25,6 +37,7 @@ J1_FIRST_ZERO = 3.8317059702075125
 
 _BISECT_STEPS = 10
 _NEWTON_STEPS = 6
+_POLISH_STEPS = 48
 
 
 def sellmeier_n(lam_um):
@@ -69,6 +82,11 @@ def _g_and_gprime(b, V, q):
     return G, Gp
 
 
+def _converged(g, gp):
+    """Residual test shared by both solvers: |G| <= 1e-13 max(|G'|, 1)."""
+    return np.abs(g) <= 1e-13 * np.maximum(np.abs(gp), 1.0)
+
+
 def he11_solve(omega, core_radius, fill):
     """Fundamental-mode solve for an array of angular frequencies.
 
@@ -103,6 +121,27 @@ def he11_solve(omega, core_radius, fill):
         inside = (step >= b_lo) & (step <= b_hi)
         b = np.where(inside, step, 0.5 * (b_lo + b_hi))
 
+    # rtsafe polish of the elements the fixed steps left short of the
+    # residual test (see the module docstring); 48 steps cover plain
+    # bisection of the unit bracket down to 4e-15
+    dx_old = b_hi - b_lo
+    for _ in range(_POLISH_STEPS):
+        g, gp = _g_and_gprime(b, V, q)
+        todo = ~_converged(g, gp)
+        if not np.any(todo):
+            break
+        pos = g > 0.0
+        b_lo = np.where(pos, b, b_lo)
+        b_hi = np.where(pos, b_hi, b)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            dx = g / gp
+        step = b - dx
+        newton = ((step >= b_lo) & (step <= b_hi)
+                  & (np.abs(2.0 * dx) <= np.abs(dx_old)))
+        b_new = np.where(newton, step, 0.5 * (b_lo + b_hi))
+        dx_old = np.where(todo, b_new - b, dx_old)
+        b = np.where(todo, b_new, b)
+
     u = V * np.sqrt(1.0 - b)
     w = V * np.sqrt(b)
     neff = np.sqrt(ncl * ncl + b * na2)
@@ -136,7 +175,7 @@ def he11_solve_seeded(omega, core_radius, fill, seed_omega, seed_b):
         b = np.clip(b - g / gp, clip_lo, clip_hi)
 
     g, gp = _g_and_gprime(b, V, q)
-    bad = ~(np.abs(g) <= 1e-13 * np.maximum(np.abs(gp), 1.0))
+    bad = ~_converged(g, gp)
     if np.any(bad):
         neff_b, _u, _w = he11_solve(omega[bad], core_radius, fill)
         b = np.array(b, copy=True)

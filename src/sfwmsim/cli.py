@@ -18,18 +18,15 @@ import numpy as np
 from . import __version__
 from .backend import active_backend
 from .config_io import config_digest, load_config
-from .constants import HBAR, um_from_omega, omega_from_um
+from .constants import um_from_omega, omega_from_um
 from .dispersion import (beta1, beta2, effective_index, find_zero_dispersion,
                          nonlinear_parameters)
-from .efficiency import (eta_closed, eta_cw, eta_dp_closed, eta_ndp_closed,
-                         eta_pulsed_numeric, l_max, operating_point,
-                         photons_per_pulse, sigma_max)
+from .efficiency import eta_closed, eta_cw, eta_pulsed_numeric
 from .errors import (ConfigError, DivergenceError, NoPhasematchError,
                      NonConvergenceError, RegimeError, SfwmError,
                      WavelengthRangeError, WindowError)
-from .phasematch import contour, efficiency_vs_orientation
-from .sfwm import (PumpSpec, SourceConfig, jsa_grid, peak_power,
-                   solve_phasematch_center)
+from .phasematch import contour
+from .sfwm import jsa_grid, peak_power, solve_phasematch_center
 from . import svg as svgmod
 
 EXIT_CONFIG = 2

@@ -8,6 +8,31 @@ equation of the fundamental mode (see ``_kernels_py``), which reproduces the
 regression anchors of both reference fibers; the scalar weak-guidance
 approximation is badly off at this index contrast and is not used.
 
+Which path serves which step-index query:
+
+* n_eff and beta at a scalar frequency, or at an array of fewer than
+  _TABLE_MIN_POINTS frequencies, come from the exact solve (scalars are
+  cached per fiber).
+* n_eff and beta at larger arrays come from a per-geometry table: a
+  piecewise-Chebyshev fit of n_eff in x = ln omega over the whole
+  Sellmeier window, sampled from the exact solve (``_neff_table``).  It is
+  keyed on (core_radius, air_fill_fraction), because length and n2 do not
+  enter the dispersion, built on first use, and agrees with the exact solve
+  to a few 1e-14 absolute.
+* beta1 = (n + n_x) / c and beta2 = (n_x + n_xx) / (c omega), with n_x and
+  n_xx the x-derivatives of n_eff, come from the table's analytic
+  derivatives for every input, scalars included.
+* Mode profiles take (u, w) from the exact solve.
+
+Scalars stay exact because they feed root finding, where the answers sit
+at the solver's rounding floor: the phasematched frequencies and contour
+detunings are Brent roots of a mismatch in which beta ~ 1e7 1/m cancels,
+and a one-ulp shift of the scalar n_eff already moves the inner-branch
+contour detunings of a thin-core fiber (r = 0.5 um, f = 0.6) by up to
+5e-10 relative, where the table errs by about ten ulps.  Arrays only locate
+sign changes for those roots or feed integrands, where the table's error is
+far below the quadrature tolerance.
+
 Transverse mode profiles use the zeroth-order Bessel shape of the
 fundamental mode, evaluated at the exact (u, w) of the vectorial solve, and
 are treated as frequency-independent within each carrier's bandwidth.
@@ -27,12 +52,18 @@ from functools import lru_cache
 import numpy as np
 
 from .backend import kernels
-from .constants import C, SELLMEIER_RANGE_UM, N2_SILICA_DEFAULT, um_from_omega
+from .constants import (C, SELLMEIER_RANGE_UM, N2_SILICA_DEFAULT,
+                        omega_from_um, um_from_omega)
 from .errors import ModeCutoffError, OverlapError, WavelengthRangeError
-from .numerics import (DEFAULT_QUADRATURE, bracket_root, derivative, find_root,
-                       integrate_1d)
+from .numerics import bracket_root, find_root, integrate_1d
 
-_BETA_STEP_REL = 1e-4          # stencil spacing for beta derivatives, h = 1e-4 omega
+# n_eff table: equal panels in ln(omega) over the Sellmeier window, Chebyshev
+# nodes and fitted polynomial degree per panel, and the smallest array query
+# it serves
+_TABLE_PANELS = 32
+_TABLE_NODES = 16
+_TABLE_DEGREE = 11
+_TABLE_MIN_POINTS = 4
 
 
 @dataclass(frozen=True)
@@ -159,49 +190,110 @@ def _check_sellmeier_range(lam_um):
             f"[{lo}, {hi}] um")
 
 
-@lru_cache(maxsize=64)
-def _seed_table(fiber):
-    """Per-fiber b(omega) table used to seed the fast mode solve.
-
-    Seeds only accelerate Newton; the solve still converges to machine
-    precision (with a checked fallback), so every result is independent of
-    this memoization.  The table is immutable after construction.
-    """
-    lo, hi = SELLMEIER_RANGE_UM
-    lam = np.geomspace(lo * 1.05, hi * 0.95, 192)
-    om = np.sort(2e6 * math.pi * C / lam)
-    neff, _u, _w = kernels.he11_solve(om, fiber.core_radius,
-                                      fiber.air_fill_fraction)
-    nco = kernels.sellmeier_n(um_from_omega(om))
-    ncl = fiber.air_fill_fraction + (1 - fiber.air_fill_fraction) * nco
-    b = (neff ** 2 - ncl ** 2) / (nco ** 2 - ncl ** 2)
-    om.setflags(write=False)
-    b.setflags(write=False)
-    return om, b
-
-
-def _solve_step_index(omega, fiber):
-    """(neff, u, w) arrays for the step-index model, with range checks."""
-    om = np.atleast_1d(np.asarray(omega, dtype=float))
+def _checked_omega(omega):
+    """Frequencies as a flat array, after the Sellmeier range check."""
+    om = np.ravel(np.asarray(omega, dtype=float))
     _check_sellmeier_range(um_from_omega(om))
-    if om.size >= 4:
-        seed_om, seed_b = _seed_table(fiber)
-        neff, u, w = kernels.he11_solve_seeded(
-            om, fiber.core_radius, fiber.air_fill_fraction, seed_om, seed_b)
-    else:
-        neff, u, w = kernels.he11_solve(om, fiber.core_radius,
-                                        fiber.air_fill_fraction)
+    return om
+
+
+def _require_guided(neff, om):
     if not np.all(np.isfinite(neff)):
         bad = om[~np.isfinite(neff)][0]
         raise ModeCutoffError(
             f"fundamental-mode solve failed at omega={bad:.6e} rad/s "
             f"(lambda={um_from_omega(bad):.4f} um)")
-    return neff, u, w
+
+
+@lru_cache(maxsize=64)
+def _neff_table(core_radius, fill):
+    """Piecewise-Chebyshev table of n_eff(x), x = ln omega (one per geometry).
+
+    The Sellmeier window is cut into _TABLE_PANELS equal panels in x; on
+    each, the exact ``he11_solve`` is sampled at _TABLE_NODES Chebyshev
+    points of the first kind, and the truncated discrete cosine transform
+    gives the least-squares Chebyshev fit of degree _TABLE_DEGREE.  The
+    coefficients the fit drops are at the solver's rounding level (about
+    1e-15); kept, they are amplified by differentiation (beta1 then errs
+    by 9e-12 relative instead of 2e-12).  The fit is stored in the power
+    basis of the panel coordinate t in [-1, 1], together with its first two
+    x derivatives.  Returns (omega_lo, panels per unit x, coeffs) with
+    coeffs[d, k] the coefficients of d^d n_eff / dx^d on panel k.  A panel
+    holding a failed solve holds NaN and fails the guidance check on query.
+    """
+    from numpy.polynomial import chebyshev, polynomial
+    om_lo = omega_from_um(SELLMEIER_RANGE_UM[1])
+    om_hi = omega_from_um(SELLMEIER_RANGE_UM[0])
+    width = math.log(om_hi / om_lo) / _TABLE_PANELS
+    theta = math.pi * (np.arange(_TABLE_NODES) + 0.5) / _TABLE_NODES
+    x = width * (np.arange(_TABLE_PANELS)[:, None]
+                 + 0.5 * (np.cos(theta) + 1.0))
+    neff = kernels.he11_solve((om_lo * np.exp(x)).ravel(), core_radius,
+                              fill)[0].reshape(x.shape)
+    # discrete cosine transform as a plain sum (no BLAS), so the table does
+    # not depend on the linear-algebra library or its threading
+    cos_kj = np.cos(np.outer(theta, np.arange(_TABLE_DEGREE + 1)))
+    cheb = (neff[:, :, None] * cos_kj).sum(axis=1) * (2.0 / _TABLE_NODES)
+    cheb[:, 0] *= 0.5
+    coeffs = np.zeros((3, _TABLE_PANELS, _TABLE_DEGREE + 1))
+    for k, c in enumerate(cheb):
+        power = chebyshev.cheb2poly(c)          # trailing zeros come trimmed
+        coeffs[0, k, :power.size] = power
+    for d in (1, 2):
+        coeffs[d, :, :-1] = polynomial.polyder(coeffs[d - 1], scl=2.0 / width,
+                                               axis=1)
+    coeffs.setflags(write=False)
+    return om_lo, 1.0 / width, coeffs
+
+
+def _table_eval(om, fiber, order):
+    """n_eff and its first ``order`` x-derivatives, shape (order + 1, n).
+
+    ``om`` is a checked flat array.  Each point is evaluated on its own, so
+    a value does not depend on the other points of the query.
+    """
+    om_lo, per_x, coeffs = _neff_table(fiber.core_radius,
+                                       fiber.air_fill_fraction)
+    s = np.log(om / om_lo) * per_x
+    k = np.minimum(s.astype(np.intp), _TABLE_PANELS - 1)
+    powers = np.vander(2.0 * (s - k) - 1.0, _TABLE_DEGREE + 1,
+                       increasing=True)
+    out = (coeffs[:order + 1, k] * powers).sum(axis=-1)
+    _require_guided(out[0], om)
+    return out
+
+
+def _solve_step_index(omega, fiber):
+    """Flat n_eff array of the step-index model, with range checks.
+
+    Queries of _TABLE_MIN_POINTS or more points read the per-geometry
+    table; smaller ones take the exact solve.
+    """
+    om = _checked_omega(omega)
+    if om.size >= _TABLE_MIN_POINTS:
+        return _table_eval(om, fiber, 0)[0]
+    neff = kernels.he11_solve(om, fiber.core_radius,
+                              fiber.air_fill_fraction)[0]
+    _require_guided(neff, om)
+    return neff
+
+
+def _table_derivatives(omega, fiber, order):
+    """Table n_eff and x-derivatives, each shaped like omega."""
+    om = np.asarray(omega, dtype=float)
+    out = _table_eval(_checked_omega(om), fiber, order)
+    return out.reshape((order + 1,) + om.shape)
+
+
+def _index_and_group_slowness(omega, fiber):
+    """(n_eff, beta1) of the step-index model from the table."""
+    n, n_x = _table_derivatives(omega, fiber, 1)
+    return n, (n + n_x) / C
 
 
 @lru_cache(maxsize=200_000)
 def _neff_scalar_cached(omega, fiber):
-    return float(_solve_step_index(omega, fiber)[0][0])
+    return float(_solve_step_index(omega, fiber)[0])
 
 
 def effective_index(omega, fiber):
@@ -209,9 +301,10 @@ def effective_index(omega, fiber):
     if fiber.model == "taylor_coefficients":
         k = fiber.taylor.k(omega)
         return k * C / omega
-    if np.isscalar(omega) or np.asarray(omega).ndim == 0:
-        return _neff_scalar_cached(float(omega), fiber)
-    return _solve_step_index(omega, fiber)[0]
+    om = np.asarray(omega, dtype=float)
+    if om.ndim == 0:
+        return _neff_scalar_cached(float(om), fiber)
+    return _solve_step_index(om, fiber).reshape(om.shape)
 
 
 def beta(omega, fiber):
@@ -221,28 +314,23 @@ def beta(omega, fiber):
     return effective_index(omega, fiber) * np.asarray(omega, dtype=float) / C
 
 
+def _as_result(x):
+    return float(x) if np.ndim(x) == 0 else x
+
+
 def beta1(omega, fiber):
-    """First frequency derivative of k [s/m] (group slowness)."""
+    """First frequency derivative of k [s/m]: (n + dn/dx) / c, x = ln omega."""
     if fiber.model == "taylor_coefficients":
         return fiber.taylor.k(omega, deriv=1)
-    om = np.asarray(omega, dtype=float)
-    h = _BETA_STEP_REL * om
-    if om.ndim == 0:
-        return derivative(lambda x: beta(float(x), fiber), float(om), step=float(h))
-    return (beta(om - 2 * h, fiber) - 8 * beta(om - h, fiber)
-            + 8 * beta(om + h, fiber) - beta(om + 2 * h, fiber)) / (12 * h)
+    return _as_result(_index_and_group_slowness(omega, fiber)[1])
 
 
 def beta2(omega, fiber):
-    """Second frequency derivative of k [s^2/m] (group-velocity dispersion)."""
+    """Second frequency derivative of k [s^2/m]: (n_x + n_xx) / (c omega)."""
     if fiber.model == "taylor_coefficients":
         return fiber.taylor.k(omega, deriv=2)
-    om = np.asarray(omega, dtype=float)
-    h = _BETA_STEP_REL * om
-    if om.ndim == 0:
-        return derivative(lambda x: beta1(float(x), fiber), float(om), step=float(h))
-    return (beta1(om - 2 * h, fiber) - 8 * beta1(om - h, fiber)
-            + 8 * beta1(om + h, fiber) - beta1(om + 2 * h, fiber)) / (12 * h)
+    _n, n_x, n_xx = _table_derivatives(omega, fiber, 2)
+    return _as_result((n_x + n_xx) / (C * np.asarray(omega, dtype=float)))
 
 
 def find_zero_dispersion(fiber, wavelength_range_um=(0.4, 1.6), points=240):
@@ -252,12 +340,11 @@ def find_zero_dispersion(fiber, wavelength_range_um=(0.4, 1.6), points=240):
     refinement in omega.  An empty list means no zero-dispersion point.
     """
     lo_um, hi_um = wavelength_range_um
-    margin = 1.0 + 5 * _BETA_STEP_REL
-    lo_allowed = SELLMEIER_RANGE_UM[0] * margin
-    hi_allowed = SELLMEIER_RANGE_UM[1] / margin
     if fiber.model != "taylor_coefficients":
-        lo_um = max(lo_um, lo_allowed)
-        hi_um = min(hi_um, hi_allowed)
+        # a rounding step inside the window, where lambda -> omega -> lambda
+        # does not round-trip exactly
+        lo_um = max(lo_um, SELLMEIER_RANGE_UM[0] * (1 + 1e-12))
+        hi_um = min(hi_um, SELLMEIER_RANGE_UM[1] * (1 - 1e-12))
     lams = np.linspace(lo_um, hi_um, points)
     oms = 2e6 * np.pi * C / lams
     b2 = beta2(oms, fiber)
@@ -281,7 +368,10 @@ def mode_profile(omega, fiber):
     The transverse structure always comes from the step-index geometry, also
     under the Taylor dispersion model.
     """
-    neff, u, w = _solve_step_index(omega, fiber)
+    om = _checked_omega(omega)
+    neff, u, w = kernels.he11_solve(om, fiber.core_radius,
+                                    fiber.air_fill_fraction)
+    _require_guided(neff, om)
     u, w = float(u[0]), float(w[0])
     r = fiber.core_radius
 

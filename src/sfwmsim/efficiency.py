@@ -224,7 +224,7 @@ def _rotated_integrand(config):
     Algebraically identical to ``h_function * |_jsa_batch|^2`` (a property
     the tests assert).
     """
-    from .dispersion import _solve_step_index
+    from .dispersion import _index_and_group_slowness
     from .sfwm import _jsa_batch, _pump_rule
 
     fiber = config.fiber
@@ -232,7 +232,6 @@ def _rotated_integrand(config):
     p1, p2 = config.pump1, config.pump2
     nl = nonlinear_phase(config)
     pref2 = math.pi * p1.sigma * p2.sigma / 2.0
-    rel_h = 1e-4   # stencil spacing of the dispersion module
 
     if fiber.model == "taylor_coefficients":
         def make_slice_taylor(u):
@@ -254,21 +253,11 @@ def _rotated_integrand(config):
 
         def slice_fn(v):
             m = v.size
-            om_s = 0.5 * (u + v)
-            om_i = 0.5 * (u - v)
-            h_s = rel_h * om_s
-            h_i = rel_h * om_i
-            work = np.concatenate([
-                om_s, om_s - 2 * h_s, om_s - h_s, om_s + h_s, om_s + 2 * h_s,
-                om_i, om_i - 2 * h_i, om_i - h_i, om_i + h_i, om_i + 2 * h_i])
-            neff = _solve_step_index(work, fiber)[0]
-            bet = neff * work / C
-            beta_s, n_s = bet[:m], neff[:m]
-            b1_s = (bet[m:2 * m] - 8 * bet[2 * m:3 * m]
-                    + 8 * bet[3 * m:4 * m] - bet[4 * m:5 * m]) / (12 * h_s)
-            beta_i, n_i = bet[5 * m:6 * m], neff[5 * m:6 * m]
-            b1_i = (bet[6 * m:7 * m] - 8 * bet[7 * m:8 * m]
-                    + 8 * bet[8 * m:9 * m] - bet[9 * m:10 * m]) / (12 * h_i)
+            om = np.concatenate([0.5 * (u + v), 0.5 * (u - v)])
+            neff, b1 = _index_and_group_slowness(om, fiber)
+            bet = neff * om / C
+            om_s, n_s, beta_s, b1_s = om[:m], neff[:m], bet[:m], b1[:m]
+            om_i, n_i, beta_i, b1_i = om[m:], neff[m:], bet[m:], b1[m:]
 
             x = q_u[:, None] - 0.5 * L * (beta_s + beta_i)[None, :]
             F = np.tensordot(amp, sinc(x) * np.exp(1j * x), axes=(0, 0))

@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from conftest import taylor_fiber
-from sfwmsim.constants import C, omega_from_um, um_from_omega
+from sfwmsim import _kernels_py
+from sfwmsim.backend import kernels
+from sfwmsim.constants import (C, SELLMEIER_RANGE_UM, omega_from_um,
+                               um_from_omega)
 from sfwmsim.dispersion import (FiberSpec, TaylorDispersion, beta, beta1,
                                 beta2, effective_area, effective_index,
                                 find_zero_dispersion, gamma_pump, gamma_sfwm,
@@ -74,6 +77,94 @@ class TestEffectiveIndex:
         assert np.all(beta1(om, fiber_a) > 0)
 
 
+def window_wavelengths(n):
+    """n wavelengths [um] spread over the open Sellmeier window."""
+    lo, hi = SELLMEIER_RANGE_UM
+    return np.linspace(lo, hi, n + 2)[1:-1]
+
+
+GEOMETRIES = pytest.mark.parametrize(
+    "core_radius, fill", [(0.97e-6, 0.91), (0.5e-6, 0.6), (20e-6, 0.91)],
+    ids=["fiber_a", "fiber_b", "core_20um"])
+
+
+class TestModeSolve:
+    @pytest.mark.parametrize("core_radius, fill",
+                             [(0.5e-6, 0.6), (0.4e-6, 0.5)],
+                             ids=["fiber_b", "core_0.4um"])
+    def test_characteristic_residual_across_window(self, core_radius, fill):
+        # thin cores reach b -> 0 in the far infrared, where the fixed
+        # Newton steps alone stop short of the root
+        lam = window_wavelengths(20000)
+        om = omega_from_um(lam)
+        _neff, _u, w = kernels.he11_solve(om, core_radius, fill)
+        nco = _kernels_py.sellmeier_n(lam)
+        ncl = fill + (1 - fill) * nco
+        V = om / C * core_radius * np.sqrt(nco ** 2 - ncl ** 2)
+        g, gp = _kernels_py._g_and_gprime((w / V) ** 2, V, (ncl / nco) ** 2)
+        assert np.all(np.abs(g) <= 1e-13 * np.maximum(np.abs(gp), 1.0))
+
+
+class TestNeffTable:
+    @GEOMETRIES
+    def test_matches_exact_solve_over_window(self, core_radius, fill):
+        fiber = FiberSpec(core_radius=core_radius, air_fill_fraction=fill,
+                          length=1.0)
+        om = omega_from_um(window_wavelengths(4000))
+        exact = kernels.he11_solve(om, core_radius, fill)[0]
+        assert np.max(np.abs(effective_index(om, fiber) - exact)) <= 5e-14
+
+    @GEOMETRIES
+    def test_beta1_matches_stencil_of_exact_beta(self, core_radius, fill):
+        fiber = FiberSpec(core_radius=core_radius, air_fill_fraction=fill,
+                          length=1.0)
+        om = omega_from_um(np.linspace(0.35, 2.2, 400))
+        h = 1e-4 * om
+
+        def exact_beta(x):
+            return kernels.he11_solve(x, core_radius, fill)[0] * x / C
+
+        stencil = (exact_beta(om - 2 * h) - 8 * exact_beta(om - h)
+                   + 8 * exact_beta(om + h)
+                   - exact_beta(om + 2 * h)) / (12 * h)
+        assert np.max(np.abs(beta1(om, fiber) / stencil - 1)) <= 1e-10
+
+    def test_beta2_is_derivative_of_beta1(self, fiber_b):
+        om = omega_from_um(np.linspace(0.45, 1.3, 200))
+        h = 1e-3 * om
+        stencil = (beta1(om - 2 * h, fiber_b) - 8 * beta1(om - h, fiber_b)
+                   + 8 * beta1(om + h, fiber_b)
+                   - beta1(om + 2 * h, fiber_b)) / (12 * h)
+        scale = np.max(np.abs(beta2(om, fiber_b)))
+        assert np.max(np.abs(beta2(om, fiber_b) - stencil)) <= 1e-6 * scale
+
+    def test_derivatives_do_not_depend_on_query_size(self, fiber_b):
+        om = omega_from_um(np.linspace(0.4, 2.0, 37))
+        b1, b2 = beta1(om, fiber_b), beta2(om, fiber_b)
+        assert [beta1(float(x), fiber_b) for x in om] == list(b1)
+        assert [beta2(float(x), fiber_b) for x in om] == list(b2)
+
+    def test_scalars_and_short_arrays_stay_exact(self, fiber_b):
+        om = omega_from_um(np.array([0.9, 1.1, 1.3]))
+        exact = kernels.he11_solve(om, fiber_b.core_radius,
+                                   fiber_b.air_fill_fraction)[0]
+        assert [effective_index(float(x), fiber_b) for x in om] == list(exact)
+        assert list(effective_index(om, fiber_b)) == list(exact)
+
+    def test_keyed_on_geometry_and_deterministic(self, fiber_a):
+        from sfwmsim.dispersion import _neff_table
+        longer = FiberSpec(core_radius=fiber_a.core_radius,
+                           air_fill_fraction=fiber_a.air_fill_fraction,
+                           length=7.0, n2_kerr=3e-20)
+        om = omega_from_um(np.linspace(0.5, 1.5, 9))
+        before = _neff_table(fiber_a.core_radius, fiber_a.air_fill_fraction)
+        assert list(beta1(om, longer)) == list(beta1(om, fiber_a))
+        _neff_table.cache_clear()
+        after = _neff_table(fiber_a.core_radius, fiber_a.air_fill_fraction)
+        assert after[:2] == before[:2]
+        assert np.array_equal(after[2], before[2])
+
+
 class TestZeroDispersion:
     def test_single_zdw_fiber(self, fiber_a):
         zdws = find_zero_dispersion(fiber_a, (0.5, 1.2))
@@ -85,6 +176,11 @@ class TestZeroDispersion:
         assert len(zdws) == 2
         assert zdws[0] == pytest.approx(0.6592, rel=0.03)
         assert zdws[1] == pytest.approx(0.8595, rel=0.03)
+
+    def test_range_clipped_to_sellmeier_window(self, fiber_b):
+        zdws = find_zero_dispersion(fiber_b, (0.1, 5.0))
+        assert len(zdws) == 3
+        assert zdws[2] == pytest.approx(3.306, rel=1e-3)
 
     def test_taylor_constant_positive_gvd(self):
         fiber = taylor_fiber(omega_from_um(0.8), (7e6, 4.9e-9, 1e-26))

@@ -231,6 +231,14 @@ class TestCwEfficiency:
         with pytest.raises(RegimeError):
             eta_cw(cfg_dp)
 
+    def test_independent_of_table_build(self, cfg_cw_dp):
+        # the dispersion table is built lazily; rebuilding it must not move
+        # any result
+        from sfwmsim.dispersion import _neff_table
+        first = eta_cw(cfg_cw_dp).eta
+        _neff_table.cache_clear()
+        assert eta_cw(cfg_cw_dp).eta == first
+
     def test_pump_exchange_exact(self, cfg_cw_ndp):
         swapped = replace(cfg_cw_ndp, pump1=cfg_cw_ndp.pump2,
                           pump2=cfg_cw_ndp.pump1)
