@@ -1,9 +1,4 @@
-"""Pure-NumPy compute kernels (fallback backend).
-
-The compiled extension ``sfwmsim._kernels`` implements the same entry
-points with identical iteration counts and update formulas, so both backends
-agree to rounding error.  Keep any algorithmic change synchronized between
-the two files.
+"""Mode-solve kernels in NumPy and plain floats.
 
 ``he11_solve`` finds the fundamental-mode effective index of a step-index
 fiber from the exact vectorial characteristic equation (azimuthal order 1).
@@ -23,12 +18,23 @@ stop short, so every element that still fails the residual test
 and at least halves the previous step, bisection otherwise.  Elements that
 pass the test after the fixed steps are left untouched.
 
+Queries of fewer than _VECTOR_MIN_POINTS frequencies (scalar root finding,
+mode profiles) run the same ladder one point at a time in plain floats
+(``_solve_one``), because on a one-element array each NumPy call costs more
+than its arithmetic; larger queries run it element-wise on arrays.  Both
+evaluate G through the one ``_g_and_gprime``, and the ladder uses only
+IEEE-exact arithmetic (+, -, *, /, sqrt) besides the Bessel functions, so
+a point gets the same bits either way: cubes are written as products,
+because NumPy may evaluate an array ``x ** 3`` with a SIMD pow that
+differs in the last bit from the libm pow of a scalar, and on the CPU.
+
 ``he11_solve_seeded`` (Newton seeded from a b(omega) table, with a checked
-fallback to ``he11_solve``) is no longer used by the package, whose array
+fallback to ``he11_solve``) is not used by the package, whose array
 queries read a Chebyshev table built from ``he11_solve`` (see
-``dispersion``).  It is kept for ``benchmarks/bench_backends.py`` and for
-benchmark tracing, which binds it by name.
+``dispersion``).  It is kept because benchmark tracing binds it by name.
 """
+import math
+
 import numpy as np
 from scipy.special import j0, j1, k0, k1
 
@@ -38,6 +44,7 @@ J1_FIRST_ZERO = 3.8317059702075125
 _BISECT_STEPS = 10
 _NEWTON_STEPS = 6
 _POLISH_STEPS = 48
+_VECTOR_MIN_POINTS = 4
 
 
 def sellmeier_n(lam_um):
@@ -51,7 +58,11 @@ def sellmeier_n(lam_um):
 
 
 def _g_and_gprime(b, V, q):
-    """Characteristic function G(b) and its analytic derivative."""
+    """Characteristic function G(b) and its analytic derivative.
+
+    Takes arrays or floats; only IEEE-exact arithmetic besides the Bessel
+    functions, so a float and an array element get the same bits.
+    """
     u = V * np.sqrt(1.0 - b)
     w = V * np.sqrt(b)
     ju0 = j0(u)
@@ -68,8 +79,8 @@ def _g_and_gprime(b, V, q):
     G = A * Bf - R
 
     # dX/du and dY/dw via the Bessel ODEs; du/db = -V^2/(2u), dw/db = V^2/(2w)
-    Xp = -2.0 * X / u - u * X * X - 1.0 / u + 1.0 / (u ** 3)
-    Yp = -2.0 * Y / w - w * Y * Y + 1.0 / w + 1.0 / (w ** 3)
+    Xp = -2.0 * X / u - u * X * X - 1.0 / u + 1.0 / (u * u * u)
+    Yp = -2.0 * Y / w - w * Y * Y + 1.0 / w + 1.0 / (w * w * w)
     V2 = V * V
     dX_db = Xp * (-V2 / (2.0 * u))
     dY_db = Yp * (V2 / (2.0 * w))
@@ -87,21 +98,33 @@ def _converged(g, gp):
     return np.abs(g) <= 1e-13 * np.maximum(np.abs(gp), 1.0)
 
 
-def he11_solve(omega, core_radius, fill):
-    """Fundamental-mode solve for an array of angular frequencies.
-
-    Returns (neff, u, w) arrays.  Caller guarantees the Sellmeier range.
-    """
-    omega = np.asarray(omega, dtype=float)
+def _guidance(omega, core_radius, fill):
+    """(ncl, na2, V, q) of the equivalent step-index fiber (floats or arrays)."""
     lam_um = 2.0e6 * np.pi * C / omega
     nco = sellmeier_n(lam_um)
     ncl = fill + (1.0 - fill) * nco
     na2 = nco * nco - ncl * ncl
     V = omega / C * core_radius * np.sqrt(na2)
-    q = (ncl / nco) ** 2
+    ratio = ncl / nco
+    return ncl, na2, V, ratio * ratio
 
+
+def he11_solve(omega, core_radius, fill):
+    """Fundamental-mode solve for an array of angular frequencies.
+
+    Returns (neff, u, w) arrays shaped like omega.  Caller guarantees the
+    Sellmeier range.
+    """
+    omega = np.asarray(omega, dtype=float)
+    if omega.size < _VECTOR_MIN_POINTS:
+        sol = [_solve_one(om, core_radius, fill) for om in omega.ravel().tolist()]
+        out = np.array(sol, dtype=float).reshape(omega.shape + (3,))
+        return out[..., 0], out[..., 1], out[..., 2]
+
+    ncl, na2, V, q = _guidance(omega, core_radius, fill)
     u_hi = np.minimum(V, J1_FIRST_ZERO)
-    b_lo = 1.0 - (u_hi / V) ** 2 + 1e-12
+    t = u_hi / V
+    b_lo = 1.0 - t * t + 1e-12
     b_hi = np.full_like(b_lo, 1.0 - 1e-12)
 
     for _ in range(_BISECT_STEPS):
@@ -148,6 +171,58 @@ def he11_solve(omega, core_radius, fill):
     return neff, u, w
 
 
+def _solve_one(omega, core_radius, fill):
+    """(neff, u, w) of one frequency: ``he11_solve``'s ladder in floats.
+
+    Every branch mirrors the element-wise ``np.where`` of the array ladder,
+    so the result has the same bits as the array solve of that point.  G and
+    G' stay NumPy float64, so a zero G' gives inf and a warning as there.
+    """
+    ncl, na2, V, q = (float(x) for x in _guidance(omega, core_radius, fill))
+    t = min(V, J1_FIRST_ZERO) / V
+    b_lo = 1.0 - t * t + 1e-12
+    b_hi = 1.0 - 1e-12
+
+    for _ in range(_BISECT_STEPS):
+        bm = 0.5 * (b_lo + b_hi)
+        if _g_and_gprime(bm, V, q)[0] > 0.0:
+            b_lo = bm
+        else:
+            b_hi = bm
+
+    b = 0.5 * (b_lo + b_hi)
+    for _ in range(_NEWTON_STEPS):
+        g, gp = _g_and_gprime(b, V, q)
+        if g > 0.0:
+            b_lo = b
+        else:
+            b_hi = b
+        step = b - g / gp
+        b = step if b_lo <= step <= b_hi else 0.5 * (b_lo + b_hi)
+
+    dx_old = b_hi - b_lo
+    for _ in range(_POLISH_STEPS):
+        g, gp = _g_and_gprime(b, V, q)
+        if _converged(g, gp):
+            break
+        if g > 0.0:
+            b_lo = b
+        else:
+            b_hi = b
+        with np.errstate(divide="ignore", invalid="ignore"):
+            dx = g / gp
+        step = b - dx
+        if b_lo <= step <= b_hi and abs(2.0 * dx) <= abs(dx_old):
+            b_new = step
+        else:
+            b_new = 0.5 * (b_lo + b_hi)
+        dx_old = b_new - b
+        b = b_new
+
+    return (math.sqrt(ncl * ncl + b * na2), V * math.sqrt(1.0 - b),
+            V * math.sqrt(b))
+
+
 def he11_solve_seeded(omega, core_radius, fill, seed_omega, seed_b):
     """Fundamental-mode solve seeded from a precomputed b(omega) table.
 
@@ -159,12 +234,7 @@ def he11_solve_seeded(omega, core_radius, fill, seed_omega, seed_b):
     independent of the seeding and match the full ladder to rounding error.
     """
     omega = np.asarray(omega, dtype=float)
-    lam_um = 2.0e6 * np.pi * C / omega
-    nco = sellmeier_n(lam_um)
-    ncl = fill + (1.0 - fill) * nco
-    na2 = nco * nco - ncl * ncl
-    V = omega / C * core_radius * np.sqrt(na2)
-    q = (ncl / nco) ** 2
+    ncl, na2, V, q = _guidance(omega, core_radius, fill)
 
     seed = np.interp(omega, seed_omega, seed_b)
     clip_lo = np.maximum(seed - 0.02, 1e-12)

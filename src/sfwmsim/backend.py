@@ -1,23 +1,13 @@
-"""Kernel backend selection.
+"""Kernel module binding.
 
-The compiled Cython extension is preferred when present; the pure-NumPy
-module is the fallback.  Set SFWMSIM_PURE_PYTHON=1 to force the fallback
-(used by the backend-parity test and the benchmark).
+The package has one kernel implementation, ``_kernels_py`` (NumPy for
+arrays, plain floats for short queries).  ``kernels`` names it for the
+modules that solve modes, and ``active_backend`` reports it in run
+manifests.
 """
-import os
-
-if os.environ.get("SFWMSIM_PURE_PYTHON"):
-    from . import _kernels_py as kernels
-    BACKEND = "python"
-else:
-    try:
-        from . import _kernels as kernels  # type: ignore[attr-defined]
-        BACKEND = "compiled"
-    except ImportError:
-        from . import _kernels_py as kernels
-        BACKEND = "python"
+from . import _kernels_py as kernels
 
 
 def active_backend():
-    """Name of the kernel backend in use: 'compiled' or 'python'."""
-    return BACKEND
+    """Name of the kernel implementation in use (always 'python')."""
+    return "python"

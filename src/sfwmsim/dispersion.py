@@ -11,8 +11,10 @@ approximation is badly off at this index contrast and is not used.
 Which path serves which step-index query:
 
 * n_eff and beta at a scalar frequency, or at an array of fewer than
-  _TABLE_MIN_POINTS frequencies, come from the exact solve (scalars are
-  cached per fiber).
+  _TABLE_MIN_POINTS frequencies, come from the exact solve, which runs
+  such short queries in plain floats.  Scalars are cached per geometry
+  (core_radius, air_fill_fraction) in a bounded LRU cache of
+  _SCALAR_CACHE_SIZE entries.
 * n_eff and beta at larger arrays come from a per-geometry table: a
   piecewise-Chebyshev fit of n_eff in x = ln omega over the whole
   Sellmeier window, sampled from the exact solve (``_neff_table``).  It is
@@ -22,7 +24,8 @@ Which path serves which step-index query:
 * beta1 = (n + n_x) / c and beta2 = (n_x + n_xx) / (c omega), with n_x and
   n_xx the x-derivatives of n_eff, come from the table's analytic
   derivatives for every input, scalars included.
-* Mode profiles take (u, w) from the exact solve.
+* Mode profiles take (u, w) from the exact solve; they and the effective
+  areas built from them are cached per geometry too.
 
 Scalars stay exact because they feed root finding, where the answers sit
 at the solver's rounding floor: the phasematched frequencies and contour
@@ -46,7 +49,7 @@ still use the step-index machinery.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -64,6 +67,8 @@ _TABLE_PANELS = 32
 _TABLE_NODES = 16
 _TABLE_DEGREE = 11
 _TABLE_MIN_POINTS = 4
+# entries of the per-geometry cache of exact scalar n_eff
+_SCALAR_CACHE_SIZE = 4096
 
 
 @dataclass(frozen=True)
@@ -139,8 +144,9 @@ class ModeProfile:
     u: float
     w: float
     norm: float                   # multiplies the raw piecewise shape
-    radial_grid: tuple            # sample points [m], for inspection/plots
-    radial_amplitude: tuple       # normalized samples at radial_grid
+    # read-only float64 samples for inspection/plots, left out of eq/hash
+    radial_grid: np.ndarray = field(compare=False)        # [m]
+    radial_amplitude: np.ndarray = field(compare=False)   # at radial_grid
 
     def amplitude(self, rho):
         """Exact normalized amplitude at radius rho [m] (scalar or array)."""
@@ -263,19 +269,23 @@ def _table_eval(om, fiber, order):
     return out
 
 
+def _exact_solve(omega, core_radius, fill):
+    """Exact (neff, u, w) flat arrays, after the range and guidance checks."""
+    om = _checked_omega(omega)
+    neff, u, w = kernels.he11_solve(om, core_radius, fill)
+    _require_guided(neff, om)
+    return neff, u, w
+
+
 def _solve_step_index(omega, fiber):
     """Flat n_eff array of the step-index model, with range checks.
 
     Queries of _TABLE_MIN_POINTS or more points read the per-geometry
     table; smaller ones take the exact solve.
     """
-    om = _checked_omega(omega)
-    if om.size >= _TABLE_MIN_POINTS:
-        return _table_eval(om, fiber, 0)[0]
-    neff = kernels.he11_solve(om, fiber.core_radius,
-                              fiber.air_fill_fraction)[0]
-    _require_guided(neff, om)
-    return neff
+    if np.size(omega) >= _TABLE_MIN_POINTS:
+        return _table_eval(_checked_omega(omega), fiber, 0)[0]
+    return _exact_solve(omega, fiber.core_radius, fiber.air_fill_fraction)[0]
 
 
 def _table_derivatives(omega, fiber, order):
@@ -291,9 +301,9 @@ def _index_and_group_slowness(omega, fiber):
     return n, (n + n_x) / C
 
 
-@lru_cache(maxsize=200_000)
-def _neff_scalar_cached(omega, fiber):
-    return float(_solve_step_index(omega, fiber)[0])
+@lru_cache(maxsize=_SCALAR_CACHE_SIZE)
+def _neff_scalar_cached(omega, core_radius, fill):
+    return float(_exact_solve(omega, core_radius, fill)[0][0])
 
 
 def effective_index(omega, fiber):
@@ -303,7 +313,8 @@ def effective_index(omega, fiber):
         return k * C / omega
     om = np.asarray(omega, dtype=float)
     if om.ndim == 0:
-        return _neff_scalar_cached(float(om), fiber)
+        return _neff_scalar_cached(float(om), fiber.core_radius,
+                                   fiber.air_fill_fraction)
     return _solve_step_index(om, fiber).reshape(om.shape)
 
 
@@ -361,19 +372,22 @@ def find_zero_dispersion(fiber, wavelength_range_um=(0.4, 1.6), points=240):
     return sorted(zdws)
 
 
-@lru_cache(maxsize=4096)
 def mode_profile(omega, fiber):
-    """Normalized fundamental-mode profile at the carrier (cached per fiber).
+    """Normalized fundamental-mode profile at the carrier (cached per geometry).
 
     The transverse structure always comes from the step-index geometry, also
-    under the Taylor dispersion model.
+    under the Taylor dispersion model, so fibers that differ only in length,
+    n2 or dispersion model share one profile object.
     """
-    om = _checked_omega(omega)
-    neff, u, w = kernels.he11_solve(om, fiber.core_radius,
-                                    fiber.air_fill_fraction)
-    _require_guided(neff, om)
+    return _mode_profile(float(omega), fiber.core_radius,
+                         fiber.air_fill_fraction)
+
+
+@lru_cache(maxsize=4096)
+def _mode_profile(omega, core_radius, fill):
+    _neff, u, w = _exact_solve(omega, core_radius, fill)
     u, w = float(u[0]), float(w[0])
-    r = fiber.core_radius
+    r = core_radius
 
     from scipy.special import j0 as _j0, k0 as _k0
     raw_in = lambda rho: _j0(u * rho / r) / _j0(u)
@@ -392,9 +406,10 @@ def mode_profile(omega, fiber):
     samples[inside] = raw_in(grid[inside])
     samples[~inside] = raw_out(grid[~inside])
     samples *= norm
-    return ModeProfile(carrier_frequency=float(omega), core_radius=r, u=u, w=w,
-                       norm=norm, radial_grid=tuple(grid),
-                       radial_amplitude=tuple(samples))
+    grid.setflags(write=False)
+    samples.setflags(write=False)
+    return ModeProfile(carrier_frequency=omega, core_radius=r, u=u, w=w,
+                       norm=norm, radial_grid=grid, radial_amplitude=samples)
 
 
 def effective_area(profiles):
@@ -424,29 +439,33 @@ def effective_area(profiles):
     return 1.0 / overlap
 
 
+def _a_eff(fiber, *carriers):
+    """Effective area of four carriers [rad/s], cached per geometry."""
+    return _a_eff_cached(tuple(float(om) for om in carriers),
+                         fiber.core_radius, fiber.air_fill_fraction)
+
+
 @lru_cache(maxsize=4096)
-def _a_eff_cached(fiber, carriers):
-    profiles = [mode_profile(om, fiber) for om in carriers]
-    return effective_area(profiles)
+def _a_eff_cached(carriers, core_radius, fill):
+    return effective_area([_mode_profile(om, core_radius, fill)
+                           for om in carriers])
 
 
 def gamma_pump(fiber, omega):
     """Self/cross-phase nonlinear coefficient of one pump [1/(W m)]."""
-    a = _a_eff_cached(fiber, (float(omega),) * 4)
+    a = _a_eff(fiber, omega, omega, omega, omega)
     return fiber.n2_kerr * float(omega) / (C * a)
 
 
 def gamma_sfwm(fiber, omega_p1, omega_p2, omega_s, omega_i):
     """Four-wave-mixing nonlinear coefficient [1/(W m)] (pairwise carriers)."""
-    a = _a_eff_cached(fiber, (float(omega_p1), float(omega_p2),
-                              float(omega_s), float(omega_i)))
+    a = _a_eff(fiber, omega_p1, omega_p2, omega_s, omega_i)
     return fiber.n2_kerr * math.sqrt(float(omega_p1) * float(omega_p2)) / (C * a)
 
 
 def nonlinear_parameters(fiber, omega_p1, omega_p2, omega_s, omega_i):
     """Bundle of gamma coefficients and the four-field effective area."""
-    a = _a_eff_cached(fiber, (float(omega_p1), float(omega_p2),
-                              float(omega_s), float(omega_i)))
+    a = _a_eff(fiber, omega_p1, omega_p2, omega_s, omega_i)
     return NonlinearParameters(
         gamma_sfwm=fiber.n2_kerr * math.sqrt(omega_p1 * omega_p2) / (C * a),
         gamma_pump_1=gamma_pump(fiber, omega_p1),

@@ -104,6 +104,23 @@ class TestModeSolve:
         g, gp = _kernels_py._g_and_gprime((w / V) ** 2, V, (ncl / nco) ** 2)
         assert np.all(np.abs(g) <= 1e-13 * np.maximum(np.abs(gp), 1.0))
 
+    @pytest.mark.parametrize("core_radius, fill",
+                             [(0.97e-6, 0.91), (0.5e-6, 0.6), (0.4e-6, 0.5)],
+                             ids=["fiber_a", "fiber_b", "core_0.4um"])
+    def test_one_point_solve_matches_array_solve(self, core_radius, fill):
+        # short queries take the plain-float ladder; it must give the bits
+        # of the array ladder, or scalar and array n_eff would disagree
+        om = omega_from_um(window_wavelengths(2000))
+        arrays = kernels.he11_solve(om, core_radius, fill)
+        for i, x in enumerate(om):
+            one = kernels.he11_solve(om[i:i + 1], core_radius, fill)
+            assert [float(v[0]) for v in one] == [float(v[i]) for v in arrays]
+
+    def test_short_query_keeps_shape(self):
+        om = omega_from_um(np.array([[0.8], [1.2]]))
+        for out in kernels.he11_solve(om, 0.97e-6, 0.91):
+            assert out.shape == (2, 1)
+
 
 class TestNeffTable:
     @GEOMETRIES
@@ -244,6 +261,21 @@ class TestModeProfile:
         outer = integrate_1d(f2, r, prof.outer_extent, vectorized=True)
         assert 2 * math.pi * (inner.value + outer.value) == \
             pytest.approx(1.0, abs=1e-6)
+
+    def test_shared_by_fibers_of_one_geometry(self, fiber_a):
+        longer = FiberSpec(core_radius=fiber_a.core_radius,
+                           air_fill_fraction=fiber_a.air_fill_fraction,
+                           length=3.0 * fiber_a.length)
+        om = omega_from_um(0.708)
+        assert mode_profile(om, longer) is mode_profile(om, fiber_a)
+
+    def test_samples_are_read_only_arrays(self, fiber_a):
+        prof = mode_profile(omega_from_um(0.708), fiber_a)
+        for samples in (prof.radial_grid, prof.radial_amplitude):
+            assert isinstance(samples, np.ndarray)
+            assert samples.dtype == np.float64 and samples.shape == (257,)
+            with pytest.raises(ValueError):
+                samples[0] = 1.0
 
     def test_strong_confinement(self, fiber_a):
         prof = mode_profile(omega_from_um(0.5), fiber_a)   # large V

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import taylor_fiber
 from sfwmsim.constants import C, omega_from_um, um_from_omega
+from sfwmsim.dispersion import beta1
 from sfwmsim.errors import NoPhasematchError, RegimeError
 from sfwmsim.numerics import integrate_1d
 from sfwmsim.sfwm import (PumpSpec, SourceConfig, canonical, h_function, jsa,
@@ -196,12 +197,19 @@ class TestJsa:
             assert got == pytest.approx(want, rel=1e-5)
 
     def test_center_dominates_antidiagonal_detuning(self, cfg_dp):
+        # the step (w_s + d, w_i - d) moves the mismatch by about
+        # d |beta1(w_s) - beta1(w_i)| = 10 / (sqrt(2) L), so dk L / 2 = 3.5
+        # lies past the first zero of the phasematching sinc
         center = solve_phasematch_center(cfg_dp)
         L = cfg_dp.fiber.length
-        d = (10.0 / L) / math.sqrt(2)
+        gvm = abs(beta1(center.omega_s, cfg_dp.fiber)
+                  - beta1(center.omega_i, cfg_dp.fiber))
+        d = 10.0 / (L * gvm) / math.sqrt(2)
         at_center = abs(jsa(center.omega_s, center.omega_i, cfg_dp))
-        detuned = abs(jsa(center.omega_s + d, center.omega_i - d, cfg_dp))
-        assert at_center >= detuned
+        for sign in (1.0, -1.0):
+            detuned = abs(jsa(center.omega_s + sign * d,
+                              center.omega_i - sign * d, cfg_dp))
+            assert detuned < 0.5 * at_center
 
     def test_cw_rejected(self, cfg_cw_dp):
         with pytest.raises(RegimeError):
