@@ -9,7 +9,7 @@ against closed-form limits.
 
 __version__ = "0.1.0"
 
-from .backend import active_backend
+from ._kernels_py import active_backend
 from .dispersion import (FiberSpec, ModeProfile, NonlinearParameters,
                          TaylorDispersion, beta, beta1, beta2,
                          effective_area, effective_index,
@@ -24,8 +24,8 @@ from .errors import (BracketError, ConfigError, DivergenceError,
                      OverlapError, RegimeError, SfwmError,
                      WavelengthRangeError, WindowError)
 from .numerics import (QuadratureResult, QuadratureSpec, RootBracket,
-                       bracket_root, derivative, erf_ratio, find_root,
-                       integrate_1d, integrate_2d, sinc)
+                       bracket_root, erf_ratio, find_root, integrate_1d,
+                       integrate_2d, sinc)
 from .phasematch import (ContourPoint, OrientationSweepRow, contour,
                          efficiency_vs_orientation, orientation_angle)
 from .sfwm import (JointSpectrumGrid, PhasematchCenter, PumpSpec,

@@ -32,6 +32,9 @@ differs in the last bit from the libm pow of a scalar, and on the CPU.
 fallback to ``he11_solve``) is not used by the package, whose array
 queries read a Chebyshev table built from ``he11_solve`` (see
 ``dispersion``).  It is kept because benchmark tracing binds it by name.
+
+This is the package's only kernel implementation; ``dispersion`` calls it
+directly and ``active_backend`` names it in run manifests.
 """
 import math
 
@@ -45,6 +48,11 @@ _BISECT_STEPS = 10
 _NEWTON_STEPS = 6
 _POLISH_STEPS = 48
 _VECTOR_MIN_POINTS = 4
+
+
+def active_backend():
+    """Name of the kernel implementation in use (always 'python')."""
+    return "python"
 
 
 def sellmeier_n(lam_um):

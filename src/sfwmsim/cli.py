@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .backend import active_backend
+from ._kernels_py import active_backend
 from .config_io import config_digest, load_config
 from .constants import um_from_omega, omega_from_um
 from .dispersion import (beta1, beta2, effective_index, find_zero_dispersion,
@@ -348,10 +348,6 @@ def build_parser():
         p.add_argument("--out", help="output file path")
         p.add_argument("--svg", action="store_true",
                        help="also render an SVG figure")
-        p.add_argument("--seedless-deterministic", action="store_true",
-                       default=True,
-                       help="deterministic mode (always on; flag kept for "
-                            "interface stability)")
 
     p = sub.add_parser("dispersion", help="n_eff, beta1, beta2 vs wavelength")
     common(p)

@@ -54,7 +54,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .backend import kernels
+from . import _kernels_py as kernels
 from .constants import (C, SELLMEIER_RANGE_UM, N2_SILICA_DEFAULT,
                         omega_from_um, um_from_omega)
 from .errors import ModeCutoffError, OverlapError, WavelengthRangeError

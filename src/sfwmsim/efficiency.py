@@ -12,18 +12,19 @@ the mirrored peak.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
 
 from .constants import C, HBAR, TWO_PI
-from .dispersion import beta, beta1, effective_index, gamma_sfwm
+from .dispersion import (_index_and_group_slowness, beta, beta1,
+                         effective_index, gamma_sfwm)
 from .errors import DivergenceError, RegimeError, WindowError
 from .numerics import erf_ratio, integrate_1d, integrate_2d, sinc
-from .sfwm import (PhasematchCenter, h_function, jsa_window,
-                   nonlinear_phase, peak_power, pump_envelope,
-                   solve_phasematch_center, _jsa_batch)
+from .sfwm import (_SINC_EXTENT, PhasematchCenter, _jsa_batch, _line_mismatch,
+                   _pump_rule, canonical, h_function, nonlinear_phase,
+                   peak_power, pump_envelope, solve_phasematch_center)
 
 # Convergence threshold on the relative contribution of a freshly added
 # boundary shell.  The joint intensity falls off as 1/x^2 along the
@@ -88,7 +89,6 @@ class _OperatingPoint:
 @lru_cache(maxsize=1024)
 def operating_point(config):
     """Phasematched center and the coefficients every efficiency needs."""
-    from .sfwm import canonical
     config = canonical(config)
     center = solve_phasematch_center(config)
     fiber = config.fiber
@@ -203,17 +203,6 @@ def eta_closed(config):
     return eta_dp_closed(config) if config.degenerate else eta_ndp_closed(config)
 
 
-def _expand_window(window, center, config, factor=2.0):
-    """Double the half-widths, keeping clear of the degenerate point."""
-    from .sfwm import _clamp_window
-    s_lo, s_hi, i_lo, i_hi = window
-    w_s = factor * 0.5 * (s_hi - s_lo)
-    w_i = factor * 0.5 * (i_hi - i_lo)
-    return _clamp_window(
-        (center.omega_s - w_s, center.omega_s + w_s,
-         center.omega_i - w_i, center.omega_i + w_i), center, config)
-
-
 def _rotated_integrand(config):
     """h |f|^2 in rotated coordinates u = omega_s + omega_i, v = s - i.
 
@@ -222,11 +211,8 @@ def _rotated_integrand(config):
     phases, which is the whole pump integral apart from the sinc), and the
     returned slice function evaluates h |f|^2 for arrays of v.
     Algebraically identical to ``h_function * |_jsa_batch|^2`` (a property
-    the tests assert).
+    the tests assert).  Expects a canonical config (see ``sfwm.canonical``).
     """
-    from .dispersion import _index_and_group_slowness
-    from .sfwm import _jsa_batch, _pump_rule
-
     fiber = config.fiber
     L = fiber.length
     p1, p2 = config.pump1, config.pump2
@@ -292,7 +278,6 @@ def _rotated_window(config, op):
     carrier sum; the sinc tails confine v to a mismatch-phase argument of
     about _SINC_EXTENT around the phasematched separation.
     """
-    from .sfwm import _SINC_EXTENT
     sigma_c = math.hypot(config.pump1.sigma, config.pump2.sigma)
     dbsi = max(abs(op.b1_i - op.b1_s), 1e-30)
     u0 = config.omega_total
@@ -340,7 +325,6 @@ def eta_pulsed_numeric(config):
     center.
     """
     _require_pulsed(config, "eta_pulsed_numeric")
-    from .sfwm import canonical
     config = canonical(config)
     op = operating_point(config)
     fiber = config.fiber
@@ -364,10 +348,9 @@ def eta_pulsed_numeric(config):
     # runs 100x and the outer axis 1000x the configured relative tolerance,
     # so no level chases the error floor of the level below (the
     # beta-cancellation noise on the integrand sits near 1e-8 relative)
-    from dataclasses import replace as _replace
     rel = config.quadrature.rel_tol
-    inner_rel = _replace(config.quadrature, rel_tol=100 * rel)
-    outer_spec = _replace(config.quadrature, rel_tol=1000 * rel)
+    inner_rel = replace(config.quadrature, rel_tol=100 * rel)
+    outer_spec = replace(config.quadrature, rel_tol=1000 * rel)
 
     u0 = config.omega_total
     v0 = op.center.omega_s - op.center.omega_i
@@ -379,9 +362,9 @@ def eta_pulsed_numeric(config):
     probe = integrate_1d(lambda vs: integrand(u0, vs),
                          window[2], window[3], inner_rel,
                          vectorized=True).value
-    inner_spec = _replace(inner_rel,
-                          abs_tol=max(config.quadrature.abs_tol,
-                                      1e-3 * inner_rel.rel_tol * abs(probe)))
+    inner_spec = replace(inner_rel,
+                         abs_tol=max(config.quadrature.abs_tol,
+                                     1e-3 * inner_rel.rel_tol * abs(probe)))
 
     res = integrate_2d(integrand, window, outer_spec,
                        vectorized_inner=True, inner_spec=inner_spec)
@@ -398,9 +381,9 @@ def eta_pulsed_numeric(config):
         # a strip resolved to well below the shell threshold's resolution is
         # settled; without this floor, strips carrying none of the mass
         # would be refined relative to their own vanishing value
-        strip_spec = _replace(outer_spec,
-                              abs_tol=max(outer_spec.abs_tol,
-                                          1e-3 * SHELL_TOL * abs(total)))
+        strip_spec = replace(outer_spec,
+                             abs_tol=max(outer_spec.abs_tol,
+                                         1e-3 * SHELL_TOL * abs(total)))
         ring = 0.0
         for strip in strips:
             sres = integrate_2d(integrand, strip, strip_spec,
@@ -431,20 +414,6 @@ def eta_pulsed_numeric(config):
                      "quadrature_error": quad_err, "integral": total})
 
 
-def _cw_mismatch_line(config):
-    """Delta k along the energy-conservation line and its building blocks."""
-    fiber = config.fiber
-    total = config.omega_total
-    s_pumps = beta(config.pump1.omega0, fiber) + beta(config.pump2.omega0, fiber)
-    nl = nonlinear_phase(config)
-
-    def dk(om):
-        om = np.asarray(om, dtype=float)
-        return s_pumps - beta(om, fiber) - beta(total - om, fiber) - nl
-
-    return dk
-
-
 def eta_cw(config):
     """Monochromatic-pump conversion efficiency.
 
@@ -458,19 +427,20 @@ def eta_cw(config):
     if not config.is_cw:
         raise RegimeError("eta_cw requires monochromatic pumps (sigma = 0); "
                           "use eta_pulsed_numeric or the closed forms")
+    config = canonical(config)
     p1, p2 = config.pump1, config.pump2
     if not (p1.avg_power > 0 and p2.avg_power > 0):
         raise RegimeError("eta_cw requires positive average powers")
-    from .sfwm import canonical
-    config = canonical(config)
-    p1, p2 = config.pump1, config.pump2
     op = operating_point(config)
     fiber = config.fiber
     L = fiber.length
+    pref = (2 ** 5 * HBAR * C ** 2 * op.n1 * op.n2 / math.pi
+            * L ** 2 * op.gamma ** 2 * p1.avg_power * p2.avg_power
+            / (p1.avg_power * p2.omega0 + p2.avg_power * p1.omega0))
     total = config.omega_total
     half = 0.5 * total
     om_c = op.center.omega_s
-    dk = _cw_mismatch_line(config)
+    dk = _line_mismatch(config)
 
     slope = abs(op.b1_i - op.b1_s)
     h_lo = h_up = 400.0 / (L * slope)
@@ -502,9 +472,6 @@ def eta_cw(config):
             if shell < SHELL_TOL:
                 break
         if expansion == MAX_EXPANSIONS:
-            pref = (2 ** 5 * HBAR * C ** 2 * op.n1 * op.n2 / math.pi
-                    * L ** 2 * op.gamma ** 2 * p1.avg_power * p2.avg_power
-                    / (p1.avg_power * p2.omega0 + p2.avg_power * p1.omega0))
             raise WindowError(
                 f"cw window did not converge within {MAX_EXPANSIONS} expansions",
                 last_values=(pref * value_prev if value_prev is not None else None,
@@ -512,9 +479,6 @@ def eta_cw(config):
         h_lo, h_up = 2.0 * h_lo, 2.0 * h_up
         value_prev = value
 
-    pref = (2 ** 5 * HBAR * C ** 2 * op.n1 * op.n2 / math.pi
-            * L ** 2 * op.gamma ** 2 * p1.avg_power * p2.avg_power
-            / (p1.avg_power * p2.omega0 + p2.avg_power * p1.omega0))
     eta = pref * value
     return EfficiencyResult(
         eta=eta, pairs_per_second=eta * pump_photon_rate(config), method="cw",

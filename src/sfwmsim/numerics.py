@@ -1,10 +1,10 @@
 """Deterministic numerical kernel.
 
 Adaptive Gauss-Legendre quadrature with dyadic panel splitting, nested 2-D
-quadrature, bracketed root finding, five-point differentiation and stable
-small-argument special functions.  Everything here is a pure function of its
-arguments: identical inputs give bit-identical outputs, panels are processed
-and accumulated in a fixed order, and no randomness is used anywhere.
+quadrature, bracketed root finding and stable small-argument special
+functions.  Everything here is a pure function of its arguments: identical
+inputs give bit-identical outputs, panels are processed and accumulated in a
+fixed order, and no randomness is used anywhere.
 
 ``integrate_1d`` also accepts vectorized and array-valued integrands (an
 integrand may map a node array of shape ``(n,)`` to values of shape
@@ -23,7 +23,6 @@ import numpy as np
 from .errors import BracketError, NonConvergenceError
 
 _EPS = float(np.finfo(float).eps)
-_CBRT_EPS = _EPS ** (1.0 / 3.0)
 
 TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)
 
@@ -313,21 +312,3 @@ def find_root(f, bracket, tol):
         if (fb > 0) == (fc > 0):
             c, fc = a, fa
             d = e = b - a
-
-
-def derivative(f, x, scale=1.0, step=None):
-    """Five-point central first derivative with error O(h^4).
-
-    The step is h = scale * max(|x|, 1) * eps^(1/3); pass ``scale`` to move
-    the stencil onto the natural length scale of ``f``, or ``step`` for an
-    explicit absolute step.
-    """
-    if step is not None:
-        h = step
-    else:
-        if scale <= 0:
-            raise ValueError("scale must be > 0")
-        h = scale * max(abs(x), 1.0) * _CBRT_EPS
-    if h <= 0:
-        raise ValueError("derivative step must be > 0")
-    return (f(x - 2 * h) - 8 * f(x - h) + 8 * f(x + h) - f(x + 2 * h)) / (12 * h)

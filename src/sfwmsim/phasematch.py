@@ -19,7 +19,7 @@ from .constants import omega_from_um, um_from_omega
 from .errors import (DivergenceError, NoPhasematchError, RegimeError,
                      WindowError)
 from .dispersion import beta1
-from .sfwm import SourceConfig, phasematch_roots, solve_phasematch_center
+from .sfwm import phasematch_roots, solve_phasematch_center
 
 _GRAD_FLOOR = 1e-18     # s/m; below this the level-curve direction is undefined
 

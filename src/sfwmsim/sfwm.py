@@ -12,16 +12,17 @@ Conventions:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
 
-from .constants import C, TWO_PI, um_from_omega, omega_from_um
-from .dispersion import (FiberSpec, beta, beta1, effective_index, gamma_pump)
+from .constants import TWO_PI, um_from_omega, omega_from_um
+from .dispersion import (FiberSpec, beta, beta1, beta2, effective_index,
+                         gamma_pump)
 from .errors import ConfigError, NoPhasematchError, RegimeError
-from .numerics import (DEFAULT_QUADRATURE, QuadratureSpec, _gauss_nodes,
-                       bracket_root, find_root, integrate_1d, sinc)
+from .numerics import (QuadratureSpec, _gauss_nodes, bracket_root, find_root,
+                       sinc)
 
 # default band scanned for phasematched frequencies [um]
 SCAN_BAND_UM = (0.35, 2.2)
@@ -128,10 +129,17 @@ def canonical(config):
     """Config with the pumps in a fixed order.
 
     Every physical quantity here is symmetric under exchanging the pump
-    labels; routing both orderings through one canonical form makes that
-    symmetry exact in floating point as well.
+    labels.  Floating point keeps that symmetry by itself where the pump
+    terms only enter as sums: gamma1 P1 + gamma2 P2, beta(omega_1) +
+    beta(omega_2), omega_1 + omega_2 and the per-pump exclusion tests
+    commute exactly in IEEE arithmetic, so ``nonlinear_phase``,
+    ``phasematch_roots`` and ``solve_phasematch_center`` take the pumps in
+    either order.  Where the order enters non-associative products or
+    picks the pump-rule window (``_jsa_batch``,
+    ``efficiency.operating_point``, ``efficiency.eta_pulsed_numeric`` and
+    ``efficiency.eta_cw``), the config is routed through this canonical
+    form first, which makes the symmetry exact there too.
     """
-    from dataclasses import replace
     k1 = (config.pump1.omega0, config.pump1.sigma,
           config.pump1.avg_power, config.pump1.rep_rate)
     k2 = (config.pump2.omega0, config.pump2.sigma,
@@ -164,7 +172,6 @@ def pump_envelope(pump, omega):
 @lru_cache(maxsize=4096)
 def nonlinear_phase(config):
     """gamma1 P1 + gamma2 P2 [1/m]; average powers in the CW regime."""
-    config = canonical(config)
     g1 = gamma_pump(config.fiber, config.pump1.omega0)
     g2 = gamma_pump(config.fiber, config.pump2.omega0)
     if config.is_cw:
@@ -189,9 +196,59 @@ def phase_mismatch(omega, omega_s, omega_i, config):
     return out
 
 
-def _detuned_mismatch_grid(config, n_points=_SCAN_POINTS, band_um=SCAN_BAND_UM):
-    """Phase mismatch on a frequency grid with pumps at their carriers."""
+def _line_mismatch(config):
+    """Callable: phase mismatch on the energy-conservation line.
+
+    dk(om) = beta(omega_1) + beta(omega_2) - beta(om) - beta(total - om)
+    - nonlinear phase, with both pumps at their carriers, om the signal
+    frequency and total = omega_1 + omega_2.  A scalar gives a float through
+    the exact scalar solve; an array goes through the array path.  The scan,
+    the root refinement, the centre residual and the CW integrand all use
+    this one function.
+    """
     fiber = config.fiber
+    total = config.omega_total
+    s_pumps = beta(config.pump1.omega0, fiber) + beta(config.pump2.omega0, fiber)
+    nl = nonlinear_phase(config)
+
+    def dk(om):
+        if np.ndim(om) == 0:
+            return float(s_pumps - beta(float(om), fiber)
+                         - beta(float(total - om), fiber) - nl)
+        om = np.asarray(om, dtype=float)
+        return s_pumps - beta(om, fiber) - beta(total - om, fiber) - nl
+
+    return dk
+
+
+def _near_pump(config, om):
+    """True where om or its mirror total - om lies near a pump carrier.
+
+    The neighbourhood is +-3 sigma for pulsed pumps, and always a small
+    relative margin: the nonlinear phase term creates a genuine but
+    physically near-degenerate crossing within ~gamma p / |pump group
+    walk-off| of each carrier, which must not masquerade as a signal band
+    (it matters in the CW regime, where sigma = 0 excludes nothing).
+    """
+    om = np.asarray(om, dtype=float)
+    mirror = config.omega_total - om
+    near = np.zeros(om.shape, dtype=bool)
+    for pump in (config.pump1, config.pump2):
+        margin = max(3 * pump.sigma, 1e-4 * pump.omega0)
+        near |= np.abs(om - pump.omega0) <= margin
+        near |= np.abs(mirror - pump.omega0) <= margin
+    return near
+
+
+def phasematch_roots(config, band_um=SCAN_BAND_UM):
+    """Distinct signal-above phasematched frequencies, outer first.
+
+    Sign-scans the band (excluding each pump's neighbourhood, see
+    ``_near_pump``), refines every crossing by bracketed root finding, and
+    returns the roots above the energy-conservation midpoint ordered by
+    detuning magnitude, largest (outer branch) first.  Mirror roots follow
+    by energy conservation.  Empty tuple when nothing phasematches.
+    """
     total = config.omega_total
     lo = omega_from_um(band_um[1])
     hi = omega_from_um(band_um[0])
@@ -201,57 +258,11 @@ def _detuned_mismatch_grid(config, n_points=_SCAN_POINTS, band_um=SCAN_BAND_UM):
     if not lo < hi:
         raise NoPhasematchError("scan band is empty after mirroring",
                                 scanned_range=band_um)
-    grid = np.linspace(lo, hi, n_points)
-    s_pumps = beta(config.pump1.omega0, fiber) + beta(config.pump2.omega0, fiber)
-    vals = (s_pumps - beta(grid, fiber) - beta(total - grid, fiber)
-            - nonlinear_phase(config))
-    return grid, vals
+    grid = np.linspace(lo, hi, _SCAN_POINTS)
+    f = _line_mismatch(config)
+    vals = f(grid)
+    keep = ~_near_pump(config, grid)
 
-
-def _mismatch_on_line(config):
-    """Callable: phase mismatch vs signal frequency at the pump carriers."""
-    fiber = config.fiber
-    total = config.omega_total
-    s_pumps = beta(config.pump1.omega0, fiber) + beta(config.pump2.omega0, fiber)
-    nl = nonlinear_phase(config)
-    return lambda om: float(s_pumps - beta(float(om), fiber)
-                            - beta(float(total - om), fiber) - nl)
-
-
-def phasematch_roots(config, band_um=SCAN_BAND_UM):
-    """Distinct signal-above phasematched frequencies, outer first.
-
-    Sign-scans the band (excluding +-3 sigma around each pump carrier),
-    refines every crossing by bracketed root finding, and returns the roots
-    above the energy-conservation midpoint ordered by detuning magnitude,
-    largest (outer branch) first.  Mirror roots follow by energy
-    conservation.  Empty tuple when nothing phasematches.
-    """
-    config = canonical(config)
-    total = config.omega_total
-    grid, vals = _detuned_mismatch_grid(config, band_um=band_um)
-
-    # Exclude each pump's spectral neighbourhood: +-3 sigma for pulsed
-    # pumps, and always a small relative margin (the nonlinear phase term
-    # creates a genuine but physically near-degenerate crossing within
-    # ~gamma p / |pump group walk-off| of each carrier, which must not
-    # masquerade as a signal band; it matters in the CW regime where
-    # sigma = 0 excludes nothing).
-    keep = np.ones_like(grid, dtype=bool)
-    for pump in (config.pump1, config.pump2):
-        margin = max(3 * pump.sigma, 1e-4 * pump.omega0)
-        keep &= np.abs(grid - pump.omega0) > margin
-        keep &= np.abs((total - grid) - pump.omega0) > margin
-
-    def excluded(om):
-        for pump in (config.pump1, config.pump2):
-            margin = max(3 * pump.sigma, 1e-4 * pump.omega0)
-            if (abs(om - pump.omega0) <= margin
-                    or abs((total - om) - pump.omega0) <= margin):
-                return True
-        return False
-
-    f = _mismatch_on_line(config)
     roots = []
     for i in range(len(grid) - 1):
         if not (keep[i] and keep[i + 1]):
@@ -263,7 +274,7 @@ def phasematch_roots(config, band_um=SCAN_BAND_UM):
                              tol=1e2)
         else:
             continue
-        if not excluded(root):
+        if not _near_pump(config, root):
             roots.append(root)
     above = sorted((om for om in roots if om > 0.5 * total),
                    key=lambda om: abs(om - 0.5 * total), reverse=True)
@@ -300,7 +311,7 @@ def solve_phasematch_center(config, branch="outer", side="signal-above",
     om_s, om_i = (om_sig, total - om_sig) if side == "signal-above" \
         else (total - om_sig, om_sig)
     return PhasematchCenter(omega_s=om_s, omega_i=om_i,
-                            residual=_mismatch_on_line(config)(om_sig))
+                            residual=_line_mismatch(config)(om_sig))
 
 
 def h_function(omega_s, omega_i, fiber):
@@ -327,17 +338,19 @@ def _pump_rule(config):
     mismatch-phase variation across it (group-velocity walk-off plus a
     curvature term) at one 15-node panel per 8 radians.
 
+    Only reached with canonical configs (``_jsa_batch`` and the pulsed
+    efficiency canonicalize first), so the window sits on the canonical
+    first pump.
+
     Returns (nodes, weights, beta_at_nodes, envelope1_at_nodes).
     """
-    from .dispersion import beta2 as _beta2
-    config = canonical(config)
     p1, p2 = config.pump1, config.pump2
     fiber = config.fiber
     m = min(p1.sigma, p2.sigma)
     lo, hi = p1.omega0 - 5.0 * m, p1.omega0 + 5.0 * m
     width = hi - lo
     gvm = abs(beta1(p1.omega0, fiber) - beta1(p2.omega0, fiber))
-    curv = abs(_beta2(p1.omega0, fiber)) + abs(_beta2(p2.omega0, fiber))
+    curv = abs(beta2(p1.omega0, fiber)) + abs(beta2(p2.omega0, fiber))
     phase_var = 0.5 * fiber.length * (gvm * width + 0.5 * curv * width * width)
     # a single Gauss panel: order 32 nails the Gaussian envelope, plus one
     # node per radian of mismatch-phase variation

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import taylor_fiber
 from sfwmsim import _kernels_py
-from sfwmsim.backend import kernels
+from sfwmsim import _kernels_py as kernels
 from sfwmsim.constants import (C, SELLMEIER_RANGE_UM, omega_from_um,
                                um_from_omega)
 from sfwmsim.dispersion import (FiberSpec, TaylorDispersion, beta, beta1,

@@ -7,12 +7,14 @@ import pytest
 from conftest import taylor_fiber
 from sfwmsim.constants import HBAR, omega_from_um
 from sfwmsim.dispersion import FiberSpec
-from sfwmsim.efficiency import (b_parameter, eta_cw, eta_dp_closed,
+from sfwmsim.efficiency import (_rotated_integrand, _rotated_window,
+                                b_parameter, eta_cw, eta_dp_closed,
                                 eta_ndp_closed, eta_pulsed_numeric, l_max,
                                 operating_point, photons_per_pulse,
                                 pump_photon_rate, sigma_max)
 from sfwmsim.errors import DivergenceError, RegimeError
-from sfwmsim.sfwm import (PumpSpec, SourceConfig, nonlinear_phase,
+from sfwmsim.sfwm import (PumpSpec, SourceConfig, _jsa_batch, canonical,
+                          h_function, nonlinear_phase,
                           solve_phasematch_center)
 
 PHOTONS_PER_PULSE_REF = 13365579.49501524   # sqrt(2 pi) P / (hbar w0 sigma)
@@ -211,6 +213,25 @@ class TestNumericEfficiency:
         assert c.eta == d.eta
         assert l_max(cfg_ndp) == l_max(swapped)
         assert b_parameter(cfg_ndp).value == b_parameter(swapped).value
+
+
+class TestRotatedIntegrand:
+    @pytest.mark.parametrize("name", ["cfg_dp", "cfg_ndp"])
+    def test_matches_h_times_jsa_intensity(self, name, request):
+        # the pulsed integrand factors the pump convolution over the
+        # frequency sum u; slice by slice it is h |f|^2 of the joint spectrum
+        cfg = canonical(request.getfixturevalue(name))
+        op = operating_point(cfg)
+        _, _, v_lo, v_hi = _rotated_window(cfg, op)
+        v = np.linspace(v_lo, v_hi, 101)
+        make_slice = _rotated_integrand(cfg)
+        sigma_c = math.hypot(cfg.pump1.sigma, cfg.pump2.sigma)
+        for u in (cfg.omega_total, cfg.omega_total + sigma_c):
+            om_s, om_i = 0.5 * (u + v), 0.5 * (u - v)
+            want = (h_function(om_s, om_i, cfg.fiber)
+                    * np.abs(_jsa_batch(cfg, om_s, om_i)) ** 2)
+            got = make_slice(u)(v)
+            assert np.max(np.abs(got - want)) <= 1e-7 * np.max(want)
 
 
 class TestCwEfficiency:

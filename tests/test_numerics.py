@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from sfwmsim.errors import BracketError, NonConvergenceError
 from sfwmsim.numerics import (QuadratureSpec, RootBracket, bracket_root,
-                              derivative, erf_ratio, find_root, integrate_1d,
-                              integrate_2d, sinc)
+                              erf_ratio, find_root, integrate_1d, integrate_2d,
+                              sinc)
 
 # frozen oracle values (brute-force trapezoid / long bisection, see comments)
 SINC2_0_40 = 1.5584510463645005          # 1e7-point trapezoid of sinc^2
@@ -137,26 +137,6 @@ class TestFindRoot:
         root = find_root(f, (lo, hi), 1e-10)
         assert lo <= root <= hi
         assert abs(root - center) < 1e-8
-
-
-class TestDerivative:
-    def test_square(self):
-        assert derivative(lambda x: x * x, 3.0) == \
-            pytest.approx(6.0, rel=1e-7)
-
-    def test_constant(self):
-        assert derivative(lambda x: 4.5, 10.0) == pytest.approx(0.0, abs=1e-9)
-
-    def test_exponential(self):
-        assert derivative(math.exp, 1.0) == pytest.approx(math.e, rel=1e-8)
-
-    def test_explicit_step(self):
-        got = derivative(lambda x: x ** 3, 2.0, step=1e-4)
-        assert got == pytest.approx(12.0, rel=1e-9)
-
-    def test_bad_scale(self):
-        with pytest.raises(ValueError):
-            derivative(math.exp, 1.0, scale=-1.0)
 
 
 class TestErfRatio:

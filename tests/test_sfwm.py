@@ -305,3 +305,12 @@ class TestConfigValidation:
     def test_canonical_ordering(self, cfg_ndp):
         swapped = replace(cfg_ndp, pump1=cfg_ndp.pump2, pump2=cfg_ndp.pump1)
         assert canonical(swapped) == canonical(cfg_ndp)
+
+    def test_pump_order_free_without_canonical(self, cfg_ndp):
+        # these take the pumps as given: the pump terms enter only as sums,
+        # which commute exactly in floating point
+        swapped = replace(cfg_ndp, pump1=cfg_ndp.pump2, pump2=cfg_ndp.pump1)
+        assert nonlinear_phase(swapped) == nonlinear_phase(cfg_ndp)
+        assert phasematch_roots(swapped) == phasematch_roots(cfg_ndp)
+        assert solve_phasematch_center(swapped) == \
+            solve_phasematch_center(cfg_ndp)
