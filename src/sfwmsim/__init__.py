@@ -15,10 +15,10 @@ from .dispersion import (FiberSpec, ModeProfile, NonlinearParameters,
                          effective_area, effective_index,
                          find_zero_dispersion, gamma_pump, gamma_sfwm,
                          mode_profile, nonlinear_parameters, silica_index)
-from .efficiency import (BParameter, EfficiencyResult, b_parameter,
-                         eta_closed, eta_cw, eta_dp_closed, eta_ndp_closed,
-                         eta_pulsed_numeric, l_max, photons_per_pulse,
-                         pump_photon_rate, sigma_max)
+from .efficiency import (EfficiencyResult, b_parameter, eta_closed, eta_cw,
+                         eta_dp_closed, eta_ndp_closed, eta_pulsed_numeric,
+                         l_max, photons_per_pulse, pump_photon_rate,
+                         sigma_max)
 from .errors import (BracketError, ConfigError, DivergenceError,
                      ModeCutoffError, NonConvergenceError, NoPhasematchError,
                      OverlapError, RegimeError, SfwmError,
@@ -26,8 +26,7 @@ from .errors import (BracketError, ConfigError, DivergenceError,
 from .numerics import (QuadratureResult, QuadratureSpec, RootBracket,
                        bracket_root, erf_ratio, find_root, integrate_1d,
                        integrate_2d, sinc)
-from .phasematch import (ContourPoint, OrientationSweepRow, contour,
-                         efficiency_vs_orientation, orientation_angle)
+from .phasematch import ContourPoint, contour, orientation_angle
 from .sfwm import (JointSpectrumGrid, PhasematchCenter, PumpSpec,
                    SourceConfig, h_function, jsa, jsa_grid, jsa_window,
                    peak_power, phase_mismatch, phasematch_roots,

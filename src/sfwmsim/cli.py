@@ -1,8 +1,11 @@
 """Command-line interface.
 
 JSON configs carry the physics; flags pick the analysis and output shape.
-Every output file gets a RunManifest sidecar (<out>.manifest.json) with the
-config digest, tool version, timestamp and command line.  Exit codes:
+Six subcommands: ``dispersion``, ``gamma``, ``efficiency``, ``sweep``,
+``jsa`` and ``contour``; only ``sweep`` and ``contour`` take ``--svg``,
+which adds a figure next to the CSV.  Every output file gets a RunManifest
+sidecar (<out>.manifest.json) with the config digest, tool version,
+timestamp and the command line as ``main`` received it.  Exit codes:
 0 success, 2 configuration/schema error, 3 numerical non-convergence.
 """
 from __future__ import annotations
@@ -11,6 +14,7 @@ import argparse
 import csv
 import datetime
 import json
+import shlex
 import sys
 
 import numpy as np
@@ -48,7 +52,7 @@ def _write_manifest(out_path, args):
         "version": __version__,
         "backend": active_backend(),
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        "command": " ".join(sys.argv),
+        "command": args.command_line,
     }
     with open(f"{out_path}.manifest.json", "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -56,9 +60,10 @@ def _write_manifest(out_path, args):
 
 
 def _echo_summary(config):
+    dispersion = "step-index" if config.fiber.taylor is None else "taylor"
     lines = [f"fiber: r={config.fiber.core_radius*1e6:.4g} um, "
              f"f={config.fiber.air_fill_fraction:.4g}, "
-             f"L={config.fiber.length:.4g} m, model={config.fiber.model}"]
+             f"L={config.fiber.length:.4g} m, dispersion={dispersion}"]
     for name, pump in (("pump1", config.pump1), ("pump2", config.pump2)):
         if pump.is_cw:
             lines.append(f"{name}: {pump.wavelength_um:.4f} um, CW, "
@@ -283,7 +288,7 @@ def cmd_sweep(config, args):
             series["eta_cw"] = [r["eta_cw"] for r in rows]
         svgmod.line_plot(f"{out}.svg", [r["x"] for r in rows], series,
                          col, "conversion efficiency",
-                         title=f"sweep: {args.parameter}", log_y=True)
+                         title=f"sweep: {args.parameter}")
         _write_manifest(f"{out}.svg", args)
     if failures > 0.1 * len(rows):
         print(f"error: {failures}/{len(rows)} sweep points failed",
@@ -346,8 +351,6 @@ def build_parser():
     def common(p):
         p.add_argument("--config", required=True, help="JSON config path")
         p.add_argument("--out", help="output file path")
-        p.add_argument("--svg", action="store_true",
-                       help="also render an SVG figure")
 
     p = sub.add_parser("dispersion", help="n_eff, beta1, beta2 vs wavelength")
     common(p)
@@ -372,6 +375,8 @@ def build_parser():
     p.add_argument("--points", type=int, default=8)
     p.add_argument("--include-cw", action="store_true",
                    help="add the monochromatic-pump efficiency column")
+    p.add_argument("--svg", action="store_true",
+                   help="also render an SVG figure")
 
     p = sub.add_parser("jsa", help="joint spectral amplitude grid")
     common(p)
@@ -382,6 +387,8 @@ def build_parser():
     p.add_argument("--pump-range", required=True,
                    help="pump wavelength range in um, LO:HI")
     p.add_argument("--points", type=int, default=40)
+    p.add_argument("--svg", action="store_true",
+                   help="also render an SVG figure")
 
     return parser
 
@@ -397,8 +404,9 @@ _COMMANDS = {
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser().parse_args(argv)
+    args.command_line = "sfwmsim " + shlex.join(argv)
     try:
         config = load_config(args.config)
     except ConfigError as exc:

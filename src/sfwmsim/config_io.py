@@ -10,15 +10,14 @@ from __future__ import annotations
 import hashlib
 import json
 
-from .constants import N2_SILICA_DEFAULT
+from .constants import N2_SILICA_DEFAULT, omega_from_um
 from .dispersion import FiberSpec, TaylorDispersion
 from .errors import ConfigError
 from .numerics import QuadratureSpec
 from .sfwm import CONFIG_QUADRATURE, PumpSpec, SourceConfig
-from .constants import omega_from_um
 
 _FIBER_KEYS = {"core_radius_um", "air_fill_fraction", "length_m",
-               "n2_m2_per_W", "model", "taylor"}
+               "n2_m2_per_W", "taylor"}
 _TAYLOR_KEYS = {"lambda_ref_um", "beta"}
 _PUMP_KEYS = {"wavelength_um", "sigma_THz", "avg_power_mW", "rep_rate_MHz"}
 _QUAD_KEYS = {"rel_tol", "abs_tol", "panel_order", "max_subdivisions"}
@@ -60,9 +59,6 @@ def _parse_fiber(obj):
             reference_frequency=omega_from_um(
                 _require_number(t["lambda_ref_um"], "fiber.taylor.lambda_ref_um")),
             beta_coefficients=coeffs)
-    model = obj.get("model", "taylor_coefficients" if taylor else "step_index_pcf")
-    if not isinstance(model, str):
-        raise ConfigError("model must be a string", field="fiber.model")
     try:
         return FiberSpec(
             core_radius=_require_number(obj["core_radius_um"],
@@ -72,7 +68,6 @@ def _parse_fiber(obj):
             length=_require_number(obj["length_m"], "fiber.length_m"),
             n2_kerr=_require_number(obj.get("n2_m2_per_W", N2_SILICA_DEFAULT),
                                     "fiber.n2_m2_per_W"),
-            model=model,
             taylor=taylor)
     except ValueError as exc:
         raise ConfigError(str(exc), field="fiber") from exc

@@ -40,11 +40,12 @@ Transverse mode profiles use the zeroth-order Bessel shape of the
 fundamental mode, evaluated at the exact (u, w) of the vectorial solve, and
 are treated as frequency-independent within each carrier's bandwidth.
 
-A ``taylor_coefficients`` model replaces k(omega) by a Taylor polynomial
-around a reference frequency (coefficients beta_n in s^n/m, factorial
-convention); it decouples tests from the mode solver and allows engineered
-dispersion.  Geometry-derived quantities (profiles, effective area, gamma)
-still use the step-index machinery.
+A fiber that carries ``taylor`` data takes k(omega) from that Taylor
+polynomial around a reference frequency instead (coefficients beta_n in
+s^n/m, factorial convention); a fiber without it is the step-index model
+above.  The polynomial decouples tests from the mode solver and allows
+engineered dispersion.  Geometry-derived quantities (profiles, effective
+area, gamma) still use the step-index machinery.
 """
 from __future__ import annotations
 
@@ -106,13 +107,17 @@ class TaylorDispersion:
 
 @dataclass(frozen=True)
 class FiberSpec:
-    """Fiber geometry and nonlinearity; all lengths in SI meters."""
+    """Fiber geometry and nonlinearity; all lengths in SI meters.
+
+    Giving ``taylor`` data replaces k(omega), and with it n_eff, beta1 and
+    beta2, by that polynomial; without it the dispersion comes from the
+    step-index model of the geometry.
+    """
 
     core_radius: float                    # m
     air_fill_fraction: float
     length: float                         # m
     n2_kerr: float = N2_SILICA_DEFAULT    # m^2/W
-    model: str = "step_index_pcf"         # or "taylor_coefficients"
     taylor: TaylorDispersion | None = None
 
     def __post_init__(self):
@@ -124,10 +129,6 @@ class FiberSpec:
             raise ValueError("length must be > 0")
         if not self.n2_kerr > 0:
             raise ValueError("n2_kerr must be > 0")
-        if self.model not in ("step_index_pcf", "taylor_coefficients"):
-            raise ValueError(f"unknown dispersion model: {self.model}")
-        if self.model == "taylor_coefficients" and self.taylor is None:
-            raise ValueError("taylor_coefficients model needs taylor data")
 
 
 @dataclass(frozen=True)
@@ -308,7 +309,7 @@ def _neff_scalar_cached(omega, core_radius, fill):
 
 def effective_index(omega, fiber):
     """Effective index of the fundamental mode (scalar or array omega)."""
-    if fiber.model == "taylor_coefficients":
+    if fiber.taylor is not None:
         k = fiber.taylor.k(omega)
         return k * C / omega
     om = np.asarray(omega, dtype=float)
@@ -320,7 +321,7 @@ def effective_index(omega, fiber):
 
 def beta(omega, fiber):
     """Propagation constant k(omega) [1/m]."""
-    if fiber.model == "taylor_coefficients":
+    if fiber.taylor is not None:
         return fiber.taylor.k(omega)
     return effective_index(omega, fiber) * np.asarray(omega, dtype=float) / C
 
@@ -331,14 +332,14 @@ def _as_result(x):
 
 def beta1(omega, fiber):
     """First frequency derivative of k [s/m]: (n + dn/dx) / c, x = ln omega."""
-    if fiber.model == "taylor_coefficients":
+    if fiber.taylor is not None:
         return fiber.taylor.k(omega, deriv=1)
     return _as_result(_index_and_group_slowness(omega, fiber)[1])
 
 
 def beta2(omega, fiber):
     """Second frequency derivative of k [s^2/m]: (n_x + n_xx) / (c omega)."""
-    if fiber.model == "taylor_coefficients":
+    if fiber.taylor is not None:
         return fiber.taylor.k(omega, deriv=2)
     _n, n_x, n_xx = _table_derivatives(omega, fiber, 2)
     return _as_result((n_x + n_xx) / (C * np.asarray(omega, dtype=float)))
@@ -351,7 +352,7 @@ def find_zero_dispersion(fiber, wavelength_range_um=(0.4, 1.6), points=240):
     refinement in omega.  An empty list means no zero-dispersion point.
     """
     lo_um, hi_um = wavelength_range_um
-    if fiber.model != "taylor_coefficients":
+    if fiber.taylor is None:
         # a rounding step inside the window, where lambda -> omega -> lambda
         # does not round-trip exactly
         lo_um = max(lo_um, SELLMEIER_RANGE_UM[0] * (1 + 1e-12))
@@ -376,8 +377,8 @@ def mode_profile(omega, fiber):
     """Normalized fundamental-mode profile at the carrier (cached per geometry).
 
     The transverse structure always comes from the step-index geometry, also
-    under the Taylor dispersion model, so fibers that differ only in length,
-    n2 or dispersion model share one profile object.
+    for a fiber with Taylor dispersion, so fibers that differ only in length,
+    n2 or Taylor data share one profile object.
     """
     return _mode_profile(float(omega), fiber.core_radius,
                          fiber.air_fill_fraction)

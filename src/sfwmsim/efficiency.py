@@ -49,13 +49,6 @@ class EfficiencyResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
-class BParameter:
-    """Walk-off parameter of the closed-form pulsed efficiency."""
-
-    value: float             # dimensionless; math.inf for degenerate pumps
-
-
 def photons_per_pulse(pump):
     """Photons per pulse, N = sqrt(2 pi) P / (hbar omega0 sigma)."""
     if pump.is_cw:
@@ -120,15 +113,15 @@ def _signal_idler_walkoff(op):
 
 
 def b_parameter(config):
-    """Pump walk-off parameter B; infinite for group-velocity-degenerate pumps."""
+    """Pump walk-off parameter B (dimensionless) of the closed-form pulsed
+    efficiency; math.inf for group-velocity-degenerate pumps."""
     _require_pulsed(config, "b_parameter")
     op = operating_point(config)
     s1, s2 = config.pump1.sigma, config.pump2.sigma
     db12 = abs(op.b1_p1 - op.b1_p2)
     if db12 == 0.0:
-        return BParameter(value=math.inf)
-    return BParameter(value=math.sqrt(s1 * s1 + s2 * s2)
-                      / (s1 * s2 * config.fiber.length * db12))
+        return math.inf
+    return math.sqrt(s1 * s1 + s2 * s2) / (s1 * s2 * config.fiber.length * db12)
 
 
 def l_max(config):
@@ -176,7 +169,7 @@ def eta_ndp_closed(config):
         eta=eta, pairs_per_second=eta * pump_photon_rate(config),
         method="closed_ndp",
         diagnostics={"center": op.center, "gamma": op.gamma,
-                     "erf_argument": x, "b_parameter": b_parameter(config).value})
+                     "erf_argument": x, "b_parameter": b_parameter(config)})
 
 
 def eta_dp_closed(config):
@@ -219,7 +212,7 @@ def _rotated_integrand(config):
     nl = nonlinear_phase(config)
     pref2 = math.pi * p1.sigma * p2.sigma / 2.0
 
-    if fiber.model == "taylor_coefficients":
+    if fiber.taylor is not None:
         def make_slice_taylor(u):
             def slice_fn(v):
                 om_s = 0.5 * (u + v)
@@ -304,10 +297,11 @@ def _clamp_uv(window, u0, v0):
     return (u_lo, u_hi, v_lo, v_hi)
 
 
-def _grow_uv(window, u0, v0, factor=2.0):
+def _grow_uv(window, u0, v0):
+    """Window of twice the width around (u0, v0), clamped."""
     u_lo, u_hi, v_lo, v_hi = window
-    u_half = factor * 0.5 * (u_hi - u_lo)
-    v_half = factor * 0.5 * (v_hi - v_lo)
+    u_half = u_hi - u_lo
+    v_half = v_hi - v_lo
     return _clamp_uv((u0 - u_half, u0 + u_half, v0 - v_half, v0 + v_half),
                      u0, v0)
 

@@ -1,12 +1,15 @@
 """Phase-matching cartography for degenerate pumping.
 
-Maps the zero-mismatch contour in (pump frequency, detuning) space, labels
-the outer/inner solution branches, and computes the orientation angle of
-the phasematched level curve in (omega_s, omega_i) space.  A -45 degree
-orientation corresponds to matched signal/idler group velocities,
-beta1(omega_s) == beta1(omega_i), and is where the conversion efficiency
-peaks; ``orientation_angle`` returns exactly -45 degrees there, also when
-the mismatch gradient vanishes.
+Two entry points, both behind the ``contour`` subcommand:
+
+* ``contour`` maps the zero-mismatch contour in (pump frequency, detuning)
+  space over a pump-wavelength sweep and labels the outer/inner solution
+  branches;
+* ``orientation_angle`` gives the angle of the phasematched level curve in
+  (omega_s, omega_i) space at one point of it.  A -45 degree orientation
+  corresponds to matched signal/idler group velocities, beta1(omega_s) ==
+  beta1(omega_i), and is where the conversion efficiency peaks; the angle
+  is exactly -45 degrees there, also when the mismatch gradient vanishes.
 """
 from __future__ import annotations
 
@@ -16,10 +19,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .constants import omega_from_um, um_from_omega
-from .errors import (DivergenceError, NoPhasematchError, RegimeError,
-                     WindowError)
+from .errors import DivergenceError, NoPhasematchError, RegimeError
 from .dispersion import beta1
-from .sfwm import phasematch_roots, solve_phasematch_center
+from .sfwm import phasematch_roots
 
 _GRAD_FLOOR = 1e-18     # s/m; below this the level-curve direction is undefined
 
@@ -127,49 +129,3 @@ def contour(config, pump_wavelength_range_um, n_points):
     points.sort(key=lambda p: (p.pump_frequency, p.branch != "outer",
                                -p.detuning_signal))
     return points
-
-
-@dataclass(frozen=True, eq=False)
-class OrientationSweepRow:
-    pump_wavelength_um: float
-    theta_si: float            # degrees
-    eta_numeric: float | None
-    eta_closed: float | None
-    error: str | None = None
-
-
-def efficiency_vs_orientation(config, pump_wavelength_range_um, n_points):
-    """Numeric and closed-form efficiency along the outer branch.
-
-    One row per pump wavelength with an outer-branch solution; closed-form
-    divergence near -45 degrees and numeric window failures are recorded in
-    the error column instead of aborting the sweep.
-    """
-    from .efficiency import eta_dp_closed, eta_pulsed_numeric
-
-    if not config.degenerate:
-        raise RegimeError("the orientation sweep is defined for degenerate pumps")
-    lo_um, hi_um = pump_wavelength_range_um
-    rows = []
-    for lam in np.linspace(lo_um, hi_um, n_points):
-        cfg = _repumped(config, omega_from_um(float(lam)))
-        try:
-            center = solve_phasematch_center(cfg)
-        except NoPhasematchError:
-            continue
-        theta = orientation_angle(center.omega_s, center.omega_i, cfg)
-        err_parts = []
-        eta_num = eta_cls = None
-        try:
-            eta_num = eta_pulsed_numeric(cfg).eta
-        except WindowError as exc:
-            err_parts.append(f"numeric: {exc}")
-        try:
-            eta_cls = eta_dp_closed(cfg).eta
-        except DivergenceError as exc:
-            err_parts.append(f"closed: {exc}")
-        rows.append(OrientationSweepRow(
-            pump_wavelength_um=float(lam), theta_si=theta,
-            eta_numeric=eta_num, eta_closed=eta_cls,
-            error="; ".join(err_parts) or None))
-    return rows

@@ -24,7 +24,7 @@ from .errors import ConfigError, NoPhasematchError, RegimeError
 from .numerics import (QuadratureSpec, _gauss_nodes, bracket_root, find_root,
                        sinc)
 
-# default band scanned for phasematched frequencies [um]
+# band scanned for phasematched frequencies [um]
 SCAN_BAND_UM = (0.35, 2.2)
 _SCAN_POINTS = 1200
 
@@ -240,24 +240,24 @@ def _near_pump(config, om):
     return near
 
 
-def phasematch_roots(config, band_um=SCAN_BAND_UM):
+def phasematch_roots(config):
     """Distinct signal-above phasematched frequencies, outer first.
 
-    Sign-scans the band (excluding each pump's neighbourhood, see
+    Sign-scans SCAN_BAND_UM (excluding each pump's neighbourhood, see
     ``_near_pump``), refines every crossing by bracketed root finding, and
     returns the roots above the energy-conservation midpoint ordered by
     detuning magnitude, largest (outer branch) first.  Mirror roots follow
     by energy conservation.  Empty tuple when nothing phasematches.
     """
     total = config.omega_total
-    lo = omega_from_um(band_um[1])
-    hi = omega_from_um(band_um[0])
+    lo = omega_from_um(SCAN_BAND_UM[1])
+    hi = omega_from_um(SCAN_BAND_UM[0])
     # the mirrored frequency must stay in band too
     lo = max(lo, total - hi)
     hi = min(hi, total - lo)
     if not lo < hi:
         raise NoPhasematchError("scan band is empty after mirroring",
-                                scanned_range=band_um)
+                                scanned_range=SCAN_BAND_UM)
     grid = np.linspace(lo, hi, _SCAN_POINTS)
     f = _line_mismatch(config)
     vals = f(grid)
@@ -285,8 +285,7 @@ def phasematch_roots(config, band_um=SCAN_BAND_UM):
     return tuple(distinct)
 
 
-def solve_phasematch_center(config, branch="outer", side="signal-above",
-                            band_um=SCAN_BAND_UM):
+def solve_phasematch_center(config, branch="outer", side="signal-above"):
     """Signal/idler carriers with zero phase mismatch at the pump carriers.
 
     Picks the requested branch by detuning magnitude; energy conservation
@@ -297,16 +296,16 @@ def solve_phasematch_center(config, branch="outer", side="signal-above",
     if side not in ("signal-above", "signal-below"):
         raise ValueError("side must be 'signal-above' or 'signal-below'")
     total = config.omega_total
-    distinct = phasematch_roots(config, band_um=band_um)
+    distinct = phasematch_roots(config)
     if not distinct:
         raise NoPhasematchError(
-            f"no phasematched frequency in {band_um} um band",
-            scanned_range=band_um)
+            f"no phasematched frequency in {SCAN_BAND_UM} um band",
+            scanned_range=SCAN_BAND_UM)
     index = 0 if branch == "outer" else 1
     if index >= len(distinct):
         raise NoPhasematchError(
-            f"no {branch}-branch solution in {band_um} um band "
-            f"({len(distinct)} branch(es) found)", scanned_range=band_um)
+            f"no {branch}-branch solution in {SCAN_BAND_UM} um band "
+            f"({len(distinct)} branch(es) found)", scanned_range=SCAN_BAND_UM)
     om_sig = distinct[index]
     om_s, om_i = (om_sig, total - om_sig) if side == "signal-above" \
         else (total - om_sig, om_sig)

@@ -1,4 +1,5 @@
-"""Dependency-free SVG line plots (polyline + axes only).
+"""Dependency-free SVG figures: a log-y line plot for ``sweep`` and a
+scatter of the phasematching loop for ``contour``.
 
 Figures are a convenience; the CSV files are the contract.
 """
@@ -28,25 +29,24 @@ def _color_for_angle(theta_deg):
     return f"hsl({hue:.0f},85%,45%)"
 
 
-def line_plot(path, xs, ys_by_label, x_label, y_label, title="",
-              colors_by_label=None, log_y=False):
-    """Write a multi-series line plot; None y-values break the polyline."""
+def line_plot(path, xs, ys_by_label, x_label, y_label, title=""):
+    """Write a multi-series line plot on a log10 y axis.
+
+    A y-value that is None, non-finite or not positive breaks the polyline.
+    """
     width, height = 640, 440
     ml, mr, mt, mb = 70, 20, 30, 50
     pw, ph = width - ml - mr, height - mt - mb
 
     finite_x = [x for x in xs if x is not None and math.isfinite(x)]
     all_y = [y for ys in ys_by_label.values() for y in ys
-             if y is not None and math.isfinite(y) and (not log_y or y > 0)]
+             if y is not None and math.isfinite(y) and y > 0]
     if not finite_x or not all_y:
         x_lo = x_hi = 0.0
         y_lo, y_hi = 0.0, 1.0
     else:
         x_lo, x_hi = min(finite_x), max(finite_x)
-        if log_y:
-            y_lo, y_hi = math.log10(min(all_y)), math.log10(max(all_y))
-        else:
-            y_lo, y_hi = min(all_y), max(all_y)
+        y_lo, y_hi = math.log10(min(all_y)), math.log10(max(all_y))
     if x_hi == x_lo:
         x_hi = x_lo + 1.0
     if y_hi == y_lo:
@@ -55,10 +55,8 @@ def line_plot(path, xs, ys_by_label, x_label, y_label, title="",
     def px(x):
         return ml + pw * (x - x_lo) / (x_hi - x_lo)
 
-    def py(y):
-        if log_y:
-            y = math.log10(y)
-        return mt + ph * (1.0 - (y - y_lo) / (y_hi - y_lo))
+    def py(log_y):
+        return mt + ph * (1.0 - (log_y - y_lo) / (y_hi - y_lo))
 
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
              f'height="{height}" font-family="sans-serif" font-size="11">',
@@ -73,14 +71,11 @@ def line_plot(path, xs, ys_by_label, x_label, y_label, title="",
                      f'y2="{mt+ph+4}" stroke="black"/>')
         parts.append(f'<text x="{px(t):.1f}" y="{mt+ph+16}" '
                      f'text-anchor="middle">{t:.4g}</text>')
-    y_tick_vals = _ticks(y_lo, y_hi)
-    for t in y_tick_vals:
-        yy = mt + ph * (1.0 - (t - y_lo) / (y_hi - y_lo))
-        label = f"1e{t:.0f}" if log_y else f"{t:.3g}"
-        parts.append(f'<line x1="{ml-4}" y1="{yy:.1f}" x2="{ml}" '
-                     f'y2="{yy:.1f}" stroke="black"/>')
-        parts.append(f'<text x="{ml-8}" y="{yy+3:.1f}" '
-                     f'text-anchor="end">{label}</text>')
+    for t in _ticks(y_lo, y_hi):
+        parts.append(f'<line x1="{ml-4}" y1="{py(t):.1f}" x2="{ml}" '
+                     f'y2="{py(t):.1f}" stroke="black"/>')
+        parts.append(f'<text x="{ml-8}" y="{py(t)+3:.1f}" '
+                     f'text-anchor="end">1e{t:.0f}</text>')
     parts.append(f'<text x="{ml+pw/2:.0f}" y="{height-10}" '
                  f'text-anchor="middle">{x_label}</text>')
     parts.append(f'<text x="16" y="{mt+ph/2:.0f}" text-anchor="middle" '
@@ -88,13 +83,12 @@ def line_plot(path, xs, ys_by_label, x_label, y_label, title="",
 
     palette = ["#c62828", "#1565c0", "#2e7d32", "#6a1b9a", "#ef6c00"]
     for idx, (label, ys) in enumerate(ys_by_label.items()):
-        color = (colors_by_label or {}).get(label, palette[idx % len(palette)])
+        color = palette[idx % len(palette)]
         run = []
         for x, y in zip(xs, ys):
-            ok = (x is not None and y is not None and math.isfinite(x)
-                  and math.isfinite(y) and (not log_y or y > 0))
-            if ok:
-                run.append(f"{px(x):.1f},{py(y):.1f}")
+            if (x is not None and y is not None and math.isfinite(x)
+                    and math.isfinite(y) and y > 0):
+                run.append(f"{px(x):.1f},{py(math.log10(y)):.1f}")
             elif run:
                 parts.append(f'<polyline points="{" ".join(run)}" fill="none" '
                              f'stroke="{color}" stroke-width="1.5"/>')

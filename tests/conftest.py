@@ -57,7 +57,7 @@ def taylor_fiber(omega_ref, coeffs, core_radius=0.97e-6, fill=0.91,
                  length=0.5):
     """Fiber with polynomial dispersion (geometry kept for profiles)."""
     return FiberSpec(core_radius=core_radius, air_fill_fraction=fill,
-                     length=length, model="taylor_coefficients",
+                     length=length,
                      taylor=TaylorDispersion(reference_frequency=omega_ref,
                                              beta_coefficients=tuple(coeffs)))
 

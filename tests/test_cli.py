@@ -118,6 +118,15 @@ class TestSubcommands:
         assert set(read_manifest(f"{out}.svg")) == MANIFEST_KEYS
 
 
+class TestManifest:
+    def test_command_is_the_argv_given_to_main(self, tmp_path, pulsed):
+        config = write_config(tmp_path, pulsed)
+        out = str(tmp_path / "gamma out.json")
+        assert cli.main(["gamma", "--config", config, "--out", out]) == 0
+        assert read_manifest(out)["command"] == (
+            f"sfwmsim gamma --config {config} --out '{out}'")
+
+
 class TestExitCodes:
     # normal dispersion (beta2 > 0) everywhere: nothing phasematches
     NO_PHASEMATCH_FIBER = dict(
@@ -130,6 +139,14 @@ class TestExitCodes:
         code, _ = run(tmp_path, "gamma", data)
         assert code == cli.EXIT_CONFIG == 2
         assert "fiber: unknown field(s) ['colour']" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["dispersion", "gamma", "efficiency",
+                                         "jsa"])
+    def test_svg_only_where_a_figure_is_drawn(self, tmp_path, pulsed,
+                                              command):
+        with pytest.raises(SystemExit) as info:
+            run(tmp_path, command, pulsed, "--svg")
+        assert info.value.code == 2
 
     def test_no_phasematch_is_a_numerical_failure(self, tmp_path):
         data = {"fiber": self.NO_PHASEMATCH_FIBER, "pump1": PULSED_708}

@@ -354,15 +354,9 @@ class TestFiberSpecValidation:
     @pytest.mark.parametrize("kwargs", [
         {"core_radius": -1e-6}, {"air_fill_fraction": 0.0},
         {"air_fill_fraction": 1.0}, {"length": 0.0}, {"n2_kerr": 0.0},
-        {"model": "nonsense"},
     ])
     def test_invalid(self, kwargs):
         base = dict(core_radius=1e-6, air_fill_fraction=0.9, length=1.0)
         base.update(kwargs)
         with pytest.raises(ValueError):
             FiberSpec(**base)
-
-    def test_taylor_model_needs_data(self):
-        with pytest.raises(ValueError):
-            FiberSpec(core_radius=1e-6, air_fill_fraction=0.9, length=1.0,
-                      model="taylor_coefficients")

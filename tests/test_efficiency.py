@@ -60,19 +60,19 @@ class TestPhotonBookkeeping:
 
 class TestBParameterAndScales:
     def test_degenerate_pumps_infinite(self, cfg_dp):
-        assert b_parameter(cfg_dp).value == math.inf
+        assert b_parameter(cfg_dp) == math.inf
         assert l_max(cfg_dp) == math.inf
         assert sigma_max(cfg_dp) == math.inf
 
     def test_b_halves_when_length_doubles(self, cfg_ndp):
-        b1 = b_parameter(cfg_ndp).value
-        b2 = b_parameter(with_length(cfg_ndp, 1.0)).value
+        b1 = b_parameter(cfg_ndp)
+        b2 = b_parameter(with_length(cfg_ndp, 1.0))
         assert b2 == pytest.approx(0.5 * b1, rel=1e-9)
 
     def test_erf_argument_anchor(self, cfg_ndp):
         # at L = L_max the erf argument 1/(sqrt(2) B) equals 2 by definition
         cfg = with_length(cfg_ndp, 0.263)
-        x = 1.0 / (math.sqrt(2) * b_parameter(cfg).value)
+        x = 1.0 / (math.sqrt(2) * b_parameter(cfg))
         assert x == pytest.approx(2.0, rel=0.25)
 
     def test_l_max_anchor(self, cfg_ndp):
@@ -212,7 +212,7 @@ class TestNumericEfficiency:
         d = eta_ndp_closed(swapped)
         assert c.eta == d.eta
         assert l_max(cfg_ndp) == l_max(swapped)
-        assert b_parameter(cfg_ndp).value == b_parameter(swapped).value
+        assert b_parameter(cfg_ndp) == b_parameter(swapped)
 
 
 class TestRotatedIntegrand:

@@ -1,0 +1,54 @@
+import re
+
+import pytest
+
+from sfwmsim.constants import omega_from_um
+from sfwmsim.phasematch import ContourPoint
+from sfwmsim.svg import _color_for_angle, _ticks, contour_plot, line_plot
+
+
+def test_ticks_on_round_steps():
+    assert _ticks(0.0, 1.0) == pytest.approx([0.0, 0.2, 0.4, 0.6, 0.8, 1.0])
+
+
+def test_degenerate_range_gives_one_tick():
+    assert _ticks(3.0, 3.0) == [3.0]
+
+
+@pytest.mark.parametrize("theta, hue", [(-90.0, 240), (0.0, 120), (90.0, 0)])
+def test_angle_colours_run_blue_to_red(theta, hue):
+    assert _color_for_angle(theta).startswith(f"hsl({hue},")
+
+
+def test_log_line_plot_breaks_at_unplottable_values(tmp_path):
+    path = tmp_path / "sweep.svg"
+    line_plot(path, [1.0, 2.0, 3.0, 4.0], {"eta": [1e-3, None, -1.0, 1e-1]},
+              "length_m", "conversion efficiency")
+    text = path.read_text(encoding="utf-8")
+    assert text.startswith("<svg") and text.endswith("</svg>")
+    assert len(re.findall(r"<polyline ", text)) == 2
+    assert "nan" not in text and "inf" not in text
+    # y ticks are labelled as powers of ten between the extreme values
+    assert ">1e-3</text>" in text and ">1e-1</text>" in text
+
+
+def point(lam_um, branch, theta):
+    return ContourPoint(pump_frequency=omega_from_um(lam_um),
+                        detuning_signal=1e13,
+                        detuning_idler=-1e13, theta_si=theta, branch=branch)
+
+
+def test_contour_plot_marks_outer_points_larger(tmp_path):
+    path = tmp_path / "contour.svg"
+    contour_plot(path, [point(0.74, "outer", -45.0),
+                        point(0.75, "inner", 10.0),
+                        point(0.76, "inner", 80.0)])
+    radii = re.findall(r'<circle [^>]* r="(\d)"', path.read_text("utf-8"))
+    assert radii == ["3", "2", "2"]
+
+
+def test_empty_contour_writes_placeholder(tmp_path):
+    path = tmp_path / "contour.svg"
+    contour_plot(path, [])
+    text = path.read_text(encoding="utf-8")
+    assert "empty contour" in text and "<circle" not in text
