@@ -7,6 +7,8 @@ which adds a figure next to the CSV.  Every output file gets a RunManifest
 sidecar (<out>.manifest.json) with the config digest, tool version,
 timestamp and the command line as ``main`` received it.  Exit codes:
 0 success, 2 configuration/schema error, 3 numerical non-convergence.
+``gamma``'s per-pump keys follow the stored pump order (lower carrier
+frequency first, see ``SourceConfig``), each with its ``lambda_pump*_um``.
 """
 from __future__ import annotations
 
@@ -143,6 +145,8 @@ def cmd_gamma(config, args):
         "gamma_sfwm_per_W_km": params.gamma_sfwm * 1e3,
         "gamma_pump1_per_W_km": params.gamma_pump_1 * 1e3,
         "gamma_pump2_per_W_km": params.gamma_pump_2 * 1e3,
+        "lambda_pump1_um": config.pump1.wavelength_um,
+        "lambda_pump2_um": config.pump2.wavelength_um,
         "a_eff_um2": params.a_eff * 1e12,
         "lambda_s_um": um_from_omega(center.omega_s),
         "lambda_i_um": um_from_omega(center.omega_i),

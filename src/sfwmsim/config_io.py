@@ -102,6 +102,9 @@ def _parse_quadrature(obj):
         if key in obj:
             value = _require_number(obj[key], f"quadrature.{key}")
             if key in ("panel_order", "max_subdivisions"):
+                if not value.is_integer():
+                    raise ConfigError(f"expected an integer, got {obj[key]!r}",
+                                      field=f"quadrature.{key}")
                 value = int(value)
             kwargs[key] = value
     defaults = CONFIG_QUADRATURE
@@ -126,13 +129,7 @@ def parse_config(data):
     pump2 = _parse_pump(data["pump2"], "pump2") if "pump2" in data else pump1
     quad = _parse_quadrature(data["quadrature"]) if "quadrature" in data \
         else CONFIG_QUADRATURE
-    try:
-        return SourceConfig(fiber=fiber, pump1=pump1, pump2=pump2,
-                            quadrature=quad)
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return SourceConfig(fiber=fiber, pump1=pump1, pump2=pump2, quadrature=quad)
 
 
 def load_config(path):

@@ -22,8 +22,8 @@ from .dispersion import (_index_and_group_slowness, beta, beta1,
                          effective_index, gamma_sfwm)
 from .errors import DivergenceError, RegimeError, WindowError
 from .numerics import erf_ratio, integrate_1d, integrate_2d, sinc
-from .sfwm import (_SINC_EXTENT, PhasematchCenter, _jsa_batch, _line_mismatch,
-                   _pump_rule, canonical, h_function, nonlinear_phase,
+from .sfwm import (_SINC_EXTENT, PhasematchCenter, _line_mismatch,
+                   _pump_convolution, _pump_rule, h_function, nonlinear_phase,
                    peak_power, pump_envelope, solve_phasematch_center)
 
 # Convergence threshold on the relative contribution of a freshly added
@@ -82,7 +82,6 @@ class _OperatingPoint:
 @lru_cache(maxsize=1024)
 def operating_point(config):
     """Phasematched center and the coefficients every efficiency needs."""
-    config = canonical(config)
     center = solve_phasematch_center(config)
     fiber = config.fiber
     om1, om2 = config.pump1.omega0, config.pump2.omega0
@@ -203,8 +202,8 @@ def _rotated_integrand(config):
     depends only on the frequency sum (the pump-convolution amplitudes and
     phases, which is the whole pump integral apart from the sinc), and the
     returned slice function evaluates h |f|^2 for arrays of v.
-    Algebraically identical to ``h_function * |_jsa_batch|^2`` (a property
-    the tests assert).  Expects a canonical config (see ``sfwm.canonical``).
+    Algebraically identical to ``h_function * |f|^2`` with f from
+    ``_pump_convolution`` (a property the tests assert).
     """
     fiber = config.fiber
     L = fiber.length
@@ -213,11 +212,13 @@ def _rotated_integrand(config):
     pref2 = math.pi * p1.sigma * p2.sigma / 2.0
 
     if fiber.taylor is not None:
+        jsa_pairs = _pump_convolution(config)
+
         def make_slice_taylor(u):
             def slice_fn(v):
                 om_s = 0.5 * (u + v)
                 om_i = 0.5 * (u - v)
-                f = _jsa_batch(config, om_s, om_i)
+                f = jsa_pairs(om_s, om_i)
                 return h_function(om_s, om_i, fiber) * np.abs(f) ** 2
             return slice_fn
         return make_slice_taylor
@@ -319,7 +320,6 @@ def eta_pulsed_numeric(config):
     center.
     """
     _require_pulsed(config, "eta_pulsed_numeric")
-    config = canonical(config)
     op = operating_point(config)
     fiber = config.fiber
     p1, p2 = config.pump1, config.pump2
@@ -421,7 +421,6 @@ def eta_cw(config):
     if not config.is_cw:
         raise RegimeError("eta_cw requires monochromatic pumps (sigma = 0); "
                           "use eta_pulsed_numeric or the closed forms")
-    config = canonical(config)
     p1, p2 = config.pump1, config.pump2
     if not (p1.avg_power > 0 and p2.avg_power > 0):
         raise RegimeError("eta_cw requires positive average powers")

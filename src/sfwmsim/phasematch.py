@@ -10,6 +10,8 @@ Two entry points, both behind the ``contour`` subcommand:
   corresponds to matched signal/idler group velocities, beta1(omega_s) ==
   beta1(omega_i), and is where the conversion efficiency peaks; the angle
   is exactly -45 degrees there, also when the mismatch gradient vanishes.
+  It holds the higher-frequency pump at its carrier, which the -41 degree
+  anchor of 521/1042 nm pumping decides.
 """
 from __future__ import annotations
 
@@ -55,11 +57,12 @@ def _fold_angle_deg(theta_rad):
 def orientation_angle(omega_s, omega_i, config):
     """Angle of the zero-mismatch level curve at (omega_s, omega_i) [deg].
 
-    With the first pump frequency held at its carrier omega_p, the gradient
-    of the mismatch is taken from the group slowness beta1 directly:
+    With the higher-frequency pump (``pump2``) held at its carrier omega_2,
+    the gradient of the mismatch is taken from the group slowness beta1
+    directly:
 
-        g_s = beta1(omega_s + omega_i - omega_p) - beta1(omega_s)
-        g_i = beta1(omega_s + omega_i - omega_p) - beta1(omega_i)
+        g_s = beta1(omega_s + omega_i - omega_2) - beta1(omega_s)
+        g_i = beta1(omega_s + omega_i - omega_2) - beta1(omega_i)
 
     (the nonlinear phase is constant and drops out).  The angle is measured
     from the omega_s axis and folded into (-90, 90].  It depends only on
@@ -67,9 +70,13 @@ def orientation_angle(omega_s, omega_i, config):
     velocities -- give exactly -45 degrees whatever their size, zero
     included.  OrientationUndefinedError is raised only when the components
     are unequal and their norm is below ``_GRAD_FLOOR``.
+    Which pump is held is a physics choice: pumping the 0.97 um, 0.91-fill
+    PCF at 521/1042 nm, holding the 521 nm pump gives the -41.50 degree
+    anchor and holding the 1042 nm pump -40.46.  Read from the stored pump
+    order, the angle does not depend on the order the pumps were given in.
     """
     fiber = config.fiber
-    b1_conj = beta1(omega_s + omega_i - config.pump1.omega0, fiber)
+    b1_conj = beta1(omega_s + omega_i - config.pump2.omega0, fiber)
     g_s = b1_conj - beta1(omega_s, fiber)
     g_i = b1_conj - beta1(omega_i, fiber)
     if g_s == g_i:

@@ -6,14 +6,15 @@ Conventions:
   * degenerate pumping is represented as two identical pump entries, so the
     nonlinear phase term gamma1 P1 + gamma2 P2 automatically reduces to the
     standard 2 gamma P;
+  * the pumps are an interchangeable pair, stored lower carrier frequency
+    first (see ``SourceConfig``), so no result depends on the order given;
   * the phasematched center always satisfies omega_s + omega_i =
     omega_1 + omega_2 exactly (the idler is defined by energy conservation).
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from functools import lru_cache
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -77,7 +78,12 @@ CONFIG_QUADRATURE = QuadratureSpec(rel_tol=1e-6)
 
 @dataclass(frozen=True)
 class SourceConfig:
-    """Everything one analysis needs: fiber, two pumps, quadrature policy."""
+    """Everything one analysis needs: fiber, two pumps, quadrature policy.
+
+    The pumps are stored in ascending (omega0, sigma, avg_power, rep_rate)
+    order, whatever order they are given in: ``pump1`` has the lower
+    carrier frequency, and swapping the pumps gives an equal config.
+    """
 
     fiber: FiberSpec
     pump1: PumpSpec
@@ -86,9 +92,14 @@ class SourceConfig:
 
     def __post_init__(self):
         if (self.pump1.sigma == 0.0) != (self.pump2.sigma == 0.0):
-            raise ConfigError("pumps must share a regime: both pulsed or both CW")
+            raise ConfigError("pumps must share a regime: both pulsed or both CW",
+                              field="pump2")
         if not self.is_cw and self.pump1.rep_rate != self.pump2.rep_rate:
-            raise ConfigError("pulsed pumps must share the repetition rate")
+            raise ConfigError("pulsed pumps must share the repetition rate",
+                              field="pump2.rep_rate_MHz")
+        pumps = sorted((self.pump1, self.pump2), key=astuple)
+        object.__setattr__(self, "pump1", pumps[0])
+        object.__setattr__(self, "pump2", pumps[1])
 
     @property
     def degenerate(self):
@@ -125,30 +136,6 @@ class JointSpectrumGrid:
                 np.asarray(self.amplitude))
 
 
-def canonical(config):
-    """Config with the pumps in a fixed order.
-
-    Every physical quantity here is symmetric under exchanging the pump
-    labels.  Floating point keeps that symmetry by itself where the pump
-    terms only enter as sums: gamma1 P1 + gamma2 P2, beta(omega_1) +
-    beta(omega_2), omega_1 + omega_2 and the per-pump exclusion tests
-    commute exactly in IEEE arithmetic, so ``nonlinear_phase``,
-    ``phasematch_roots`` and ``solve_phasematch_center`` take the pumps in
-    either order.  Where the order enters non-associative products or
-    picks the pump-rule window (``_jsa_batch``,
-    ``efficiency.operating_point``, ``efficiency.eta_pulsed_numeric`` and
-    ``efficiency.eta_cw``), the config is routed through this canonical
-    form first, which makes the symmetry exact there too.
-    """
-    k1 = (config.pump1.omega0, config.pump1.sigma,
-          config.pump1.avg_power, config.pump1.rep_rate)
-    k2 = (config.pump2.omega0, config.pump2.sigma,
-          config.pump2.avg_power, config.pump2.rep_rate)
-    if k2 < k1:
-        return replace(config, pump1=config.pump2, pump2=config.pump1)
-    return config
-
-
 def peak_power(pump):
     """Pulse peak power [W]: P = p sigma / (f_r sqrt(2 pi))."""
     if pump.is_cw:
@@ -169,7 +156,6 @@ def pump_envelope(pump, omega):
     return out
 
 
-@lru_cache(maxsize=4096)
 def nonlinear_phase(config):
     """gamma1 P1 + gamma2 P2 [1/m]; average powers in the CW regime."""
     g1 = gamma_pump(config.fiber, config.pump1.omega0)
@@ -324,9 +310,8 @@ def h_function(omega_s, omega_i, fiber):
     return out
 
 
-@lru_cache(maxsize=2048)
 def _pump_rule(config):
-    """Fixed composite Gauss-Legendre rule for the pump integral (cached).
+    """Fixed composite Gauss-Legendre rule for the pump integral.
 
     The pump integral runs on a FIXED rule rather than feedback-driven
     refinement, so the joint amplitude is an exactly smooth function of
@@ -335,11 +320,8 @@ def _pump_rule(config):
     envelopes' +-5 sigma supports at the nominal carriers (pump-symmetric
     by construction); the panel count comes from an a-priori bound on the
     mismatch-phase variation across it (group-velocity walk-off plus a
-    curvature term) at one 15-node panel per 8 radians.
-
-    Only reached with canonical configs (``_jsa_batch`` and the pulsed
-    efficiency canonicalize first), so the window sits on the canonical
-    first pump.
+    curvature term) at one 15-node panel per 8 radians.  The nodes sample
+    the frequency of ``pump1``, the lower-frequency pump.
 
     Returns (nodes, weights, beta_at_nodes, envelope1_at_nodes).
     """
@@ -363,44 +345,44 @@ def _pump_rule(config):
     return nodes, weights, beta(nodes, fiber), pump_envelope(p1, nodes)
 
 
-def _jsa_batch(config, omega_s, omega_i):
-    """Joint spectral amplitude f for paired arrays of signal/idler values.
+def _pump_convolution(config):
+    """Joint spectral amplitude f(omega_s, omega_i) for paired arrays.
 
-    One fixed-rule pump integral (see ``_pump_rule``) evaluates every pair
-    at once; the envelope product suppresses pairs far from energy
-    conservation naturally.
+    Builds the nonlinear phase and the fixed ``_pump_rule`` once; each call
+    evaluates every pair in one pump integral, whose envelope product
+    suppresses pairs far from energy conservation.
     """
     if config.is_cw:
         raise RegimeError("joint spectral amplitude requires pulsed pumps")
-    config = canonical(config)
     fiber = config.fiber
     L = fiber.length
     p1, p2 = config.pump1, config.pump2
-    oms = np.atleast_1d(np.asarray(omega_s, dtype=float))
-    omi = np.atleast_1d(np.asarray(omega_i, dtype=float))
-    total = oms + omi
-
-    beta_s = beta(oms, fiber)
-    beta_i = beta(omi, fiber)
     nl = nonlinear_phase(config)
     om_nodes, weights, beta_nodes, env1 = _pump_rule(config)
-
-    conj = total[None, :] - om_nodes[:, None]
-    dk = (beta_nodes[:, None]
-          + beta(conj.ravel(), fiber).reshape(conj.shape)
-          - beta_s[None, :] - beta_i[None, :] - nl)
-    x = 0.5 * L * dk
-    amp = env1[:, None] * pump_envelope(p2, conj)
-    vals = amp * sinc(x) * np.exp(1j * x)
-    F = np.tensordot(weights, vals, axes=(0, 0))
-
     pref = math.sqrt(math.pi * p1.sigma * p2.sigma / 2.0)
-    return pref * np.asarray(F, dtype=complex)
+
+    def f(omega_s, omega_i):
+        oms = np.atleast_1d(np.asarray(omega_s, dtype=float))
+        omi = np.atleast_1d(np.asarray(omega_i, dtype=float))
+        total = oms + omi
+        beta_s = beta(oms, fiber)
+        beta_i = beta(omi, fiber)
+        conj = total[None, :] - om_nodes[:, None]
+        dk = (beta_nodes[:, None]
+              + beta(conj.ravel(), fiber).reshape(conj.shape)
+              - beta_s[None, :] - beta_i[None, :] - nl)
+        x = 0.5 * L * dk
+        amp = env1[:, None] * pump_envelope(p2, conj)
+        vals = amp * sinc(x) * np.exp(1j * x)
+        F = np.tensordot(weights, vals, axes=(0, 0))
+        return pref * np.asarray(F, dtype=complex)
+
+    return f
 
 
 def jsa(omega_s, omega_i, config):
     """Joint spectral amplitude f(omega_s, omega_i) (complex scalar)."""
-    return complex(_jsa_batch(config, float(omega_s), float(omega_i))[0])
+    return complex(_pump_convolution(config)(float(omega_s), float(omega_i))[0])
 
 
 # main-region size of the mismatch-phase argument covered by the default
@@ -417,13 +399,15 @@ def jsa_window(config, center=None):
     the anti-diagonal sinc-tail extent (mismatch argument up to
     ``_SINC_EXTENT``).  Clamped to stay clear of the degenerate point (the
     mirror peak lies beyond it) and inside the guidance band.
+    The gradient holds ``pump2`` at its carrier, as ``orientation_angle``
+    does: d(mismatch)/d omega_s = beta1(omega_1) - beta1(omega_s) here.
     """
     if center is None:
         center = solve_phasematch_center(config)
     fiber = config.fiber
     L = fiber.length
-    g_s = beta1(config.pump2.omega0, fiber) - beta1(center.omega_s, fiber)
-    g_i = beta1(config.pump2.omega0, fiber) - beta1(center.omega_i, fiber)
+    g_s = beta1(config.pump1.omega0, fiber) - beta1(center.omega_s, fiber)
+    g_i = beta1(config.pump1.omega0, fiber) - beta1(center.omega_i, fiber)
     sigma_c = math.hypot(config.pump1.sigma, config.pump2.sigma)
 
     theta = math.atan2(-g_s, g_i)
@@ -460,9 +444,10 @@ def jsa_grid(config, window=None, n_s=64, n_i=64):
     s_lo, s_hi, i_lo, i_hi = window
     s_axis = np.linspace(s_lo, s_hi, n_s)
     i_axis = np.linspace(i_lo, i_hi, n_i)
+    f = _pump_convolution(config)
     rows = []
     for om_s in s_axis:                       # fixed row-major assembly order
-        row = _jsa_batch(config, np.full(n_i, om_s), i_axis)
+        row = f(np.full(n_i, om_s), i_axis)
         rows.append(tuple(complex(v) for v in row))
     return JointSpectrumGrid(omega_s_axis=tuple(float(v) for v in s_axis),
                              omega_i_axis=tuple(float(v) for v in i_axis),

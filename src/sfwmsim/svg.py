@@ -72,10 +72,13 @@ def line_plot(path, xs, ys_by_label, x_label, y_label, title=""):
         parts.append(f'<text x="{px(t):.1f}" y="{mt+ph+16}" '
                      f'text-anchor="middle">{t:.4g}</text>')
     for t in _ticks(y_lo, y_hi):
+        # short ranges tick between decades: label the value at the tick
+        label = (f"1e{round(t)}" if abs(t - round(t)) < 1e-9
+                 else f"{10 ** t:.3g}")
         parts.append(f'<line x1="{ml-4}" y1="{py(t):.1f}" x2="{ml}" '
                      f'y2="{py(t):.1f}" stroke="black"/>')
         parts.append(f'<text x="{ml-8}" y="{py(t)+3:.1f}" '
-                     f'text-anchor="end">1e{t:.0f}</text>')
+                     f'text-anchor="end">{label}</text>')
     parts.append(f'<text x="{ml+pw/2:.0f}" y="{height-10}" '
                  f'text-anchor="middle">{x_label}</text>')
     parts.append(f'<text x="16" y="{mt+ph/2:.0f}" text-anchor="middle" '

@@ -71,10 +71,30 @@ class TestSubcommands:
         with open(out, encoding="utf-8") as fh:
             record = json.load(fh)
         assert set(record) == {"gamma_sfwm_per_W_km", "gamma_pump1_per_W_km",
-                               "gamma_pump2_per_W_km", "a_eff_um2",
+                               "gamma_pump2_per_W_km", "lambda_pump1_um",
+                               "lambda_pump2_um", "a_eff_um2",
                                "lambda_s_um", "lambda_i_um"}
         assert record["lambda_s_um"] < 0.708 < record["lambda_i_um"]
         assert set(read_manifest(out)) == MANIFEST_KEYS
+
+    def test_gamma_independent_of_pump_order(self, tmp_path):
+        pump_521 = dict(PULSED_708, wavelength_um=0.521)
+        pump_1042 = dict(PULSED_708, wavelength_um=1.042)
+        texts = []
+        for name, pumps in (("given", (pump_521, pump_1042)),
+                            ("swapped", (pump_1042, pump_521))):
+            data = {"fiber": FIBER_A, "pump1": pumps[0], "pump2": pumps[1]}
+            work = tmp_path / name
+            work.mkdir()
+            code, out = run(work, "gamma", data, out="gamma.json")
+            assert code == 0
+            with open(out, encoding="utf-8") as fh:
+                texts.append(fh.read())
+        assert texts[0] == texts[1]
+        # the per-pump keys name the pump they belong to
+        record = json.loads(texts[0])
+        assert record["lambda_pump1_um"] == pytest.approx(1.042, rel=1e-12)
+        assert record["lambda_pump2_um"] == pytest.approx(0.521, rel=1e-12)
 
     def test_efficiency(self, tmp_path, cw):
         code, out = run(tmp_path, "efficiency", cw, out="eta.json")

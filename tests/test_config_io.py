@@ -64,7 +64,15 @@ SCHEMA_ERRORS = {
     "root_not_an_object": ([BASE], "<root>"),
     "missing_fiber": ({"pump1": BASE["pump1"]}, "<root>"),
     "mixed_regimes": (edited("pump2", dict(BASE["pump1"], sigma_THz=0.0)),
-                      None),
+                      "pump2"),
+    "unequal_rep_rates": (edited("pump2", dict(BASE["pump1"],
+                                               rep_rate_MHz=40.0)),
+                          "pump2.rep_rate_MHz"),
+    "fractional_panel_order": (edited("quadrature.panel_order", 15.9),
+                               "quadrature.panel_order"),
+    "fractional_max_subdivisions": (
+        edited("quadrature.max_subdivisions", 1.5),
+        "quadrature.max_subdivisions"),
 }
 
 
@@ -87,8 +95,16 @@ def test_schema_error_names_its_field(tmp_path, capsys, data, field):
     assert info.value.field == field
     code, err = cli_exit(write(tmp_path, data), capsys)
     assert code == cli.EXIT_CONFIG == 2
-    assert err.startswith(f"config error: {field}: " if field
-                          else "config error: ")
+    assert err.startswith(f"config error: {field}: ")
+
+
+@pytest.mark.parametrize("value", [15, 15.0])
+def test_integral_quadrature_fields_parse(value):
+    quad = parse_config(edited("quadrature", {"panel_order": value,
+                                              "max_subdivisions": value})
+                        ).quadrature
+    assert (quad.panel_order, quad.max_subdivisions) == (15, 15)
+    assert type(quad.panel_order) is type(quad.max_subdivisions) is int
 
 
 def test_unreadable_path_names_the_path(tmp_path, capsys):

@@ -13,7 +13,7 @@ from sfwmsim.efficiency import (_rotated_integrand, _rotated_window,
                                 operating_point, photons_per_pulse,
                                 pump_photon_rate, sigma_max)
 from sfwmsim.errors import DivergenceError, RegimeError
-from sfwmsim.sfwm import (PumpSpec, SourceConfig, _jsa_batch, canonical,
+from sfwmsim.sfwm import (PumpSpec, SourceConfig, _pump_convolution,
                           h_function, nonlinear_phase,
                           solve_phasematch_center)
 
@@ -220,16 +220,17 @@ class TestRotatedIntegrand:
     def test_matches_h_times_jsa_intensity(self, name, request):
         # the pulsed integrand factors the pump convolution over the
         # frequency sum u; slice by slice it is h |f|^2 of the joint spectrum
-        cfg = canonical(request.getfixturevalue(name))
+        cfg = request.getfixturevalue(name)
         op = operating_point(cfg)
         _, _, v_lo, v_hi = _rotated_window(cfg, op)
         v = np.linspace(v_lo, v_hi, 101)
         make_slice = _rotated_integrand(cfg)
+        jsa_pairs = _pump_convolution(cfg)
         sigma_c = math.hypot(cfg.pump1.sigma, cfg.pump2.sigma)
         for u in (cfg.omega_total, cfg.omega_total + sigma_c):
             om_s, om_i = 0.5 * (u + v), 0.5 * (u - v)
             want = (h_function(om_s, om_i, cfg.fiber)
-                    * np.abs(_jsa_batch(cfg, om_s, om_i)) ** 2)
+                    * np.abs(jsa_pairs(om_s, om_i)) ** 2)
             got = make_slice(u)(v)
             assert np.max(np.abs(got - want)) <= 1e-7 * np.max(want)
 

@@ -24,6 +24,17 @@ class TestOrientationAngle:
         theta = orientation_angle(center.omega_s, center.omega_i, cfg_ndp)
         assert theta == pytest.approx(-41.0, abs=3.0)
 
+    def test_nondegenerate_angle_holds_the_higher_frequency_pump(self,
+                                                                 cfg_ndp):
+        # the 521 nm pump stays at its carrier in either pump order; holding
+        # the 1042 nm pump instead would give -40.457 degrees
+        swapped = SourceConfig(fiber=cfg_ndp.fiber, pump1=cfg_ndp.pump2,
+                               pump2=cfg_ndp.pump1)
+        center = solve_phasematch_center(cfg_ndp)
+        for cfg in (cfg_ndp, swapped):
+            theta = orientation_angle(center.omega_s, center.omega_i, cfg)
+            assert theta == -41.497891687477555
+
     def test_matched_group_velocities_give_minus_45(self):
         # pure beta1 dispersion: the mismatch gradient components are equal
         om0 = omega_from_um(0.708)

@@ -11,8 +11,8 @@ from sfwmsim.constants import C, omega_from_um, um_from_omega
 from sfwmsim.dispersion import beta1
 from sfwmsim.errors import NoPhasematchError, RegimeError
 from sfwmsim.numerics import integrate_1d
-from sfwmsim.sfwm import (PumpSpec, SourceConfig, canonical, h_function, jsa,
-                          jsa_grid, jsa_window, nonlinear_phase, peak_power,
+from sfwmsim.sfwm import (PumpSpec, SourceConfig, h_function, jsa, jsa_grid,
+                          jsa_window, nonlinear_phase, peak_power,
                           phase_mismatch, phasematch_roots, pump_envelope,
                           solve_phasematch_center)
 
@@ -290,6 +290,18 @@ class TestJsaGrid:
         b = np.abs(mirror.as_arrays()[2]).T
         assert np.max(np.abs(a - b)) / np.max(a) < 1e-6
 
+    def test_independent_of_pump_order(self, cfg_ndp):
+        swapped = SourceConfig(fiber=cfg_ndp.fiber, pump1=cfg_ndp.pump2,
+                               pump2=cfg_ndp.pump1)
+        window = jsa_window(cfg_ndp)
+        assert jsa_window(swapped) == window
+        # the gradient holds the 521 nm pump at its carrier (see
+        # phasematch.orientation_angle); holding the 1042 nm pump would
+        # start the window at 3.1328e15 rad/s
+        assert window[0] == pytest.approx(3108854298555355.0, rel=1e-9)
+        assert jsa_grid(swapped, n_s=9, n_i=9) == jsa_grid(cfg_ndp, n_s=9,
+                                                           n_i=9)
+
 
 class TestConfigValidation:
     def test_mixed_regime_rejected(self, fiber_a):
@@ -302,13 +314,17 @@ class TestConfigValidation:
         assert cfg_dp.degenerate
         assert not cfg_ndp.degenerate
 
-    def test_canonical_ordering(self, cfg_ndp):
-        swapped = replace(cfg_ndp, pump1=cfg_ndp.pump2, pump2=cfg_ndp.pump1)
-        assert canonical(swapped) == canonical(cfg_ndp)
+    def test_pumps_stored_lower_frequency_first(self, fiber_a):
+        p521 = PumpSpec.from_units(0.521, 3.0, 0.3, 80.0)
+        p1042 = PumpSpec.from_units(1.042, 3.0, 0.3, 80.0)
+        given = SourceConfig(fiber=fiber_a, pump1=p521, pump2=p1042)
+        swapped = SourceConfig(fiber=fiber_a, pump1=p1042, pump2=p521)
+        assert given == swapped
+        assert (given.pump1, given.pump2) == (p1042, p521)
 
-    def test_pump_order_free_without_canonical(self, cfg_ndp):
-        # these take the pumps as given: the pump terms enter only as sums,
-        # which commute exactly in floating point
+    def test_swapped_pumps_give_the_same_phasematch(self, cfg_ndp):
+        # a config given its pumps in the other order stores them in the
+        # same order, so everything computed from it is bit-identical
         swapped = replace(cfg_ndp, pump1=cfg_ndp.pump2, pump2=cfg_ndp.pump1)
         assert nonlinear_phase(swapped) == nonlinear_phase(cfg_ndp)
         assert phasematch_roots(swapped) == phasematch_roots(cfg_ndp)

@@ -1,3 +1,4 @@
+import math
 import re
 
 import pytest
@@ -30,6 +31,26 @@ def test_log_line_plot_breaks_at_unplottable_values(tmp_path):
     assert "nan" not in text and "inf" not in text
     # y ticks are labelled as powers of ten between the extreme values
     assert ">1e-3</text>" in text and ">1e-1</text>" in text
+
+
+@pytest.mark.parametrize("ys", [[1e-3, 1e-2, 1e-1], [2e-10, 3e-10, 5e-10]],
+                         ids=["two_decades", "under_one_decade"])
+def test_log_tick_labels_state_the_value_at_their_height(tmp_path, ys):
+    path = tmp_path / "sweep.svg"
+    line_plot(path, [1.0, 2.0, 3.0], {"eta": ys}, "length_m", "eta")
+    text = path.read_text(encoding="utf-8")
+    # y ticks and their labels sit left of the plot area
+    ticks = re.findall(r'<line x1="66" y1="([^"]+)"', text)
+    labels = re.findall(r'<text x="62" y="[^"]+" text-anchor="end">([^<]+)<',
+                        text)
+    assert len(labels) == len(ticks) >= 3
+    assert len(set(labels)) == len(labels)
+    # the tick height maps back to the value its label states; the plot
+    # area spans y = 30 (top, max) to 390 (bottom, min) pixels
+    lo, hi = math.log10(min(ys)), math.log10(max(ys))
+    for y_px, label in zip(ticks, labels):
+        log_y = lo + (hi - lo) * (390 - float(y_px)) / 360
+        assert float(label) == pytest.approx(10 ** log_y, rel=0.01)
 
 
 def point(lam_um, branch, theta):
