@@ -16,9 +16,8 @@ from .dispersion import (FiberSpec, ModeProfile, NonlinearParameters,
                          find_zero_dispersion, gamma_pump, gamma_sfwm,
                          mode_profile, nonlinear_parameters, silica_index)
 from .efficiency import (EfficiencyResult, b_parameter, eta_closed, eta_cw,
-                         eta_dp_closed, eta_ndp_closed, eta_pulsed_numeric,
-                         l_max, photons_per_pulse, pump_photon_rate,
-                         sigma_max)
+                         eta_pulsed_numeric, l_max, photons_per_pulse,
+                         pump_photon_rate, sigma_max)
 from .errors import (BracketError, ConfigError, DivergenceError,
                      ModeCutoffError, NonConvergenceError, NoPhasematchError,
                      OverlapError, RegimeError, SfwmError,

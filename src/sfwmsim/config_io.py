@@ -3,12 +3,13 @@
 The JSON file is the reproducibility unit: it carries all physics in fixed
 user-facing units (um, THz = 1e12 rad/s, mW, MHz, m), while flags on the
 command line only select analyses and output shapes.  Unknown keys and
-non-numeric values are rejected with the offending field path.
+non-numeric or non-finite values are rejected with the offending field path.
 """
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 
 from .constants import N2_SILICA_DEFAULT, omega_from_um
 from .dispersion import FiberSpec, TaylorDispersion
@@ -27,7 +28,14 @@ _TOP_KEYS = {"fiber", "pump1", "pump2", "quadrature"}
 def _require_number(value, path):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"expected a number, got {value!r}", field=path)
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:       # an integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(f"expected a finite number, got {value!r}",
+                          field=path)
+    return number
 
 
 def _check_keys(obj, allowed, path):

@@ -50,7 +50,7 @@ area, gamma) still use the step-index machinery.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -145,9 +145,6 @@ class ModeProfile:
     u: float
     w: float
     norm: float                   # multiplies the raw piecewise shape
-    # read-only float64 samples for inspection/plots, left out of eq/hash
-    radial_grid: np.ndarray = field(compare=False)        # [m]
-    radial_amplitude: np.ndarray = field(compare=False)   # at radial_grid
 
     def amplitude(self, rho):
         """Exact normalized amplitude at radius rho [m] (scalar or array)."""
@@ -394,23 +391,11 @@ def _mode_profile(omega, core_radius, fill):
     raw_in = lambda rho: _j0(u * rho / r) / _j0(u)
     raw_out = lambda rho: _k0(w * rho / r) / _k0(w)
     rho_max = r * (1.0 + 42.0 / w)
-    n_in = integrate_1d(lambda rho: raw_in(rho) ** 2 * rho, 0.0, r,
-                        vectorized=True)
-    n_out = integrate_1d(lambda rho: raw_out(rho) ** 2 * rho, r, rho_max,
-                         vectorized=True)
-    norm2 = 2 * math.pi * (n_in.value + n_out.value)
-    norm = 1.0 / math.sqrt(norm2)
-
-    grid = np.linspace(0.0, rho_max, 257)
-    inside = grid < r
-    samples = np.empty_like(grid)
-    samples[inside] = raw_in(grid[inside])
-    samples[~inside] = raw_out(grid[~inside])
-    samples *= norm
-    grid.setflags(write=False)
-    samples.setflags(write=False)
+    n_in = integrate_1d(lambda rho: raw_in(rho) ** 2 * rho, 0.0, r)
+    n_out = integrate_1d(lambda rho: raw_out(rho) ** 2 * rho, r, rho_max)
+    norm = 1.0 / math.sqrt(2 * math.pi * (n_in.value + n_out.value))
     return ModeProfile(carrier_frequency=omega, core_radius=r, u=u, w=w,
-                       norm=norm, radial_grid=grid, radial_amplitude=samples)
+                       norm=norm)
 
 
 def effective_area(profiles):
@@ -432,8 +417,8 @@ def effective_area(profiles):
             out = out * p.amplitude(rho)
         return out * rho
 
-    inner = integrate_1d(product, 0.0, r, vectorized=True)
-    outer = integrate_1d(product, r, rho_max, vectorized=True)
+    inner = integrate_1d(product, 0.0, r)
+    outer = integrate_1d(product, r, rho_max)
     overlap = 2 * math.pi * (inner.value + outer.value)
     if not (overlap > 0 and math.isfinite(overlap)):
         raise OverlapError(f"vanishing four-mode overlap: {overlap}")

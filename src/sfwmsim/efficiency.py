@@ -1,4 +1,4 @@
-"""Conversion efficiency: numeric pulsed, closed analytic forms and CW.
+"""Conversion efficiency: numeric pulsed, one closed analytic form and CW.
 
 All efficiencies share one bookkeeping convention, eta = emitted signal
 photons / launched pump photons, with pairs_per_second = eta * pump photon
@@ -34,7 +34,7 @@ from .sfwm import (_SINC_EXTENT, PhasematchCenter, _line_mismatch,
 # orders below the physics tolerances.
 SHELL_TOL = 1e-2
 MAX_EXPANSIONS = 4
-# Signal/idler group-slowness match threshold for the closed forms.  At a
+# Signal/idler group-slowness match threshold for the closed form.  At a
 # relative walk-off this small, the mismatch crosses zero so flatly that the
 # phasematched center itself is barely defined and the linearized closed
 # form is far past its validity; the numeric route remains available.
@@ -45,7 +45,7 @@ _GV_DEGENERATE_REL = 1e-5
 class EfficiencyResult:
     eta: float
     pairs_per_second: float
-    method: str              # numeric_pulsed | closed_ndp | closed_dp | cw
+    method: str              # numeric_pulsed | closed | cw
     diagnostics: dict = field(default_factory=dict)
 
 
@@ -144,16 +144,20 @@ def sigma_max(config):
     return 4.0 / (config.fiber.length * db12)
 
 
-def eta_ndp_closed(config):
-    """Closed-form pulsed efficiency, general (non-degenerate) pumps.
+def eta_closed(config):
+    """Closed-form pulsed efficiency.
 
-    Evaluated through erf(x)/x so the degenerate-pump limit is smooth: with
+    One form serves every pump pair.  It is evaluated through erf(x)/x so
+    the degenerate-pump limit is smooth: with
     x = sigma1 sigma2 L |beta1_1 - beta1_2| / (sqrt(2) sqrt(sigma1^2+sigma2^2))
     the pump walk-off factor erf(x)/|beta1_1 - beta1_2| becomes
     erf_ratio(x) * sigma1 sigma2 L / (sqrt(2) sqrt(sigma1^2+sigma2^2)), free
-    of cancellation as the carriers merge.
+    of cancellation as the carriers merge.  For identical pumps
+    (erf(x)/x -> 2/sqrt(pi), N1 N2/(N1 + N2) -> N/2) it is the paper's
+    degenerate form 2^4 hbar^2 c^2 n^2 L sigma N gamma^2 h
+    / (sqrt(pi) |beta1_s - beta1_i|).
     """
-    _require_pulsed(config, "eta_ndp_closed")
+    _require_pulsed(config, "eta_closed")
     op = operating_point(config)
     dbsi = _signal_idler_walkoff(op)
     s1, s2 = config.pump1.sigma, config.pump2.sigma
@@ -166,33 +170,9 @@ def eta_ndp_closed(config):
            * n1 * n2 / (n1 + n2) * walkoff * op.h_center / dbsi)
     return EfficiencyResult(
         eta=eta, pairs_per_second=eta * pump_photon_rate(config),
-        method="closed_ndp",
+        method="closed",
         diagnostics={"center": op.center, "gamma": op.gamma,
-                     "erf_argument": x, "b_parameter": b_parameter(config)})
-
-
-def eta_dp_closed(config):
-    """Closed-form pulsed efficiency for degenerate pumps."""
-    _require_pulsed(config, "eta_dp_closed")
-    if not config.degenerate:
-        raise RegimeError("eta_dp_closed requires degenerate pumps")
-    op = operating_point(config)
-    dbsi = _signal_idler_walkoff(op)
-    pump = config.pump1
-    n_ph = photons_per_pulse(pump)
-    n_eff = effective_index(pump.omega0, config.fiber)
-    eta = (2 ** 4 * HBAR ** 2 * C ** 2 * n_eff ** 2 * config.fiber.length
-           * pump.sigma * n_ph * op.gamma ** 2 * op.h_center
-           / (math.sqrt(math.pi) * dbsi))
-    return EfficiencyResult(
-        eta=eta, pairs_per_second=eta * pump_photon_rate(config),
-        method="closed_dp",
-        diagnostics={"center": op.center, "gamma": op.gamma})
-
-
-def eta_closed(config):
-    """Dispatch to the degenerate or general closed form."""
-    return eta_dp_closed(config) if config.degenerate else eta_ndp_closed(config)
+                     "erf_argument": x})
 
 
 def _rotated_integrand(config):
@@ -354,14 +334,12 @@ def eta_pulsed_numeric(config):
     # integrals: slices carrying none of the mass (window edges) must not be
     # resolved relative to their own vanishing value
     probe = integrate_1d(lambda vs: integrand(u0, vs),
-                         window[2], window[3], inner_rel,
-                         vectorized=True).value
+                         window[2], window[3], inner_rel).value
     inner_spec = replace(inner_rel,
                          abs_tol=max(config.quadrature.abs_tol,
                                      1e-3 * inner_rel.rel_tol * abs(probe)))
 
-    res = integrate_2d(integrand, window, outer_spec,
-                       vectorized_inner=True, inner_spec=inner_spec)
+    res = integrate_2d(integrand, window, outer_spec, inner_spec=inner_spec)
     total = res.value
     quad_err = res.error_estimate
     shells = []
@@ -381,7 +359,7 @@ def eta_pulsed_numeric(config):
         ring = 0.0
         for strip in strips:
             sres = integrate_2d(integrand, strip, strip_spec,
-                                vectorized_inner=True, inner_spec=inner_spec)
+                                inner_spec=inner_spec)
             ring += sres.value
             quad_err += sres.error_estimate
         new_total = total + ring
@@ -420,7 +398,7 @@ def eta_cw(config):
     """
     if not config.is_cw:
         raise RegimeError("eta_cw requires monochromatic pumps (sigma = 0); "
-                          "use eta_pulsed_numeric or the closed forms")
+                          "use eta_pulsed_numeric or eta_closed")
     p1, p2 = config.pump1, config.pump2
     if not (p1.avg_power > 0 and p2.avg_power > 0):
         raise RegimeError("eta_cw requires positive average powers")
@@ -456,8 +434,7 @@ def eta_cw(config):
     for expansion in range(MAX_EXPANSIONS + 1):
         lo_half, up_half = clamp(h_lo, h_up)
         window = (om_c - lo_half, om_c + up_half)
-        res = integrate_1d(integrand, window[0], window[1], config.quadrature,
-                           vectorized=True)
+        res = integrate_1d(integrand, window[0], window[1], config.quadrature)
         value = res.value
         quad_err = res.error_estimate
         if value_prev is not None:

@@ -6,11 +6,10 @@ functions.  Everything here is a pure function of its arguments: identical
 inputs give bit-identical outputs, panels are processed and accumulated in a
 fixed order, and no randomness is used anywhere.
 
-``integrate_1d`` also accepts vectorized and array-valued integrands (an
-integrand may map a node array of shape ``(n,)`` to values of shape
-``(n, *k)``); the adaptive refinement is then shared across components and
-driven by the max-norm.  This keeps the hot physics loops batched without
-changing the scalar contract.
+Integrands take node arrays: ``integrate_1d`` calls ``f`` with the ``(n,)``
+nodes of one panel and expects values of shape ``(n, *k)`` (array-valued
+integrands share one adaptive refinement, driven by the max-norm), and
+``integrate_2d`` calls ``f(x, y_nodes)`` with a scalar ``x``.
 """
 from __future__ import annotations
 
@@ -109,25 +108,14 @@ def erf_ratio(x):
     return math.erf(x) / x
 
 
-def _as_vectorized(f, vectorized):
-    if vectorized:
-        return f
-
-    def fv(xs):
-        vals = [f(float(x)) for x in xs]
-        return np.asarray(vals)
-
-    return fv
-
-
-def _panel_integral(fv, a, b, order):
-    """Gauss-Legendre integral of one panel; returns (value, values_shape)."""
+def _panel_integral(f, a, b, order):
+    """Gauss-Legendre integral of one panel."""
     x, w = _gauss_nodes(order)
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
-    vals = np.asarray(fv(mid + half * x))
-    if vals.shape[0] != x.shape[0]:
-        raise ValueError("vectorized integrand must return one value per node")
+    vals = np.asarray(f(mid + half * x))
+    if vals.shape[:1] != x.shape:
+        raise ValueError("integrand must return one value per node")
     return half * np.tensordot(w, vals, axes=(0, 0))
 
 
@@ -135,8 +123,11 @@ def _maxnorm(v):
     return float(np.max(np.abs(v)))
 
 
-def integrate_1d(f, a, b, spec=DEFAULT_QUADRATURE, *, vectorized=False):
+def integrate_1d(f, a, b, spec=DEFAULT_QUADRATURE):
     """Adaptive Gauss-Legendre integration of ``f`` on [a, b].
+
+    ``f`` maps a node array of shape ``(n,)`` to values of shape ``(n, *k)``
+    (real or complex).
 
     Panels split dyadically; a panel is accepted when the difference between
     its Gauss estimate and the sum of its two children meets the local error
@@ -149,11 +140,10 @@ def integrate_1d(f, a, b, spec=DEFAULT_QUADRATURE, *, vectorized=False):
     """
     if not a < b:
         raise ValueError(f"integration bounds must satisfy a < b, got [{a}, {b}]")
-    fv = _as_vectorized(f, vectorized)
     order = spec.panel_order
     span = b - a
 
-    root_val = _panel_integral(fv, a, b, order)
+    root_val = _panel_integral(f, a, b, order)
     # pending: (left, right, value, per-component error from the parent split)
     pending = [(a, b, root_val, np.full_like(np.abs(np.asarray(root_val)),
                                              math.inf, dtype=float))]
@@ -183,8 +173,8 @@ def integrate_1d(f, a, b, spec=DEFAULT_QUADRATURE, *, vectorized=False):
         next_pending = []
         for (lo, hi, parent, _parent_err) in pending:
             m = 0.5 * (lo + hi)
-            left = _panel_integral(fv, lo, m, order)
-            right = _panel_integral(fv, m, hi, order)
+            left = _panel_integral(f, lo, m, order)
+            right = _panel_integral(f, m, hi, order)
             subdivisions += 1
             err_vec = np.abs(np.asarray(left + right - parent))
             err = float(np.max(err_vec))
@@ -210,16 +200,17 @@ def integrate_1d(f, a, b, spec=DEFAULT_QUADRATURE, *, vectorized=False):
                             subdivisions=subdivisions)
 
 
-def integrate_2d(f, window, spec=DEFAULT_QUADRATURE, *, vectorized_inner=False,
-                 inner_spec=None):
+def integrate_2d(f, window, spec=DEFAULT_QUADRATURE, *, inner_spec=None):
     """Iterated integral of f(x, y) over a rectangle.
 
-    ``window`` is (x_lo, x_hi, y_lo, y_hi).  The outer (x) and inner (y)
-    directions each run their own adaptive ``integrate_1d``, so convergence
-    is controlled independently per axis; ``inner_spec`` lets the inner axis
-    run tighter than the outer (useful when inner results feed the outer
-    integrand with their own error floor).  With ``vectorized_inner`` the
-    integrand is called as ``f(x_scalar, y_array)``.
+    ``window`` is (x_lo, x_hi, y_lo, y_hi).  ``f`` is called as
+    ``f(x, y_nodes)`` with a scalar ``x`` and a node array ``y_nodes``, and
+    returns one value per node.  The outer (x) and inner (y) directions each
+    run their own adaptive ``integrate_1d``, so convergence is controlled
+    independently per axis; ``inner_spec`` lets the inner axis run tighter
+    than the outer (useful when inner results feed the outer integrand with
+    their own error floor).  The outer nodes of a panel are integrated along
+    y one after the other, in node order.
 
     Inner non-convergence is re-raised with ``axis='y'``; outer with
     ``axis='x'``.
@@ -232,12 +223,9 @@ def integrate_2d(f, window, spec=DEFAULT_QUADRATURE, *, vectorized_inner=False,
     inner_err = [0.0]
     inner_sub = [0]
 
-    def g(x):
+    def inner(x):
         try:
-            if vectorized_inner:
-                res = integrate_1d(lambda ys: f(x, ys), y_lo, y_hi, spec_y, vectorized=True)
-            else:
-                res = integrate_1d(lambda y: f(x, y), y_lo, y_hi, spec_y)
+            res = integrate_1d(lambda ys: f(x, ys), y_lo, y_hi, spec_y)
         except NonConvergenceError as exc:
             raise NonConvergenceError(str(exc), best=exc.best,
                                       error_estimate=exc.error_estimate,
@@ -247,7 +235,8 @@ def integrate_2d(f, window, spec=DEFAULT_QUADRATURE, *, vectorized_inner=False,
         return res.value
 
     try:
-        outer = integrate_1d(g, x_lo, x_hi, spec)
+        outer = integrate_1d(lambda xs: np.asarray([inner(float(x)) for x in xs]),
+                             x_lo, x_hi, spec)
     except NonConvergenceError as exc:
         if exc.axis is None:
             raise NonConvergenceError(str(exc), best=exc.best,

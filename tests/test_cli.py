@@ -106,6 +106,24 @@ class TestSubcommands:
         assert record["results"]["cw"]["eta"] > 0
         assert set(read_manifest(out)) == MANIFEST_KEYS
 
+    def test_closed_efficiency_writes_strict_json(self, tmp_path):
+        # equal carriers with unequal powers: the pumps never walk off, so
+        # no diagnostic may be infinite (JSON has no Infinity)
+        data = {"fiber": FIBER_A, "pump1": PULSED_708,
+                "pump2": dict(PULSED_708, avg_power_mW=0.6)}
+        code, out = run(tmp_path, "efficiency", data, "--method", "closed",
+                        out="eta.json")
+        assert code == 0
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        with open(out, encoding="utf-8") as fh:
+            record = json.loads(fh.read(), parse_constant=reject)
+        assert set(record["results"]) == {"closed"}
+        assert record["results"]["closed"]["method"] == "closed"
+        assert record["results"]["closed"]["eta"] > 0
+
     def test_sweep(self, tmp_path, cw):
         code, out = run(tmp_path, "sweep", cw, "--parameter", "length",
                         "--range", "0.25:0.5", "--points", "2", "--svg",

@@ -1,4 +1,5 @@
 import json
+import math
 from copy import deepcopy
 
 import numpy as np
@@ -73,6 +74,14 @@ SCHEMA_ERRORS = {
     "fractional_max_subdivisions": (
         edited("quadrature.max_subdivisions", 1.5),
         "quadrature.max_subdivisions"),
+    "nan_power": (edited("pump1.avg_power_mW", math.nan),
+                  "pump1.avg_power_mW"),
+    "nan_sigma": (edited("pump1.sigma_THz", math.nan), "pump1.sigma_THz"),
+    "infinite_length": (edited("fiber.length_m", math.inf), "fiber.length_m"),
+    "integer_beyond_float_range": (edited("fiber.length_m", 10 ** 400),
+                                   "fiber.length_m"),
+    "nan_abs_tol": (edited("quadrature.abs_tol", math.nan),
+                    "quadrature.abs_tol"),
 }
 
 

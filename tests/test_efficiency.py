@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 
 from conftest import taylor_fiber
-from sfwmsim.constants import HBAR, omega_from_um
+from sfwmsim.constants import C, HBAR, omega_from_um
 from sfwmsim.dispersion import FiberSpec
 from sfwmsim.efficiency import (_rotated_integrand, _rotated_window,
-                                b_parameter, eta_cw, eta_dp_closed,
-                                eta_ndp_closed, eta_pulsed_numeric, l_max,
-                                operating_point, photons_per_pulse,
-                                pump_photon_rate, sigma_max)
+                                b_parameter, eta_closed, eta_cw,
+                                eta_pulsed_numeric, l_max, operating_point,
+                                photons_per_pulse, pump_photon_rate,
+                                sigma_max)
 from sfwmsim.errors import DivergenceError, RegimeError
 from sfwmsim.sfwm import (PumpSpec, SourceConfig, _pump_convolution,
                           h_function, nonlinear_phase,
@@ -54,7 +54,7 @@ class TestPhotonBookkeeping:
         assert pump_photon_rate(cfg_cw_dp) == pytest.approx(want, rel=1e-12)
 
     def test_pair_rate_identity(self, cfg_dp):
-        res = eta_dp_closed(cfg_dp)
+        res = eta_closed(cfg_dp)
         assert res.pairs_per_second == res.eta * pump_photon_rate(cfg_dp)
 
 
@@ -107,29 +107,35 @@ class TestBParameterAndScales:
 
 class TestClosedForms:
     def test_dp_linear_in_length_and_bandwidth(self, cfg_dp):
-        base = eta_dp_closed(cfg_dp).eta
-        assert eta_dp_closed(with_length(cfg_dp, 1.0)).eta == \
+        base = eta_closed(cfg_dp).eta
+        assert eta_closed(with_length(cfg_dp, 1.0)).eta == \
             pytest.approx(2 * base, rel=1e-9)
         wider = replace(cfg_dp,
                         pump1=replace(cfg_dp.pump1, sigma=2 * cfg_dp.pump1.sigma),
                         pump2=replace(cfg_dp.pump2, sigma=2 * cfg_dp.pump2.sigma))
-        assert eta_dp_closed(wider).eta == pytest.approx(2 * base, rel=0.02)
+        assert eta_closed(wider).eta == pytest.approx(2 * base, rel=0.02)
 
-    def test_dp_requires_degenerate(self, cfg_ndp):
-        with pytest.raises(RegimeError):
-            eta_dp_closed(cfg_ndp)
+    def test_degenerate_pumps_give_the_paper_form(self, cfg_dp):
+        # the paper's degenerate-pump closed form,
+        # 2^4 hbar^2 c^2 n^2 L sigma N gamma^2 h / (sqrt(pi) |b1_s - b1_i|)
+        op = operating_point(cfg_dp)
+        pump = cfg_dp.pump1
+        want = (2 ** 4 * HBAR ** 2 * C ** 2 * op.n1 ** 2 * cfg_dp.fiber.length
+                * pump.sigma * photons_per_pulse(pump) * op.gamma ** 2
+                * op.h_center / (math.sqrt(math.pi) * abs(op.b1_s - op.b1_i)))
+        assert eta_closed(cfg_dp).eta == pytest.approx(want, rel=1e-14)
 
     def test_dp_pairs_per_second_anchor(self, cfg_dp):
-        res = eta_dp_closed(with_length(cfg_dp, 1.0))
+        res = eta_closed(with_length(cfg_dp, 1.0))
         assert 5.3e8 / 2 < res.pairs_per_second < 5.3e8 * 2
 
     def test_ndp_plateau(self, cfg_ndp):
-        at_lmax = eta_ndp_closed(with_length(cfg_ndp, 0.263)).eta
-        at_half_m = eta_ndp_closed(with_length(cfg_ndp, 0.5)).eta
+        at_lmax = eta_closed(with_length(cfg_ndp, 0.263)).eta
+        at_half_m = eta_closed(with_length(cfg_ndp, 0.5)).eta
         assert 0.995 <= at_half_m / at_lmax <= 1.01
 
     def test_ndp_pairs_at_lmax_anchor(self, cfg_ndp):
-        res = eta_ndp_closed(with_length(cfg_ndp, 0.263))
+        res = eta_closed(with_length(cfg_ndp, 0.263))
         assert 5.12e7 / 2 < res.pairs_per_second < 5.12e7 * 2
 
     def test_unbalanced_bandwidths_reduce_rate(self, fiber_a):
@@ -139,8 +145,8 @@ class TestClosedForms:
         skewed = SourceConfig(fiber=fiber_a,
                               pump1=PumpSpec.from_units(0.521, 0.1, 1.0, 80.0),
                               pump2=PumpSpec.from_units(1.042, 3.0, 1.0, 80.0))
-        r_eq = eta_ndp_closed(equal).pairs_per_second
-        r_sk = eta_ndp_closed(skewed).pairs_per_second
+        r_eq = eta_closed(equal).pairs_per_second
+        r_sk = eta_closed(skewed).pairs_per_second
         assert r_sk < r_eq
         assert 1.1e8 / 2 < r_sk < 1.1e8 * 2
 
@@ -148,8 +154,8 @@ class TestClosedForms:
         om = cfg_dp.pump1.omega0
         nearly = replace(cfg_dp,
                          pump2=replace(cfg_dp.pump2, omega0=om * (1 + 1e-6)))
-        ndp = eta_ndp_closed(nearly).eta
-        dp = eta_dp_closed(cfg_dp).eta
+        ndp = eta_closed(nearly).eta
+        dp = eta_closed(cfg_dp).eta
         assert abs(ndp - dp) / dp < 1e-4
 
     def test_signal_idler_degeneracy_raises(self):
@@ -172,13 +178,13 @@ class TestClosedForms:
         center = solve_phasematch_center(cfg)
         assert abs(center.omega_s - om0) == pytest.approx(delta, rel=0.15)
         with pytest.raises(DivergenceError):
-            eta_dp_closed(cfg)
+            eta_closed(cfg)
 
 
 class TestNumericEfficiency:
     def test_matches_closed_form(self, cfg_dp):
         num = eta_pulsed_numeric(cfg_dp)
-        closed = eta_dp_closed(cfg_dp)
+        closed = eta_closed(cfg_dp)
         assert abs(num.eta - closed.eta) / closed.eta < 0.05
         assert num.diagnostics["shell"] < 1e-2
 
@@ -208,8 +214,8 @@ class TestNumericEfficiency:
         a = eta_pulsed_numeric(cfg_ndp)
         b = eta_pulsed_numeric(swapped)
         assert a.eta == b.eta
-        c = eta_ndp_closed(cfg_ndp)
-        d = eta_ndp_closed(swapped)
+        c = eta_closed(cfg_ndp)
+        d = eta_closed(swapped)
         assert c.eta == d.eta
         assert l_max(cfg_ndp) == l_max(swapped)
         assert b_parameter(cfg_ndp) == b_parameter(swapped)

@@ -55,7 +55,7 @@ class TestPumpEnvelope:
         pump = PumpSpec.from_units(0.708, 3.0, 0.3, 80.0)
         res = integrate_1d(lambda om: pump_envelope(pump, om) ** 2,
                            pump.omega0 - 8 * pump.sigma,
-                           pump.omega0 + 8 * pump.sigma, vectorized=True)
+                           pump.omega0 + 8 * pump.sigma)
         assert res.value == pytest.approx(1.0, abs=1e-9)
 
     def test_peak_value(self):
