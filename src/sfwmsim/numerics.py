@@ -6,10 +6,17 @@ functions.  Everything here is a pure function of its arguments: identical
 inputs give bit-identical outputs, panels are processed and accumulated in a
 fixed order, and no randomness is used anywhere.
 
-Integrands take node arrays: ``integrate_1d`` calls ``f`` with the ``(n,)``
-nodes of one panel and expects values of shape ``(n, *k)`` (array-valued
-integrands share one adaptive refinement, driven by the max-norm), and
-``integrate_2d`` calls ``f(x, y_nodes)`` with a scalar ``x``.
+The quadrature evaluates one refinement level per integrand call, because
+the integrands pay a large fixed cost per Python call.  One refinement
+algorithm (``_refinement``, one integral) and one driver (``_lockstep``,
+any number of integrals a level at a time) serve both entry points:
+``integrate_1d`` calls ``f`` with the flat nodes of every panel of a level
+(values of shape ``(n, *k)``; array-valued integrands share one adaptive
+refinement, driven by the max-norm), and ``integrate_2d`` runs the inner
+integrals of all the nodes of one outer level in lockstep, calling
+``f(x, y)`` with one panel per row (``x`` of shape (panels, 1), ``y`` of
+shape (panels, order)).  Each panel's Gauss sum is its own contraction, so
+batching moves no bits.
 """
 from __future__ import annotations
 
@@ -86,9 +93,8 @@ def _gauss_nodes(order):
 def sinc(x):
     """sin(x)/x with the removable singularity filled in (sinc(0) = 1)."""
     x = np.asarray(x, dtype=float)
-    out = np.ones_like(x)
-    nz = np.abs(x) > 1e-150
-    out[nz] = np.sin(x[nz]) / x[nz]
+    out = np.divide(np.sin(x), x, out=np.ones_like(x),
+                    where=np.abs(x) > 1e-150)
     if out.ndim == 0:
         return float(out)
     return out
@@ -108,42 +114,30 @@ def erf_ratio(x):
     return math.erf(x) / x
 
 
-def _panel_integral(f, a, b, order):
-    """Gauss-Legendre integral of one panel."""
-    x, w = _gauss_nodes(order)
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    vals = np.asarray(f(mid + half * x))
-    if vals.shape[:1] != x.shape:
-        raise ValueError("integrand must return one value per node")
-    return half * np.tensordot(w, vals, axes=(0, 0))
-
-
 def _maxnorm(v):
     return float(np.max(np.abs(v)))
 
 
-def integrate_1d(f, a, b, spec=DEFAULT_QUADRATURE):
-    """Adaptive Gauss-Legendre integration of ``f`` on [a, b].
+def _refinement(a, b, spec):
+    """One adaptive Gauss-Legendre integral on [a, b], as a coroutine.
 
-    ``f`` maps a node array of shape ``(n,)`` to values of shape ``(n, *k)``
-    (real or complex).
+    Yields the (lo, hi) edges of the panels of the next refinement level (the
+    root panel first, then two children per pending panel, left child
+    first) and is sent back their Gauss sums in the same order.  It returns
+    the QuadratureResult, or raises NonConvergenceError carrying the best
+    estimate when the subdivision cap is reached.
 
     Panels split dyadically; a panel is accepted when the difference between
     its Gauss estimate and the sum of its two children meets the local error
     budget (the global tolerance prorated by panel width).  Accepted
-    contributions are summed in left-to-right panel order so repeated runs
-    are bit-identical.
-
-    Raises NonConvergenceError carrying the best estimate when the
-    subdivision cap is reached.
+    contributions are summed in left-to-right panel order, so the result
+    does not depend on how a driver batches the integrand calls.
     """
     if not a < b:
         raise ValueError(f"integration bounds must satisfy a < b, got [{a}, {b}]")
-    order = spec.panel_order
     span = b - a
 
-    root_val = _panel_integral(f, a, b, order)
+    (root_val,) = yield [(a, b)]
     # pending: (left, right, value, per-component error from the parent split)
     pending = [(a, b, root_val, np.full_like(np.abs(np.asarray(root_val)),
                                              math.inf, dtype=float))]
@@ -170,11 +164,15 @@ def integrate_1d(f, a, b, spec=DEFAULT_QUADRATURE):
             value, err_total = _finish(pending)
             return QuadratureResult(value=value, error_estimate=err_total,
                                     subdivisions=subdivisions)
-        next_pending = []
-        for (lo, hi, parent, _parent_err) in pending:
+        edges = []
+        for (lo, hi, _parent, _parent_err) in pending:
             m = 0.5 * (lo + hi)
-            left = _panel_integral(f, lo, m, order)
-            right = _panel_integral(f, m, hi, order)
+            edges += [(lo, m), (m, hi)]
+        sums = yield edges
+        next_pending = []
+        for k, (lo, hi, parent, _parent_err) in enumerate(pending):
+            m = edges[2 * k][1]
+            left, right = sums[2 * k], sums[2 * k + 1]
             subdivisions += 1
             err_vec = np.abs(np.asarray(left + right - parent))
             err = float(np.max(err_vec))
@@ -200,20 +198,108 @@ def integrate_1d(f, a, b, spec=DEFAULT_QUADRATURE):
                             subdivisions=subdivisions)
 
 
+def _panel_nodes(edges, order):
+    """Half-widths (P,) and Gauss nodes (P, order) of (lo, hi) panels."""
+    x, _ = _gauss_nodes(order)
+    lo, hi = np.asarray(edges, dtype=float).T
+    half = 0.5 * (hi - lo)
+    mid = 0.5 * (lo + hi)
+    return half, mid[:, None] + half[:, None] * x
+
+
+def _panel_sums(half, vals, order):
+    """Gauss sum of each panel; ``vals`` holds one row of values per panel.
+
+    One ``tensordot`` per panel: a single contraction over all panels would
+    change the summation (BLAS blocking) and so the last bits.
+    """
+    _, w = _gauss_nodes(order)
+    if vals.shape[:2] != (half.size, order):
+        raise ValueError("integrand must return one value per node")
+    return [h * np.tensordot(w, v, axes=(0, 0)) for h, v in zip(half, vals)]
+
+
+def _lockstep(f, count, a, b, spec):
+    """``count`` adaptive integrals over [a, b], refined in lockstep.
+
+    Each refinement level makes one call ``f(owner, nodes)``: row r of
+    ``nodes`` (panels, order) holds the Gauss nodes of one panel of
+    integral ``owner[r]``, and ``f`` returns their values, shape
+    (panels, order, *k).  Every integral refines exactly as it would on its
+    own.  Returns the QuadratureResults in integral order, or raises the
+    NonConvergenceError of the lowest-numbered failing integral, which is
+    what running them one after the other would raise.
+    """
+    order = spec.panel_order
+    results = [None] * count
+    live = []              # (index, refinement, its next panel edges)
+    for i in range(count):
+        refinement = _refinement(a, b, spec)
+        live.append((i, refinement, next(refinement)))
+    failed = None          # (index, error) of the lowest failing integral
+    while live:
+        owner = np.repeat([i for i, _, _ in live],
+                          [len(e) for _, _, e in live])
+        half, nodes = _panel_nodes([p for _, _, e in live for p in e], order)
+        sums = _panel_sums(half, np.asarray(f(owner, nodes)), order)
+        still, start = [], 0
+        for i, refinement, edges in live:
+            n = len(edges)
+            try:
+                still.append((i, refinement,
+                              refinement.send(sums[start:start + n])))
+            except StopIteration as done:
+                results[i] = done.value
+            except NonConvergenceError as exc:
+                if failed is None or i < failed[0]:
+                    failed = (i, exc)
+            start += n
+        # once one has failed, later integrals cannot change the error raised
+        live = [t for t in still if failed is None or t[0] < failed[0]]
+    if failed is not None:
+        raise failed[1]
+    return results
+
+
+def integrate_1d(f, a, b, spec=DEFAULT_QUADRATURE):
+    """Adaptive Gauss-Legendre integration of ``f`` on [a, b].
+
+    ``f`` is called once per refinement level, with the nodes of all the
+    panels of that level as one flat array of shape (panels * order,), in
+    panel order, and returns values of shape (panels * order, *k) (real or
+    complex).  The refinement itself (splitting, acceptance, summation
+    order) is that of ``_refinement``.
+
+    Raises NonConvergenceError carrying the best estimate when the
+    subdivision cap is reached.
+    """
+    def panels(_owner, nodes):
+        vals = np.asarray(f(nodes.ravel()))
+        if vals.shape[:1] != (nodes.size,):
+            raise ValueError("integrand must return one value per node")
+        return vals.reshape(nodes.shape + vals.shape[1:])
+
+    return _lockstep(panels, 1, a, b, spec)[0]
+
+
 def integrate_2d(f, window, spec=DEFAULT_QUADRATURE, *, inner_spec=None):
     """Iterated integral of f(x, y) over a rectangle.
 
-    ``window`` is (x_lo, x_hi, y_lo, y_hi).  ``f`` is called as
-    ``f(x, y_nodes)`` with a scalar ``x`` and a node array ``y_nodes``, and
-    returns one value per node.  The outer (x) and inner (y) directions each
-    run their own adaptive ``integrate_1d``, so convergence is controlled
-    independently per axis; ``inner_spec`` lets the inner axis run tighter
-    than the outer (useful when inner results feed the outer integrand with
-    their own error floor).  The outer nodes of a panel are integrated along
-    y one after the other, in node order.
+    ``window`` is (x_lo, x_hi, y_lo, y_hi).  The outer (x) integral is an
+    ``integrate_1d`` whose integrand runs the inner (y) integrals of all
+    the outer nodes of one outer level in lockstep: ``f`` is called once
+    per inner refinement level as ``f(x, y)``, with ``x`` of shape
+    (panels, 1) and ``y`` of shape (panels, order), one panel of one outer
+    node per row, and returns one value per node, shape (panels, order).
+    Every inner integral refines exactly as it would on its own, so the
+    result equals nested ``integrate_1d`` calls bit for bit.  Convergence
+    is controlled independently per axis; ``inner_spec`` lets the inner
+    axis run tighter than the outer (useful when inner results feed the
+    outer integrand with their own error floor).
 
-    Inner non-convergence is re-raised with ``axis='y'``; outer with
-    ``axis='x'``.
+    Inner non-convergence raises the error of the first failing outer node
+    in node order (its own best estimate, error and subdivisions), with
+    ``axis='y'``; outer non-convergence is re-raised with ``axis='x'``.
     """
     x_lo, x_hi, y_lo, y_hi = window
     if not (x_lo < x_hi and y_lo < y_hi):
@@ -223,20 +309,21 @@ def integrate_2d(f, window, spec=DEFAULT_QUADRATURE, *, inner_spec=None):
     inner_err = [0.0]
     inner_sub = [0]
 
-    def inner(x):
+    def inner(xs):
         try:
-            res = integrate_1d(lambda ys: f(x, ys), y_lo, y_hi, spec_y)
+            results = _lockstep(lambda owner, y: f(xs[owner, None], y),
+                                len(xs), y_lo, y_hi, spec_y)
         except NonConvergenceError as exc:
             raise NonConvergenceError(str(exc), best=exc.best,
                                       error_estimate=exc.error_estimate,
                                       subdivisions=exc.subdivisions, axis="y") from exc
-        inner_err[0] = max(inner_err[0], res.error_estimate)
-        inner_sub[0] += res.subdivisions
-        return res.value
+        for res in results:
+            inner_err[0] = max(inner_err[0], res.error_estimate)
+            inner_sub[0] += res.subdivisions
+        return np.asarray([res.value for res in results])
 
     try:
-        outer = integrate_1d(lambda xs: np.asarray([inner(float(x)) for x in xs]),
-                             x_lo, x_hi, spec)
+        outer = integrate_1d(inner, x_lo, x_hi, spec)
     except NonConvergenceError as exc:
         if exc.axis is None:
             raise NonConvergenceError(str(exc), best=exc.best,

@@ -350,7 +350,10 @@ def _pump_convolution(config):
 
     Builds the nonlinear phase and the fixed ``_pump_rule`` once; each call
     evaluates every pair in one pump integral, whose envelope product
-    suppresses pairs far from energy conservation.
+    suppresses pairs far from energy conservation.  The pairs are a flat
+    array or a block of rows (P, n); each row is contracted over the pump
+    nodes on its own (a stacked ``matmul``), so a row's values do not
+    depend on the other rows of the block.
     """
     if config.is_cw:
         raise RegimeError("joint spectral amplitude requires pulsed pumps")
@@ -367,14 +370,15 @@ def _pump_convolution(config):
         total = oms + omi
         beta_s = beta(oms, fiber)
         beta_i = beta(omi, fiber)
-        conj = total[None, :] - om_nodes[:, None]
+        # pump nodes on the second-to-last axis: (..., nodes, pairs)
+        conj = total[..., None, :] - om_nodes[:, None]
         dk = (beta_nodes[:, None]
               + beta(conj.ravel(), fiber).reshape(conj.shape)
-              - beta_s[None, :] - beta_i[None, :] - nl)
+              - beta_s[..., None, :] - beta_i[..., None, :] - nl)
         x = 0.5 * L * dk
         amp = env1[:, None] * pump_envelope(p2, conj)
         vals = amp * sinc(x) * np.exp(1j * x)
-        F = np.tensordot(weights, vals, axes=(0, 0))
+        F = np.matmul(weights, vals)
         return pref * np.asarray(F, dtype=complex)
 
     return f

@@ -6,15 +6,15 @@ import pytest
 
 from conftest import taylor_fiber
 from sfwmsim.constants import C, HBAR, omega_from_um
-from sfwmsim.dispersion import FiberSpec
-from sfwmsim.efficiency import (_rotated_integrand, _rotated_window,
-                                b_parameter, eta_closed, eta_cw,
-                                eta_pulsed_numeric, l_max, operating_point,
-                                photons_per_pulse, pump_photon_rate,
-                                sigma_max)
+from sfwmsim.dispersion import FiberSpec, beta, beta1, beta2
+from sfwmsim.efficiency import (_BLOCK_ELEMENTS, _rotated_integrand,
+                                _rotated_window, b_parameter, eta_closed,
+                                eta_cw, eta_pulsed_numeric, l_max,
+                                operating_point, photons_per_pulse,
+                                pump_photon_rate, sigma_max)
 from sfwmsim.errors import DivergenceError, RegimeError
 from sfwmsim.sfwm import (PumpSpec, SourceConfig, _pump_convolution,
-                          h_function, nonlinear_phase,
+                          _pump_rule, h_function, nonlinear_phase,
                           solve_phasematch_center)
 
 PHOTONS_PER_PULSE_REF = 13365579.49501524   # sqrt(2 pi) P / (hbar w0 sigma)
@@ -230,15 +230,51 @@ class TestRotatedIntegrand:
         op = operating_point(cfg)
         _, _, v_lo, v_hi = _rotated_window(cfg, op)
         v = np.linspace(v_lo, v_hi, 101)
-        make_slice = _rotated_integrand(cfg)
+        rows = _rotated_integrand(cfg)
         jsa_pairs = _pump_convolution(cfg)
         sigma_c = math.hypot(cfg.pump1.sigma, cfg.pump2.sigma)
         for u in (cfg.omega_total, cfg.omega_total + sigma_c):
             om_s, om_i = 0.5 * (u + v), 0.5 * (u - v)
             want = (h_function(om_s, om_i, cfg.fiber)
                     * np.abs(jsa_pairs(om_s, om_i)) ** 2)
-            got = make_slice(u)(v)
+            got = rows(np.full((1, 1), u), v[None, :])[0]
             assert np.max(np.abs(got - want)) <= 1e-7 * np.max(want)
+
+    @pytest.mark.parametrize("taylor", [False, True])
+    @pytest.mark.parametrize("name", ["cfg_dp", "cfg_ndp"])
+    def test_block_of_rows_equals_one_row_calls(self, name, taylor, request):
+        # integrate_2d hands the integrand many panel rows at once; each row
+        # must come out exactly as it would alone, across the memory blocks
+        cfg = request.getfixturevalue(name)
+        u_lo, u_hi, v_lo, v_hi = _rotated_window(cfg, operating_point(cfg))
+        if taylor:
+            om = 0.5 * cfg.omega_total
+            cfg = replace(cfg, fiber=taylor_fiber(
+                om, (beta(om, cfg.fiber), beta1(om, cfg.fiber),
+                     beta2(om, cfg.fiber))))
+        n = 15
+        per_block = _BLOCK_ELEMENTS // (_pump_rule(cfg)[0].size * n)
+        p = 3 * per_block + 2
+        u = np.linspace(u_lo, u_hi, p)[:, None]
+        v = np.linspace(v_lo, v_hi, p * n).reshape(p, n)
+        rows = _rotated_integrand(cfg)
+        block = rows(u, v)
+        one_by_one = np.concatenate([rows(u[r:r + 1], v[r:r + 1])
+                                     for r in range(p)])
+        assert block.shape == (p, n)
+        assert block.tobytes() == one_by_one.tobytes()
+
+
+class TestDeterminism:
+    def test_repeat_runs_bit_identical(self, cfg_ndp, cfg_cw_ndp):
+        pulsed = [eta_pulsed_numeric(cfg_ndp) for _ in range(2)]
+        cw = [eta_cw(cfg_cw_ndp) for _ in range(2)]
+        for a, b in (pulsed, cw):
+            assert a.eta == b.eta
+            assert (a.diagnostics["quadrature_error"]
+                    == b.diagnostics["quadrature_error"])
+        assert (pulsed[0].diagnostics["shell_history"]
+                == pulsed[1].diagnostics["shell_history"])
 
 
 class TestCwEfficiency:

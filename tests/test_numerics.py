@@ -61,6 +61,28 @@ class TestIntegrate1D:
         with pytest.raises(ValueError):
             integrate_1d(np.sin, 1.0, 1.0)
 
+    def test_one_call_per_refinement_level(self):
+        # call k holds only panels of depth k (width span / 2^k), and every
+        # split panel is evaluated in its level's call
+        order = 15
+        xg, _ = np.polynomial.legendre.leggauss(order)
+        calls = []
+
+        def f(x):
+            calls.append(x.copy())
+            return np.exp(-x * x) * np.cos(8 * x)
+
+        res = integrate_1d(f, -3.0, 5.0, QuadratureSpec(rel_tol=1e-12))
+        assert len(calls) > 3
+        assert calls[0].size == order
+        for depth, nodes in enumerate(calls):
+            panels = nodes.reshape(-1, order)
+            extent = panels[:, -1] - panels[:, 0]
+            width = 8.0 / 2 ** depth
+            assert np.allclose(extent, 0.5 * width * (xg[-1] - xg[0]),
+                               rtol=1e-12)
+        assert sum(c.size // order for c in calls[1:]) == 2 * res.subdivisions
+
     @given(st.floats(0.3, 3.0), st.floats(0.5, 4.0))
     @settings(max_examples=20, deadline=None)
     def test_even_integrand_symmetric_interval(self, width, a):
@@ -117,6 +139,36 @@ class TestIntegrate2D:
     def test_bad_window(self):
         with pytest.raises(ValueError):
             integrate_2d(lambda x, y: np.ones_like(y), (0, 1, 1, 1))
+
+    def test_inner_failure_raises_lowest_outer_node(self):
+        # outer root nodes 3 and 9 fail along y; node 9 (oscillating) hits
+        # the cap levels before node 3 (one jump, one split per level), yet
+        # the sequential order raises node 3's error
+        xg, _ = np.polynomial.legendre.leggauss(15)
+        x3, x9 = 0.5 + 0.5 * xg[3], 0.5 + 0.5 * xg[9]
+        inner_spec = QuadratureSpec(rel_tol=1e-12, abs_tol=0.0,
+                                    max_subdivisions=20)
+
+        def f(x, y):
+            x = np.broadcast_to(x, np.shape(y))
+            return np.where(np.abs(x - x3) < 1e-3, (y > math.pi / 4) * 1.0,
+                            np.where(np.abs(x - x9) < 1e-3,
+                                     np.sin(50 * y * y), np.exp(-y)))
+
+        refs, levels = {}, {}
+        for x in (x3, x9):
+            calls = []
+            with pytest.raises(NonConvergenceError) as ref:
+                integrate_1d(lambda ys: calls.append(0) or f(x, ys),
+                             0.0, 2.0, inner_spec)
+            refs[x], levels[x] = ref.value, len(calls)
+        assert levels[x9] < levels[x3]
+        with pytest.raises(NonConvergenceError) as err:
+            integrate_2d(f, (0, 1, 0, 2), inner_spec=inner_spec)
+        assert err.value.axis == "y"
+        assert err.value.best == refs[x3].best
+        assert err.value.error_estimate == refs[x3].error_estimate
+        assert err.value.subdivisions == refs[x3].subdivisions
 
 
 class TestFindRoot:
@@ -188,6 +240,17 @@ class TestSpecValidation:
         assert sinc(0.0) == 1.0
         assert sinc(np.array([0.0, math.pi]))[0] == 1.0
         assert sinc(math.pi) == pytest.approx(0.0, abs=1e-15)
+
+    def test_sinc_equals_masked_formula_bit_for_bit(self):
+        rng = np.random.default_rng(7)
+        n = 12 * 180 * 15
+        x = rng.standard_normal(n) * 10.0 ** rng.uniform(-9, 3, n)
+        x[:7] = [0.0, -0.0, 1e-200, -1e-200, 1e-150, -2e-150, math.pi]
+        x = x.reshape(12, 180, 15)
+        want = np.ones_like(x)
+        nz = np.abs(x) > 1e-150
+        want[nz] = np.sin(x[nz]) / x[nz]
+        assert sinc(x).tobytes() == want.tobytes()
 
 
 def test_repeat_runs_bit_identical():
