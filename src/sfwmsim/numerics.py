@@ -7,16 +7,16 @@ inputs give bit-identical outputs, panels are processed and accumulated in a
 fixed order, and no randomness is used anywhere.
 
 The quadrature evaluates one refinement level per integrand call, because
-the integrands pay a large fixed cost per Python call.  One refinement
-algorithm (``_refinement``, one integral) and one driver (``_lockstep``,
-any number of integrals a level at a time) serve both entry points:
-``integrate_1d`` calls ``f`` with the flat nodes of every panel of a level
-(values of shape ``(n, *k)``; array-valued integrands share one adaptive
-refinement, driven by the max-norm), and ``integrate_2d`` runs the inner
-integrals of all the nodes of one outer level in lockstep, calling
-``f(x, y)`` with one panel per row (``x`` of shape (panels, 1), ``y`` of
-shape (panels, order)).  Each panel's Gauss sum is its own contraction, so
-batching moves no bits.
+the integrands pay a large fixed cost per Python call.  One level engine
+(``_levels``) keeps every live panel of any number of integrals as rows of
+arrays, so a level is one integrand call, one stacked Gauss sum and one
+accept/split mask.  ``integrate_1d`` runs one integral and calls ``f`` with
+the flat nodes of every panel of a level (values of shape ``(n, *k)``;
+array-valued integrands share one refinement, driven by the max-norm).
+``integrate_2d`` runs the inner integrals of all the nodes of one outer
+level together, calling ``f(x, y)`` with one panel per row (``x`` of shape
+(panels, 1), ``y`` of shape (panels, order)).  Batching moves no bits: each
+panel sum and running sum rounds as for one integral on its own.
 """
 from __future__ import annotations
 
@@ -29,6 +29,7 @@ import numpy as np
 from .errors import BracketError, NonConvergenceError
 
 _EPS = float(np.finfo(float).eps)
+_NOISE = 64 * _EPS         # relative rounding floor of a split
 
 TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)
 
@@ -45,7 +46,7 @@ class QuadratureSpec:
     def __post_init__(self):
         if not self.rel_tol > 0:
             raise ValueError("rel_tol must be > 0")
-        if self.abs_tol < 0:
+        if not self.abs_tol >= 0:      # rejects NaN too
             raise ValueError("abs_tol must be >= 0")
         if self.max_subdivisions < 1:
             raise ValueError("max_subdivisions must be >= 1")
@@ -115,150 +116,146 @@ def erf_ratio(x):
 
 
 def _maxnorm(v):
-    return float(np.max(np.abs(v)))
+    """Max-norm of each row of ``v`` (|v| itself for scalar rows)."""
+    v = np.abs(v)
+    return v if v.ndim == 1 else v.reshape(len(v), -1).max(axis=1)
 
 
-def _refinement(a, b, spec):
-    """One adaptive Gauss-Legendre integral on [a, b], as a coroutine.
+def _runs(group):
+    """First row of each run of equal ``group`` values, and each row's run."""
+    first = np.concatenate(([True], group[1:] != group[:-1]))
+    return np.flatnonzero(first), np.cumsum(first) - 1
 
-    Yields the (lo, hi) edges of the panels of the next refinement level (the
-    root panel first, then two children per pending panel, left child
-    first) and is sent back their Gauss sums in the same order.  It returns
-    the QuadratureResult, or raises NonConvergenceError carrying the best
-    estimate when the subdivision cap is reached.
 
-    Panels split dyadically; a panel is accepted when the difference between
-    its Gauss estimate and the sum of its two children meets the local error
-    budget (the global tolerance prorated by panel width).  Accepted
-    contributions are summed in left-to-right panel order, so the result
-    does not depend on how a driver batches the integrand calls.
+def _take(mask, *arrays):
+    return tuple(a[mask] for a in arrays)
+
+
+def _fold(first, run, rows, init=0.0):
+    """``init + r0 + r1 + ...`` over each run of ``rows``, left to right.
+
+    Python's ``sum``, as one sequential ``np.add.accumulate`` over a table
+    zero-padded on the right (+0.0 changes no sum that starts from +0.0);
+    ``np.sum`` and ``np.add.reduceat`` add pairwise and round differently.
+    The result is contiguous: as an outer integrand value with a stride it
+    would take BLAS's strided dot, which rounds differently.
+    """
+    pos = np.arange(run.size) - first[run] + 1
+    table = np.zeros((first.size, pos.max() + 1) + rows.shape[1:], rows.dtype)
+    table[:, 0] = init
+    table[run, pos] = rows
+    return np.add.accumulate(table, axis=1)[:, -1].copy()
+
+
+def _panel_sums(half, vals, w):
+    """Gauss sum ``half * (w . v)`` of each panel; row p of ``vals`` is panel p.
+
+    A stacked ``np.matmul`` of one (1, order) row per panel is one BLAS dot
+    per panel, bit for bit the per-panel ``h * np.tensordot(w, v, axes=(0,
+    0))`` for real, complex and vector values (a test pins this).  The one
+    gemv ``vals @ w`` blocks the sums otherwise and moves the last bits of
+    about two panels in three.
+    """
+    if vals.shape[:2] != (half.size, w.size):
+        raise ValueError("integrand must return one value per node")
+    if vals.ndim == 2:
+        return half * np.matmul(vals[:, None, :], w[:, None])[:, 0, 0]
+    sums = np.matmul(w, vals.reshape(vals.shape[:2] + (-1,)))
+    return (half[:, None] * sums).reshape((half.size,) + vals.shape[2:])
+
+
+def _levels(f, count, a, b, spec):
+    """``count`` adaptive Gauss-Legendre integrals over [a, b], a level at a time.
+
+    Each level makes one call ``f(owner, nodes)``: row r of ``nodes``
+    (panels, order) holds the Gauss nodes of one panel of integral
+    ``owner[r]``; ``f`` returns their values, shape (panels, order, *k).
+    Returns values (count, *k), errors and subdivisions (count,), or raises
+    the NonConvergenceError (with its best estimate) of the lowest-numbered
+    integral to reach the subdivision cap, as a sequential run would.
+
+    Live panels are rows of arrays (edges, owner, value, error of the split
+    that made them), grouped by owner.  A split is accepted on the global
+    tolerance prorated by panel width; ``max(rel_tol * |estimate|,
+    abs_tol)`` is NaN for a NaN estimate and then accepts nothing.  Sums
+    are sequential (``_fold``): the estimate adds the pending values in
+    level order to the accepted ones in acceptance order; the result sums
+    the accepted (on failure, also the pending) panels left to right.
     """
     if not a < b:
         raise ValueError(f"integration bounds must satisfy a < b, got [{a}, {b}]")
+    a, b = float(a), float(b)
     span = b - a
+    x, w = _gauss_nodes(spec.panel_order)
 
-    (root_val,) = yield [(a, b)]
-    # pending: (left, right, value, per-component error from the parent split)
-    pending = [(a, b, root_val, np.full_like(np.abs(np.asarray(root_val)),
-                                             math.inf, dtype=float))]
-    accepted = []          # (left_edge, value, err_components)
-    subdivisions = 0
+    def gauss_sums(owner, lo, hi):
+        half = 0.5 * (hi - lo)
+        mid = 0.5 * (lo + hi)
+        vals = np.asarray(f(owner, mid[:, None] + half[:, None] * x))
+        return _panel_sums(half, vals, w)
 
-    def _finish(extra_pending):
-        accepted.extend((lo, v, e) for (lo, _, v, e) in extra_pending)
-        accepted.sort(key=lambda t: t[0])
-        value = sum(v for (_, v, _) in accepted)
-        err_total = _maxnorm(sum(e for (_, _, e) in accepted))
-        if isinstance(value, np.ndarray) and value.ndim == 0:
-            value = value[()]
-        return value, float(err_total)
-
-    while pending:
-        estimate = sum(t[2] for t in pending) + sum(v for (_, v, _) in accepted)
-        tol_global = max(spec.rel_tol * _maxnorm(estimate), spec.abs_tol)
-        # accepted panels met their local budgets (which sum to <= tol_global
-        # by construction), so the global stop weighs the pending provisional
-        # errors, per value component
-        pending_err = _maxnorm(sum(t[3] for t in pending))
-        if pending_err <= tol_global:
-            value, err_total = _finish(pending)
-            return QuadratureResult(value=value, error_estimate=err_total,
-                                    subdivisions=subdivisions)
-        edges = []
-        for (lo, hi, _parent, _parent_err) in pending:
-            m = 0.5 * (lo + hi)
-            edges += [(lo, m), (m, hi)]
-        sums = yield edges
-        next_pending = []
-        for k, (lo, hi, parent, _parent_err) in enumerate(pending):
-            m = edges[2 * k][1]
-            left, right = sums[2 * k], sums[2 * k + 1]
-            subdivisions += 1
-            err_vec = np.abs(np.asarray(left + right - parent))
-            err = float(np.max(err_vec))
-            # a split error at rounding level of the panel's own magnitude
-            # cannot be improved by further refinement
-            noise_floor = 64 * _EPS * (_maxnorm(left) + _maxnorm(right))
-            if (err <= tol_global * (hi - lo) / span or err <= noise_floor
-                    or (hi - lo) < 64 * _EPS * max(abs(lo), abs(hi), 1.0)):
-                accepted.append((lo, left, 0.5 * err_vec))
-                accepted.append((m, right, 0.5 * err_vec))
-            else:
-                next_pending.append((lo, m, left, 0.5 * err_vec))
-                next_pending.append((m, hi, right, 0.5 * err_vec))
-        pending = next_pending
-        if pending and subdivisions >= spec.max_subdivisions:
-            best, err_total = _finish(pending)
-            raise NonConvergenceError(
-                f"quadrature did not converge in {subdivisions} subdivisions",
-                best=best, error_estimate=err_total, subdivisions=subdivisions)
-
-    value, err_total = _finish([])
-    return QuadratureResult(value=value, error_estimate=err_total,
-                            subdivisions=subdivisions)
-
-
-def _panel_nodes(edges, order):
-    """Half-widths (P,) and Gauss nodes (P, order) of (lo, hi) panels."""
-    x, _ = _gauss_nodes(order)
-    lo, hi = np.asarray(edges, dtype=float).T
-    half = 0.5 * (hi - lo)
-    mid = 0.5 * (lo + hi)
-    return half, mid[:, None] + half[:, None] * x
-
-
-def _panel_sums(half, vals, order):
-    """Gauss sum of each panel; ``vals`` holds one row of values per panel.
-
-    One ``tensordot`` per panel: a single contraction over all panels would
-    change the summation (BLAS blocking) and so the last bits.
-    """
-    _, w = _gauss_nodes(order)
-    if vals.shape[:2] != (half.size, order):
-        raise ValueError("integrand must return one value per node")
-    return [h * np.tensordot(w, v, axes=(0, 0)) for h, v in zip(half, vals)]
-
-
-def _lockstep(f, count, a, b, spec):
-    """``count`` adaptive integrals over [a, b], refined in lockstep.
-
-    Each refinement level makes one call ``f(owner, nodes)``: row r of
-    ``nodes`` (panels, order) holds the Gauss nodes of one panel of
-    integral ``owner[r]``, and ``f`` returns their values, shape
-    (panels, order, *k).  Every integral refines exactly as it would on its
-    own.  Returns the QuadratureResults in integral order, or raises the
-    NonConvergenceError of the lowest-numbered failing integral, which is
-    what running them one after the other would raise.
-    """
-    order = spec.panel_order
-    results = [None] * count
-    live = []              # (index, refinement, its next panel edges)
-    for i in range(count):
-        refinement = _refinement(a, b, spec)
-        live.append((i, refinement, next(refinement)))
-    failed = None          # (index, error) of the lowest failing integral
-    while live:
-        owner = np.repeat([i for i, _, _ in live],
-                          [len(e) for _, _, e in live])
-        half, nodes = _panel_nodes([p for _, _, e in live for p in e], order)
-        sums = _panel_sums(half, np.asarray(f(owner, nodes)), order)
-        still, start = [], 0
-        for i, refinement, edges in live:
-            n = len(edges)
-            try:
-                still.append((i, refinement,
-                              refinement.send(sums[start:start + n])))
-            except StopIteration as done:
-                results[i] = done.value
-            except NonConvergenceError as exc:
-                if failed is None or i < failed[0]:
-                    failed = (i, exc)
-            start += n
+    owner = np.arange(count)
+    lo, hi = np.full(count, a), np.full(count, b)
+    val = gauss_sums(owner, lo, hi)
+    err = np.full(val.shape, math.inf)
+    accepted_sum = np.zeros_like(val)
+    subdivisions = np.zeros(count, dtype=int)
+    finished = []          # (owner, lo, value, error) chunks of final panels
+    failed = count         # the lowest failing integral, if any
+    while owner.size:
+        first, run = _runs(owner)
+        estimate = _fold(first, run, val) + accepted_sum[owner[first]]
+        tol = np.maximum(spec.rel_tol * _maxnorm(estimate), spec.abs_tol)
+        # accepted panels met their local budgets, which sum to <= tol, so
+        # the stop weighs the pending errors, per value component
+        stop = (_maxnorm(_fold(first, run, err)) <= tol)[run]
+        finished.append(_take(stop, owner, lo, val, err))
+        owner, lo, hi, val, tol = _take(~stop, owner, lo, hi, val, tol[run])
+        if not owner.size:
+            break
+        mid = 0.5 * (lo + hi)
+        twin = np.repeat(owner, 2)
+        twin_lo = np.stack([lo, mid], axis=1).ravel()
+        twin_hi = np.stack([mid, hi], axis=1).ravel()
+        twin_val = gauss_sums(twin, twin_lo, twin_hi)
+        left, right = twin_val[0::2], twin_val[1::2]
+        subdivisions += np.bincount(owner, minlength=count)
+        split_err = np.abs(left + right - val)
+        err_max = _maxnorm(split_err)
+        width = hi - lo
+        accept = np.repeat(
+            (err_max <= tol * width / span)
+            # a split error at the children's rounding cannot be refined away
+            | (err_max <= _NOISE * (_maxnorm(left) + _maxnorm(right)))
+            | (width < _NOISE * np.maximum(np.maximum(np.abs(lo), np.abs(hi)), 1.0)),
+            2)
+        twin_err = np.repeat(0.5 * split_err, 2, axis=0)
+        if accept.any():
+            finished.append(_take(accept, twin, twin_lo, twin_val, twin_err))
+            first, run = _runs(twin[accept])
+            ids = twin[accept][first]
+            accepted_sum[ids] = _fold(first, run, twin_val[accept], accepted_sum[ids])
+        owner, lo, hi, val, err = _take(~accept, twin, twin_lo, twin_hi, twin_val, twin_err)
+        capped = subdivisions[owner] >= spec.max_subdivisions
+        if capped.any():
+            finished.append(_take(capped, owner, lo, val, err))
+            failed = min(failed, int(owner[capped].min()))
         # once one has failed, later integrals cannot change the error raised
-        live = [t for t in still if failed is None or t[0] < failed[0]]
-    if failed is not None:
-        raise failed[1]
-    return results
+        owner, lo, hi, val, err = _take(~capped & (owner < failed), owner, lo, hi, val, err)
+
+    owner, lo, val, err = (np.concatenate(parts) for parts in zip(*finished))
+    if failed < count:
+        owner, lo, val, err = _take(owner == failed, owner, lo, val, err)
+    order = np.lexsort((lo, owner))
+    first, run = _runs(owner[order])
+    value = _fold(first, run, val[order])
+    error = _maxnorm(_fold(first, run, err[order]))
+    if failed < count:
+        n = int(subdivisions[failed])
+        raise NonConvergenceError(
+            f"quadrature did not converge in {n} subdivisions",
+            best=value[0], error_estimate=float(error[0]), subdivisions=n)
+    return value, error, subdivisions
 
 
 def integrate_1d(f, a, b, spec=DEFAULT_QUADRATURE):
@@ -268,7 +265,7 @@ def integrate_1d(f, a, b, spec=DEFAULT_QUADRATURE):
     panels of that level as one flat array of shape (panels * order,), in
     panel order, and returns values of shape (panels * order, *k) (real or
     complex).  The refinement itself (splitting, acceptance, summation
-    order) is that of ``_refinement``.
+    order) is that of ``_levels``.
 
     Raises NonConvergenceError carrying the best estimate when the
     subdivision cap is reached.
@@ -279,7 +276,9 @@ def integrate_1d(f, a, b, spec=DEFAULT_QUADRATURE):
             raise ValueError("integrand must return one value per node")
         return vals.reshape(nodes.shape + vals.shape[1:])
 
-    return _lockstep(panels, 1, a, b, spec)[0]
+    value, error, subdivisions = _levels(panels, 1, a, b, spec)
+    return QuadratureResult(value=value[0], error_estimate=float(error[0]),
+                            subdivisions=int(subdivisions[0]))
 
 
 def integrate_2d(f, window, spec=DEFAULT_QUADRATURE, *, inner_spec=None):
@@ -287,15 +286,15 @@ def integrate_2d(f, window, spec=DEFAULT_QUADRATURE, *, inner_spec=None):
 
     ``window`` is (x_lo, x_hi, y_lo, y_hi).  The outer (x) integral is an
     ``integrate_1d`` whose integrand runs the inner (y) integrals of all
-    the outer nodes of one outer level in lockstep: ``f`` is called once
-    per inner refinement level as ``f(x, y)``, with ``x`` of shape
-    (panels, 1) and ``y`` of shape (panels, order), one panel of one outer
-    node per row, and returns one value per node, shape (panels, order).
-    Every inner integral refines exactly as it would on its own, so the
-    result equals nested ``integrate_1d`` calls bit for bit.  Convergence
-    is controlled independently per axis; ``inner_spec`` lets the inner
-    axis run tighter than the outer (useful when inner results feed the
-    outer integrand with their own error floor).
+    the outer nodes of one outer level together (``_levels``): ``f`` is
+    called once per inner refinement level as ``f(x, y)``, with ``x`` of
+    shape (panels, 1) and ``y`` of shape (panels, order), one panel of one
+    outer node per row, and returns one value per node, shape
+    (panels, order).  Every inner integral refines exactly as it would on
+    its own, so the result equals nested ``integrate_1d`` calls bit for
+    bit.  Convergence is controlled independently per axis; ``inner_spec``
+    lets the inner axis run tighter than the outer (useful when inner
+    results feed the outer integrand with their own error floor).
 
     Inner non-convergence raises the error of the first failing outer node
     in node order (its own best estimate, error and subdivisions), with
@@ -311,16 +310,15 @@ def integrate_2d(f, window, spec=DEFAULT_QUADRATURE, *, inner_spec=None):
 
     def inner(xs):
         try:
-            results = _lockstep(lambda owner, y: f(xs[owner, None], y),
-                                len(xs), y_lo, y_hi, spec_y)
+            value, error, subdivisions = _levels(
+                lambda owner, y: f(xs[owner, None], y), len(xs), y_lo, y_hi, spec_y)
         except NonConvergenceError as exc:
             raise NonConvergenceError(str(exc), best=exc.best,
                                       error_estimate=exc.error_estimate,
                                       subdivisions=exc.subdivisions, axis="y") from exc
-        for res in results:
-            inner_err[0] = max(inner_err[0], res.error_estimate)
-            inner_sub[0] += res.subdivisions
-        return np.asarray([res.value for res in results])
+        inner_err[0] = max(inner_err[0], *error.tolist())
+        inner_sub[0] += int(subdivisions.sum())
+        return value
 
     try:
         outer = integrate_1d(inner, x_lo, x_hi, spec)

@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sfwmsim.errors import BracketError, NonConvergenceError
-from sfwmsim.numerics import (QuadratureSpec, RootBracket, bracket_root,
-                              erf_ratio, find_root, integrate_1d, integrate_2d,
-                              sinc)
+from sfwmsim.numerics import (QuadratureSpec, RootBracket, _gauss_nodes,
+                              _panel_sums, bracket_root, erf_ratio, find_root,
+                              integrate_1d, integrate_2d, sinc)
 
 # frozen oracle values (brute-force trapezoid / long bisection, see comments)
 SINC2_0_40 = 1.5584510463645005          # 1e7-point trapezoid of sinc^2
@@ -171,6 +171,145 @@ class TestIntegrate2D:
         assert err.value.subdivisions == refs[x3].subdivisions
 
 
+def _hex(v):
+    """float.hex of a real, complex ([real, imag]) or 1-D value."""
+    v = np.asarray(v)
+    if np.iscomplexobj(v):
+        return [_hex(v.real), _hex(v.imag)]
+    return float(v).hex() if v.ndim == 0 else [float(t).hex() for t in v]
+
+
+def _kink(x, y):
+    return np.sqrt(np.abs(x - y)) * np.exp(-x * x - y * y)
+
+
+# value, error estimate and subdivisions of one-integral-at-a-time adaptive
+# refinement with per-panel Gauss sums (np.tensordot), as float.hex: the
+# level engine must reproduce every bit
+GOLDEN = {
+    "real": (lambda: integrate_1d(
+        lambda x: np.sqrt(np.abs(x - 0.3)) * np.cos(8 * x), -3.0, 5.0,
+        QuadratureSpec(rel_tol=1e-12)),
+        "0x1.2b1efbf3d9dc8p-5", "0x1.58ed2c0b8f780p-45", 63),
+    "complex": (lambda: integrate_1d(
+        lambda x: np.exp(40j * x * x) * np.sqrt(np.abs(x - 1.0)), 0.0, 3.0,
+        QuadratureSpec(rel_tol=1e-11)),
+        ["0x1.b25dff473142ep-4", "0x1.7d01fb796c40ep-4"],
+        "0x1.364099d869400p-40", 93),
+    "vector": (lambda: integrate_1d(
+        lambda x: np.stack([np.sin(9 * x), np.sqrt(np.abs(x - 0.7)),
+                            1 / (1 + 100 * x * x)], axis=1), -1.0, 2.0,
+        QuadratureSpec(rel_tol=1e-12)),
+        ["-0x1.65976bc7337f1p-3", "0x1.3ba093a612910p+1",
+         "0x1.3260954a5702cp-2"], "0x1.467f7c6d4d300p-40", 59),
+    "2d": (lambda: integrate_2d(
+        _kink, (-2, 2, -3, 3), QuadratureSpec(rel_tol=1e-6),
+        inner_spec=QuadratureSpec(rel_tol=1e-9)),
+        "0x1.47d990e180db6p+1", "0x1.52d7788893000p-26", 1440),
+}
+
+
+class TestGoldenBits:
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_result_bits(self, name):
+        run, value, error, subdivisions = GOLDEN[name]
+        res = run()
+        assert _hex(res.value) == value
+        assert res.error_estimate.hex() == error
+        assert res.subdivisions == subdivisions
+
+    def test_nonconvergence_bits(self):
+        spec = QuadratureSpec(rel_tol=1e-15, abs_tol=0.0, max_subdivisions=40)
+        with pytest.raises(NonConvergenceError) as err:
+            integrate_1d(lambda x: np.sin(50 * x * x), 0.0, 10.0, spec)
+        assert _hex(err.value.best) == "0x1.afcb3e425d3aap-3"
+        assert err.value.error_estimate.hex() == "0x1.3428d81c2455fp+0"
+        assert err.value.subdivisions == 63
+        assert err.value.axis is None
+
+
+class TestPanelSums:
+    """The stacked Gauss sum equals the per-panel tensordot bit for bit."""
+
+    @pytest.mark.parametrize("kind", ["real", "complex", "vector"])
+    def test_equals_per_panel_tensordot(self, kind):
+        rng = np.random.default_rng(11)
+        order = 15
+        _, w = _gauss_nodes(order)
+        for panels in (1, 2, 3, 8, 17, 64, 129, 255, 300):
+            shape = (panels, order) + ((3,) if kind == "vector" else ())
+            scale = 10.0 ** rng.uniform(-30, 5, (panels,) + (1,) * (len(shape) - 1))
+            vals = rng.standard_normal(shape) * scale
+            if kind == "complex":
+                vals = vals + 1j * rng.standard_normal(shape) * scale
+            half = 10.0 ** rng.uniform(-3, 3, panels)
+            want = np.asarray([h * np.tensordot(w, v, axes=(0, 0))
+                               for h, v in zip(half, vals)])
+            got = _panel_sums(half, vals, w)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    def test_one_value_per_node(self):
+        _, w = _gauss_nodes(15)
+        with pytest.raises(ValueError):
+            _panel_sums(np.ones(2), np.ones((2, 14)), w)
+
+
+def _nan_band(x):
+    return np.where(np.abs(x - 0.35) < 0.05, np.nan, 1.0)
+
+
+class TestNonFinite:
+    def test_nan_band_fails_on_inner_axis(self):
+        # every inner integral of an outer node in the band splits every
+        # panel at every level: 1 + 2 + ... + 1024 subdivisions
+        with pytest.raises(NonConvergenceError) as err:
+            integrate_2d(lambda x, y: _nan_band(x) + 0 * y, (0, 1, 0, 1))
+        assert err.value.axis == "y"
+        assert err.value.subdivisions == 2047
+        assert math.isnan(err.value.best)
+        assert math.isnan(err.value.error_estimate)
+
+    def test_nan_band_fails_in_1d(self):
+        with pytest.raises(NonConvergenceError) as err:
+            integrate_1d(_nan_band, 0, 1)
+        assert err.value.axis is None
+        assert err.value.subdivisions == 3305
+        assert math.isnan(err.value.best)
+
+    def test_nan_estimate_sets_a_nan_tolerance(self):
+        # max(nan, abs_tol) is nan: the kink at 0.8, outside the band, is
+        # not accepted on abs_tol (np.fmax would accept it: 3311)
+        def f(x):
+            return np.where(np.isnan(_nan_band(x)), np.nan,
+                            np.sqrt(np.abs(x - 0.8)))
+
+        with pytest.raises(NonConvergenceError) as err:
+            integrate_1d(f, 0, 1, QuadratureSpec(abs_tol=1e-3))
+        assert err.value.subdivisions == 3331
+
+    def test_nan_panel_is_never_accepted(self):
+        # every panel holding a NaN is split by the next level
+        xg, _ = _gauss_nodes(15)
+        calls = []
+
+        def f(x):
+            calls.append(x.reshape(-1, 15))
+            return _nan_band(x)
+
+        with pytest.raises(NonConvergenceError):
+            integrate_1d(f, 0, 1)
+        assert len(calls) > 5
+        for coarse, fine in zip(calls, calls[1:]):
+            bad = coarse[np.isnan(_nan_band(coarse)).any(axis=1)]
+            center = 0.5 * (bad[:, 0] + bad[:, -1])
+            quarter = 0.5 * (bad[:, -1] - bad[:, 0]) / (xg[-1] - xg[0])
+            fine_center = 0.5 * (fine[:, 0] + fine[:, -1])
+            for child in (center - quarter, center + quarter):
+                gap = np.abs(fine_center[None, :] - child[:, None]).min(axis=1)
+                assert np.all(gap < 1e-9 * quarter)
+
+
 class TestFindRoot:
     def test_linear(self):
         assert find_root(lambda x: x - 2, (0.0, 5.0), 1e-12) == \
@@ -230,6 +369,7 @@ class TestErfRatio:
 class TestSpecValidation:
     @pytest.mark.parametrize("kwargs", [
         {"rel_tol": 0.0}, {"rel_tol": -1e-9}, {"abs_tol": -1.0},
+        {"abs_tol": math.nan},
         {"max_subdivisions": 0}, {"panel_order": 1},
     ])
     def test_invalid_spec(self, kwargs):

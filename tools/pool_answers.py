@@ -4,7 +4,8 @@
 through the benchmark's own operation with the sfwmsim of SRC/src, and writes
 every entry's answers and check_answers mismatches to OUT.json.
 ``pool_answers.py --compare A.json B.json`` prints each field that differs
-between two such files, with its relative size where both are numbers.
+between two such files, with its relative size where both are numbers, and
+exits with status 1 if any field differs (0 if none does).
 """
 import json
 import os
@@ -44,8 +45,14 @@ def leaves(value, path=""):
             for leaf in leaves(item, f"{path}/{key}" if path else str(key))]
 
 
+def _fields(path):
+    with open(path, "rb") as fh:
+        return dict(leaves(json.load(fh)))
+
+
 def compare(*paths):
-    a, b = (dict(leaves(json.loads(open(p, "rb").read()))) for p in paths)
+    """Print the fields that differ between two answer files; return their count."""
+    a, b = (_fields(p) for p in paths)
     keys = sorted(a.keys() | b.keys())
     diffs = [k for k in keys if a.get(k) != b.get(k)]
     for k in diffs:
@@ -54,7 +61,10 @@ def compare(*paths):
                all(type(v) in (int, float) for v in (x, y)) else "")
         print(f"{k}: {x!r} -> {y!r}{rel}")
     print(f"{len(diffs)} of {len(keys)} fields differ")
+    return len(diffs)
 
 
 if __name__ == "__main__":
-    (compare if sys.argv[1] == "--compare" else run_pool)(*sys.argv[-2:])
+    if sys.argv[1] == "--compare":
+        sys.exit(1 if compare(*sys.argv[-2:]) else 0)
+    run_pool(*sys.argv[-2:])
