@@ -50,7 +50,7 @@ area, gamma) still use the step-index machinery.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -78,28 +78,35 @@ class TaylorDispersion:
 
     reference_frequency: float            # rad/s
     beta_coefficients: tuple              # (beta0, beta1, ...) at least two
+    # per derivative order d, the Horner coefficients beta_{m+d} / m!,
+    # highest m first; derived data, so not part of equality or hashing
+    _horner: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "beta_coefficients",
-                           tuple(float(b) for b in self.beta_coefficients))
-        if len(self.beta_coefficients) < 2:
+        b = tuple(float(v) for v in self.beta_coefficients)
+        object.__setattr__(self, "beta_coefficients", b)
+        if len(b) < 2:
             raise ValueError("need at least beta0 and beta1")
-        if not all(math.isfinite(b) for b in self.beta_coefficients):
+        if not all(math.isfinite(v) for v in b):
             raise ValueError("beta coefficients must be finite")
         if not self.reference_frequency > 0:
             raise ValueError("reference frequency must be positive")
+        object.__setattr__(self, "_horner", tuple(
+            tuple(b[m + d] / math.factorial(m)
+                  for m in reversed(range(len(b) - d)))
+            for d in range(len(b))))
 
     def k(self, omega, deriv=0):
         """deriv-th frequency derivative of k at omega (Horner evaluation)."""
+        if deriv < 0:
+            raise ValueError("deriv must be >= 0")
         d = np.asarray(omega, dtype=float) - self.reference_frequency
-        n_terms = len(self.beta_coefficients) - deriv
-        if n_terms <= 0:
+        if deriv >= len(self._horner):
             return float(d * 0.0) if d.ndim == 0 else d * 0.0
-        coeffs = [self.beta_coefficients[m + deriv] / math.factorial(m)
-                  for m in range(n_terms)]
         out = np.zeros_like(d)
-        for c in reversed(coeffs):
-            out = out * d + c
+        for c in self._horner[deriv]:
+            out *= d
+            out += c
         if out.ndim == 0:
             return float(out)
         return out

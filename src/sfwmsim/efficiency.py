@@ -21,10 +21,12 @@ from .constants import C, HBAR, TWO_PI
 from .dispersion import (_index_and_group_slowness, beta, beta1,
                          effective_index, gamma_sfwm)
 from .errors import DivergenceError, RegimeError, WindowError
-from .numerics import erf_ratio, integrate_1d, integrate_2d, sinc
-from .sfwm import (_SINC_EXTENT, PhasematchCenter, _line_mismatch,
-                   _pump_convolution, _pump_rule, h_function, nonlinear_phase,
-                   peak_power, pump_envelope, solve_phasematch_center)
+from .numerics import (_sinc_phasor, erf_ratio, integrate_1d, integrate_2d,
+                       sinc)
+from .sfwm import (_SINC_EXTENT, PhasematchCenter, _in_row_blocks,
+                   _line_mismatch, _pump_convolution, _pump_rule, h_function,
+                   nonlinear_phase, peak_power, pump_envelope,
+                   solve_phasematch_center)
 
 # Convergence threshold on the relative contribution of a freshly added
 # boundary shell.  The joint intensity falls off as 1/x^2 along the
@@ -39,11 +41,6 @@ MAX_EXPANSIONS = 4
 # phasematched center itself is barely defined and the linearized closed
 # form is far past its validity; the numeric route remains available.
 _GV_DEGENERATE_REL = 1e-5
-# Largest block (rows x pump nodes x v nodes) the pulsed integrand
-# evaluates at once.  It bounds the working set of the pump convolution (a
-# dozen arrays of this size, 128 KiB each when complex) while amortizing
-# the per-call cost; 2 ** 14 ran no faster and peaked about 1 MB higher.
-_BLOCK_ELEMENTS = 2 ** 13
 
 
 @dataclass(frozen=True, eq=False)
@@ -191,9 +188,11 @@ def _rotated_integrand(config):
     per distinct u, for all new rows of a block in one vectorised call, and
     kept for the later levels.  Each row is contracted over the pump nodes
     on its own (a stacked ``matmul``), so a row's values equal those of a
-    one-row call bit for bit.  Rows are evaluated in blocks of at most
-    _BLOCK_ELEMENTS rows x pump nodes x n elements, which bounds the
-    working set.
+    one-row call bit for bit.  Rows are evaluated ``_in_row_blocks``,
+    which bounds the working set.  Each element costs one sin and one cos
+    (``_sinc_phasor``); the complex exp of sinc times e^{ix} took a second
+    sin for the same bits.  The contraction stays one complex ``matmul``,
+    because two real ones (real and imaginary parts) round differently.
     Algebraically identical to ``h_function * |f|^2`` with f from
     ``_pump_convolution`` (a property the tests assert).
     """
@@ -237,16 +236,11 @@ def _rotated_integrand(config):
             om_i, n_i, beta_i, b1_i = om[m:], neff[m:], bet[m:], b1[m:]
 
             x = q_u[:, :, None] - 0.5 * L * (beta_s + beta_i)[:, None, :]
-            F = np.matmul(amp[:, None, :], sinc(x) * np.exp(1j * x))[:, 0]
+            F = np.matmul(amp[:, None, :], _sinc_phasor(x))[:, 0]
             h = om_s * om_i * b1_s * b1_i / (n_s ** 2 * n_i ** 2)
             return h * pref2 * (F.real ** 2 + F.imag ** 2)
 
-    def rows(u, v):
-        step = max(1, _BLOCK_ELEMENTS // (pump_nodes.size * v.shape[1]))
-        return np.concatenate([block(u[r:r + step], v[r:r + step])
-                               for r in range(0, len(v), step)])
-
-    return rows
+    return lambda u, v: _in_row_blocks(block, pump_nodes.size, u, v)
 
 
 def _ring_strips(inner, outer):

@@ -17,6 +17,10 @@ array-valued integrands share one refinement, driven by the max-norm).
 level together, calling ``f(x, y)`` with one panel per row (``x`` of shape
 (panels, 1), ``y`` of shape (panels, order)).  Batching moves no bits: each
 panel sum and running sum rounds as for one integral on its own.
+
+``_sinc_phasor`` forms the phase-matching factor sinc(x) e^{ix} of the pump
+convolution for both the pulsed integrand and the joint spectral amplitude,
+at one sin and one cos per element.
 """
 from __future__ import annotations
 
@@ -91,13 +95,37 @@ def _gauss_nodes(order):
     return x, w
 
 
+def _sin_over(s, x):
+    """s / x, with 1 where |x| <= 1e-150 (NaN stays NaN)."""
+    return np.divide(s, x, out=np.ones_like(x),
+                     where=~(np.abs(x) <= 1e-150))
+
+
 def sinc(x):
     """sin(x)/x with the removable singularity filled in (sinc(0) = 1)."""
     x = np.asarray(x, dtype=float)
-    out = np.divide(np.sin(x), x, out=np.ones_like(x),
-                    where=np.abs(x) > 1e-150)
+    out = _sin_over(np.sin(x), x)
     if out.ndim == 0:
         return float(out)
+    return out
+
+
+def _sinc_phasor(x, scale=None):
+    """scale * sinc(x) * e^{ix} as one complex array, from one sin and one cos.
+
+    Bit for bit the same product formed with NumPy's complex exp: that exp
+    gives (cos x, sin x) exactly, and a real times a complex rounds each
+    part once, so the real factor scale * sinc(x), formed first, times
+    cos x and sin x rounds alike, without a second sin, complex
+    temporaries or a complex multiply.
+    """
+    s = np.sin(x)
+    t = _sin_over(s, x)
+    if scale is not None:
+        t = scale * t
+    out = np.empty(t.shape, dtype=complex)
+    np.multiply(t, np.cos(x), out=out.real)
+    np.multiply(t, s, out=out.imag)
     return out
 
 

@@ -22,8 +22,8 @@ from .constants import TWO_PI, um_from_omega, omega_from_um
 from .dispersion import (FiberSpec, beta, beta1, beta2, effective_index,
                          gamma_pump)
 from .errors import ConfigError, NoPhasematchError, RegimeError
-from .numerics import (QuadratureSpec, _gauss_nodes, bracket_root, find_root,
-                       sinc)
+from .numerics import (QuadratureSpec, _gauss_nodes, _sinc_phasor,
+                       bracket_root, find_root)
 
 # band scanned for phasematched frequencies [um]
 SCAN_BAND_UM = (0.35, 2.2)
@@ -345,6 +345,25 @@ def _pump_rule(config):
     return nodes, weights, beta(nodes, fiber), pump_envelope(p1, nodes)
 
 
+# Largest block (rows x pump nodes x columns) the pump convolution
+# evaluates at once.  It bounds the working set (a dozen arrays of this
+# size, 128 KiB each when complex) while amortizing the per-call cost;
+# 2 ** 14 ran no faster in the pulsed integrand and peaked about 1 MB higher.
+_BLOCK_ELEMENTS = 2 ** 13
+
+
+def _in_row_blocks(fn, n_nodes, a, b):
+    """``fn(a, b)`` over the rows of ``a`` and ``b`` (shape (P, n)) in blocks.
+
+    A block holds as many whole rows as fit in _BLOCK_ELEMENTS with
+    ``n_nodes`` pump nodes per element of ``b``; the results are joined in
+    row order.
+    """
+    step = max(1, _BLOCK_ELEMENTS // (n_nodes * b.shape[1]))
+    return np.concatenate([fn(a[r:r + step], b[r:r + step])
+                           for r in range(0, len(b), step)])
+
+
 def _pump_convolution(config):
     """Joint spectral amplitude f(omega_s, omega_i) for paired arrays.
 
@@ -353,7 +372,12 @@ def _pump_convolution(config):
     suppresses pairs far from energy conservation.  The pairs are a flat
     array or a block of rows (P, n); each row is contracted over the pump
     nodes on its own (a stacked ``matmul``), so a row's values do not
-    depend on the other rows of the block.
+    depend on the other rows of the block, and rows are evaluated
+    ``_in_row_blocks``, which bounds the working set.  Each (pump node,
+    pair) element costs one sin and one cos (``_sinc_phasor``); the complex
+    exp of sinc times e^{ix} took a second sin for the same bits.  The
+    contraction stays one complex ``matmul``, because two real ones round
+    differently.
     """
     if config.is_cw:
         raise RegimeError("joint spectral amplitude requires pulsed pumps")
@@ -364,9 +388,7 @@ def _pump_convolution(config):
     om_nodes, weights, beta_nodes, env1 = _pump_rule(config)
     pref = math.sqrt(math.pi * p1.sigma * p2.sigma / 2.0)
 
-    def f(omega_s, omega_i):
-        oms = np.atleast_1d(np.asarray(omega_s, dtype=float))
-        omi = np.atleast_1d(np.asarray(omega_i, dtype=float))
+    def block(oms, omi):
         total = oms + omi
         beta_s = beta(oms, fiber)
         beta_i = beta(omi, fiber)
@@ -377,9 +399,14 @@ def _pump_convolution(config):
               - beta_s[..., None, :] - beta_i[..., None, :] - nl)
         x = 0.5 * L * dk
         amp = env1[:, None] * pump_envelope(p2, conj)
-        vals = amp * sinc(x) * np.exp(1j * x)
-        F = np.matmul(weights, vals)
-        return pref * np.asarray(F, dtype=complex)
+        return np.matmul(weights, _sinc_phasor(x, amp))
+
+    def f(omega_s, omega_i):
+        oms = np.atleast_1d(np.asarray(omega_s, dtype=float))
+        omi = np.atleast_1d(np.asarray(omega_i, dtype=float))
+        if oms.ndim == 1:
+            return pref * block(oms, omi)
+        return pref * _in_row_blocks(block, om_nodes.size, oms, omi)
 
     return f
 
@@ -442,17 +469,19 @@ def _clamp_window(window, center, config):
 
 
 def jsa_grid(config, window=None, n_s=64, n_i=64):
-    """Sample the joint amplitude on a rectangular grid (row s, column i)."""
+    """Sample the joint amplitude on a rectangular grid (row s, column i).
+
+    The whole grid is one block of rows for the pump convolution; each row
+    is contracted on its own, so a row equals a one-row call bit for bit.
+    """
     if window is None:
         window = jsa_window(config)
     s_lo, s_hi, i_lo, i_hi = window
     s_axis = np.linspace(s_lo, s_hi, n_s)
     i_axis = np.linspace(i_lo, i_hi, n_i)
-    f = _pump_convolution(config)
-    rows = []
-    for om_s in s_axis:                       # fixed row-major assembly order
-        row = f(np.full(n_i, om_s), i_axis)
-        rows.append(tuple(complex(v) for v in row))
+    om_s, om_i = np.meshgrid(s_axis, i_axis, indexing="ij")
+    amp = _pump_convolution(config)(om_s, om_i)
     return JointSpectrumGrid(omega_s_axis=tuple(float(v) for v in s_axis),
                              omega_i_axis=tuple(float(v) for v in i_axis),
-                             amplitude=tuple(rows))
+                             amplitude=tuple(tuple(complex(v) for v in row)
+                                             for row in amp))

@@ -236,6 +236,73 @@ class TestTaylorModel:
         rel = np.abs(beta(om, model) - beta(om, fiber_a)) / beta(om, fiber_a)
         assert np.max(rel) < 0.01
 
+    @staticmethod
+    def factorial_horner(td, omega, deriv):
+        # the evaluation k() replaced: coefficients rebuilt per call, and a
+        # fresh array per Horner step
+        d = np.asarray(omega, dtype=float) - td.reference_frequency
+        b = td.beta_coefficients
+        if len(b) - deriv <= 0:
+            return float(d * 0.0) if d.ndim == 0 else d * 0.0
+        coeffs = [b[m + deriv] / math.factorial(m)
+                  for m in range(len(b) - deriv)]
+        out = np.zeros_like(d)
+        for c in reversed(coeffs):
+            out = out * d + c
+        return float(out) if out.ndim == 0 else out
+
+    @pytest.mark.parametrize("coeffs", [
+        (1e7, 4.9e-9),
+        (1.2e7, 4.9e-9, -3e-26, 6e-41),
+        (1.2e7, 4.9e-9, 2e-26, -6e-41, 1.5e-55, -2e-70),
+    ])
+    def test_k_equals_factorial_horner_bit_for_bit(self, coeffs):
+        td = TaylorDispersion(reference_frequency=2.5e15,
+                              beta_coefficients=coeffs)
+        rng = np.random.default_rng(len(coeffs))
+        flat = 2.5e15 + rng.uniform(-8e14, 8e14, 257)
+        flat[:4] = [2.5e15, math.inf, -math.inf, math.nan]
+        queries = [2.5e15, 2.5e15 + 3e13, 1.9e15, math.inf, math.nan, flat,
+                   2.5e15 + rng.uniform(-8e14, 8e14, (7, 60, 15))]
+        for deriv in range(len(coeffs) + 2):
+            for om in queries:
+                with np.errstate(invalid="ignore"):     # 0 * inf
+                    got = td.k(om, deriv)
+                    want = self.factorial_horner(td, om, deriv)
+                assert type(got) is type(want)
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+    def test_k_of_a_scalar_is_a_float(self):
+        td = TaylorDispersion(reference_frequency=2.5e15,
+                              beta_coefficients=(1e7, 5e-9, 2e-26))
+        for om in (2.6e15, np.float64(2.6e15), np.asarray(2.6e15)):
+            for deriv in range(5):
+                assert type(td.k(om, deriv)) is float
+
+    def test_k_leaves_the_query_alone(self):
+        td = TaylorDispersion(reference_frequency=2.5e15,
+                              beta_coefficients=(1e7, 5e-9, 2e-26))
+        om = np.linspace(2.4e15, 2.6e15, 9)
+        kept = om.copy()
+        for deriv in range(5):
+            td.k(om, deriv)
+        assert om.tobytes() == kept.tobytes()
+
+    def test_equal_models_are_one_cache_key(self):
+        a = TaylorDispersion(2.5e15, (1e7, 5e-9, 2e-26))
+        b = TaylorDispersion(2.5e15, [1e7, 5e-9, 2e-26])
+        assert a == b and hash(a) == hash(b)
+        assert a != TaylorDispersion(2.5e15, (1e7, 5e-9, 3e-26))
+        fa, fb = (taylor_fiber(2.5e15, (1e7, 5e-9, 2e-26)) for _ in range(2))
+        assert fa == fb and hash(fa) == hash(fb)
+        assert len({fa, fb}) == 1
+
+    def test_negative_derivative_order_rejected(self):
+        td = TaylorDispersion(reference_frequency=1e15,
+                              beta_coefficients=(1.0, 2.0))
+        with pytest.raises(ValueError):
+            td.k(1e15, deriv=-1)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             TaylorDispersion(reference_frequency=1e15, beta_coefficients=(1.0,))

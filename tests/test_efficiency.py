@@ -7,15 +7,14 @@ import pytest
 from conftest import taylor_fiber
 from sfwmsim.constants import C, HBAR, omega_from_um
 from sfwmsim.dispersion import FiberSpec, beta, beta1, beta2
-from sfwmsim.efficiency import (_BLOCK_ELEMENTS, _rotated_integrand,
-                                _rotated_window, b_parameter, eta_closed,
-                                eta_cw, eta_pulsed_numeric, l_max,
-                                operating_point, photons_per_pulse,
-                                pump_photon_rate, sigma_max)
+from sfwmsim.efficiency import (_rotated_integrand, _rotated_window,
+                                b_parameter, eta_closed, eta_cw,
+                                eta_pulsed_numeric, l_max, operating_point,
+                                photons_per_pulse, pump_photon_rate, sigma_max)
 from sfwmsim.errors import DivergenceError, RegimeError
-from sfwmsim.sfwm import (PumpSpec, SourceConfig, _pump_convolution,
-                          _pump_rule, h_function, nonlinear_phase,
-                          solve_phasematch_center)
+from sfwmsim.sfwm import (_BLOCK_ELEMENTS, PumpSpec, SourceConfig,
+                          _pump_convolution, _pump_rule, h_function,
+                          nonlinear_phase, solve_phasematch_center)
 
 PHOTONS_PER_PULSE_REF = 13365579.49501524   # sqrt(2 pi) P / (hbar w0 sigma)
 

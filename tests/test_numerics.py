@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 from sfwmsim.errors import BracketError, NonConvergenceError
 from sfwmsim.numerics import (QuadratureSpec, RootBracket, _gauss_nodes,
-                              _panel_sums, bracket_root, erf_ratio, find_root,
-                              integrate_1d, integrate_2d, sinc)
+                              _panel_sums, _sinc_phasor, bracket_root,
+                              erf_ratio, find_root, integrate_1d, integrate_2d,
+                              sinc)
 
 # frozen oracle values (brute-force trapezoid / long bisection, see comments)
 SINC2_0_40 = 1.5584510463645005          # 1e7-point trapezoid of sinc^2
@@ -391,6 +392,52 @@ class TestSpecValidation:
         nz = np.abs(x) > 1e-150
         want[nz] = np.sin(x[nz]) / x[nz]
         assert sinc(x).tobytes() == want.tobytes()
+
+
+class TestSincPhasor:
+    """``_sinc_phasor`` against the complex-exp form it replaces."""
+
+    @staticmethod
+    def block(k, seed):
+        # (P, K, 15) mismatch phases as the pump convolution forms them
+        rng = np.random.default_rng(seed)
+        shape = (5, k, 15)
+        x = (rng.choice([-1.0, 1.0], size=shape)
+             * 10.0 ** rng.uniform(-9, 5, size=shape))
+        x.flat[:7] = [0.0, 1e-200, -1e-200, 1e-150, -1e-150, 1e5, -1e5]
+        amp = 10.0 ** rng.uniform(-30, 5, size=shape[:2])
+        return x, amp
+
+    @pytest.mark.parametrize("k", [33, 60, 180])
+    def test_equals_sinc_times_exp_bit_for_bit(self, k):
+        x, amp = self.block(k, k)
+        want = sinc(x) * np.exp(1j * x)
+        got = _sinc_phasor(x)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        # the stacked contraction of the pulsed integrand
+        assert (np.matmul(amp[:, None, :], got).tobytes()
+                == np.matmul(amp[:, None, :], want).tobytes())
+
+    @pytest.mark.parametrize("k", [33, 60, 180])
+    def test_scaled_equals_scale_times_sinc_times_exp(self, k):
+        x, amp = self.block(k, 100 + k)
+        scale = amp[:, :, None] * np.linspace(0.5, 2.0, x.shape[2])
+        want = scale * sinc(x) * np.exp(1j * x)
+        got = _sinc_phasor(x, scale)
+        assert got.tobytes() == want.tobytes()
+        # the stacked contraction of the joint spectral amplitude
+        weights = amp[0]
+        assert (np.matmul(weights, got).tobytes()
+                == np.matmul(weights, want).tobytes())
+
+    def test_nan_maps_to_nan(self):
+        assert math.isnan(sinc(math.nan))
+        x = np.array([math.nan, 0.0, 1e-200, 2.0])
+        assert np.isnan(sinc(x)[0]) and sinc(x)[1] == 1.0
+        got = _sinc_phasor(x)
+        assert np.isnan(got[0].real) and np.isnan(got[0].imag)
+        assert got[1] == 1.0 and got[2] == 1.0 + 1e-200j
 
 
 def test_repeat_runs_bit_identical():

@@ -8,11 +8,12 @@ from hypothesis import strategies as st
 
 from conftest import taylor_fiber
 from sfwmsim.constants import C, omega_from_um, um_from_omega
-from sfwmsim.dispersion import beta1
+from sfwmsim.dispersion import beta, beta1, beta2
 from sfwmsim.errors import NoPhasematchError, RegimeError
 from sfwmsim.numerics import integrate_1d
-from sfwmsim.sfwm import (PumpSpec, SourceConfig, h_function, jsa, jsa_grid,
-                          jsa_window, nonlinear_phase, peak_power,
+from sfwmsim.sfwm import (_BLOCK_ELEMENTS, PumpSpec, SourceConfig,
+                          _pump_convolution, _pump_rule, h_function, jsa,
+                          jsa_grid, jsa_window, nonlinear_phase, peak_power,
                           phase_mismatch, phasematch_roots, pump_envelope,
                           solve_phasematch_center)
 
@@ -255,6 +256,30 @@ class TestJsa:
 
 
 class TestJsaGrid:
+    @pytest.mark.parametrize("n_i", [4, 17])
+    @pytest.mark.parametrize("taylor", [False, True])
+    @pytest.mark.parametrize("name", ["cfg_dp", "cfg_ndp"])
+    def test_one_block_equals_per_row_assembly(self, name, taylor, n_i,
+                                               request):
+        # the grid is one block of rows for the pump convolution; each row
+        # must equal the one-row call that assembled it before, across the
+        # memory blocks
+        cfg = request.getfixturevalue(name)
+        window = jsa_window(cfg)
+        if taylor:
+            om = 0.5 * cfg.omega_total
+            cfg = replace(cfg, fiber=taylor_fiber(
+                om, (beta(om, cfg.fiber), beta1(om, cfg.fiber),
+                     beta2(om, cfg.fiber))))
+        per_block = _BLOCK_ELEMENTS // (_pump_rule(cfg)[0].size * n_i)
+        n_s = 2 * per_block + 3
+        grid = jsa_grid(cfg, window=window, n_s=n_s, n_i=n_i)
+        f = _pump_convolution(cfg)
+        i_axis = np.asarray(grid.omega_i_axis)
+        rows = tuple(tuple(complex(v) for v in f(np.full(n_i, om_s), i_axis))
+                     for om_s in grid.omega_s_axis)
+        assert grid.amplitude == rows
+
     def test_values_finite_and_symmetric(self, cfg_dp):
         grid = jsa_grid(cfg_dp, n_s=24, n_i=24)
         s_axis, i_axis, amp = grid.as_arrays()
