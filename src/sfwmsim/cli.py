@@ -89,6 +89,18 @@ def _parse_range(text, what):
     return lo, hi
 
 
+def _positive_int(text):
+    """argparse type of ``--points``: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive integer, got {text!r}")
+    return value
+
+
 def _result_record(result):
     diag = {}
     for key, value in result.diagnostics.items():
@@ -360,7 +372,7 @@ def build_parser():
     common(p)
     p.add_argument("--range", default="0.45:1.6",
                    help="wavelength range in um, LO:HI")
-    p.add_argument("--points", type=int, default=200)
+    p.add_argument("--points", type=_positive_int, default=200)
 
     p = sub.add_parser("gamma", help="nonlinear coefficients at phasematch")
     common(p)
@@ -376,7 +388,7 @@ def build_parser():
                    choices=("length", "power", "bandwidth", "pump-frequency"))
     p.add_argument("--range", required=True,
                    help="sweep range LO:HI (m, mW, THz or um)")
-    p.add_argument("--points", type=int, default=8)
+    p.add_argument("--points", type=_positive_int, default=8)
     p.add_argument("--include-cw", action="store_true",
                    help="add the monochromatic-pump efficiency column")
     p.add_argument("--svg", action="store_true",
@@ -384,13 +396,13 @@ def build_parser():
 
     p = sub.add_parser("jsa", help="joint spectral amplitude grid")
     common(p)
-    p.add_argument("--points", type=int, default=64)
+    p.add_argument("--points", type=_positive_int, default=64)
 
     p = sub.add_parser("contour", help="phasematching loop vs pump wavelength")
     common(p)
     p.add_argument("--pump-range", required=True,
                    help="pump wavelength range in um, LO:HI")
-    p.add_argument("--points", type=int, default=40)
+    p.add_argument("--points", type=_positive_int, default=40)
     p.add_argument("--svg", action="store_true",
                    help="also render an SVG figure")
 

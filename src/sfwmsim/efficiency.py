@@ -21,12 +21,12 @@ from .constants import C, HBAR, TWO_PI
 from .dispersion import (_index_and_group_slowness, beta, beta1,
                          effective_index, gamma_sfwm)
 from .errors import DivergenceError, RegimeError, WindowError
-from .numerics import (_sinc_phasor, erf_ratio, integrate_1d, integrate_2d,
-                       sinc)
-from .sfwm import (_SINC_EXTENT, PhasematchCenter, _in_row_blocks,
-                   _line_mismatch, _pump_convolution, _pump_rule, h_function,
-                   nonlinear_phase, peak_power, pump_envelope,
-                   solve_phasematch_center)
+from .numerics import (_sinc_phasor_sum, erf_ratio, integrate_1d,
+                       integrate_2d, sinc)
+from .sfwm import (_BLOCK_ELEMENTS, _SEPARABLE_BLOCK_ELEMENTS, _SINC_EXTENT,
+                   PhasematchCenter, _in_row_blocks, _line_mismatch,
+                   _pump_convolution, _pump_rule, h_function, nonlinear_phase,
+                   peak_power, pump_envelope, solve_phasematch_center)
 
 # Convergence threshold on the relative contribution of a freshly added
 # boundary shell.  The joint intensity falls off as 1/x^2 along the
@@ -182,19 +182,33 @@ def _rotated_integrand(config):
 
     Returns ``rows(u, v)``, the integrand ``integrate_2d`` calls: ``u`` of
     shape (P, 1) holds the frequency sum of each row and ``v`` of shape
-    (P, n) its frequency differences; the values have v's shape.  On the
-    step-index path the pump convolution apart from the sinc depends on u
-    only: its amplitudes and phases over the pump nodes are evaluated once
-    per distinct u, for all new rows of a block in one vectorised call, and
-    kept for the later levels.  Each row is contracted over the pump nodes
-    on its own (a stacked ``matmul``), so a row's values equal those of a
-    one-row call bit for bit.  Rows are evaluated ``_in_row_blocks``,
-    which bounds the working set.  Each element costs one sin and one cos
-    (``_sinc_phasor``); the complex exp of sinc times e^{ix} took a second
-    sin for the same bits.  The contraction stays one complex ``matmul``,
-    because two real ones (real and imaginary parts) round differently.
-    Algebraically identical to ``h_function * |f|^2`` with f from
+    (P, n) its frequency differences; the values have v's shape.  Rows are
+    evaluated ``_in_row_blocks``, which bounds the working set, and each
+    row is contracted over the pump nodes on its own (a stacked
+    ``matmul``), so a row's values equal those of a one-row call bit for
+    bit.  Algebraically identical to ``h_function * |f|^2`` with f from
     ``_pump_convolution`` (a property the tests assert).
+
+    On the step-index path the mismatch phase separates on a row: x_k =
+    q_k(u) - phi(v), with q_k = L/2 (beta(omega_k) + beta(u - omega_k) -
+    nl) over the pump nodes and phi = L/2 (beta_s + beta_i).  The
+    amplitudes a_k and phases q_k depend on u only; they are evaluated
+    once per distinct u, for all new rows of a block in one vectorised
+    call, and kept for the later levels.  Since sinc(x) e^{ix} =
+    (e^{2ix} - 1)/(2ix),
+
+        f = [e^{-2i phi} sum_k a_k e^{2i q_k} / x_k - sum_k a_k / x_k] / (2i)
+
+    (``_sinc_phasor_sum``): the exponentials are per (row, k) and per
+    (row, v), and each (pump node, v) element costs one reciprocal in
+    place of a sin and a cos.  Where |x| < 1e-3 the two sums cancel, so
+    those elements take sinc(x) e^{ix} directly.  The block holds about
+    four real arrays per element, so it takes twice the elements of the
+    pair-wise one (``_SEPARABLE_BLOCK_ELEMENTS``).  The Taylor path keeps
+    the pair-wise ``_pump_convolution`` and its bits, because several
+    Taylor benchmark references report a quadrature error equal to the
+    one they are checked against, so any rounding change there fails them
+    at random.
     """
     fiber = config.fiber
     L = fiber.length
@@ -205,6 +219,7 @@ def _rotated_integrand(config):
 
     if fiber.taylor is not None:
         jsa_pairs = _pump_convolution(config)
+        elements = _BLOCK_ELEMENTS
 
         def block(u, v):
             om_s = 0.5 * (u + v)
@@ -215,6 +230,7 @@ def _rotated_integrand(config):
         # u -> (amplitudes, phases) over the pump nodes: an outer node's rows
         # recur at every level of its inner integral
         pump_terms = {}
+        elements = _SEPARABLE_BLOCK_ELEMENTS
 
         def block(u, v):
             keys = u[:, 0].tolist()
@@ -235,12 +251,12 @@ def _rotated_integrand(config):
             om_s, n_s, beta_s, b1_s = om[:m], neff[:m], bet[:m], b1[:m]
             om_i, n_i, beta_i, b1_i = om[m:], neff[m:], bet[m:], b1[m:]
 
-            x = q_u[:, :, None] - 0.5 * L * (beta_s + beta_i)[:, None, :]
-            F = np.matmul(amp[:, None, :], _sinc_phasor(x))[:, 0]
+            F = _sinc_phasor_sum(amp, q_u, 0.5 * L * (beta_s + beta_i))
             h = om_s * om_i * b1_s * b1_i / (n_s ** 2 * n_i ** 2)
             return h * pref2 * (F.real ** 2 + F.imag ** 2)
 
-    return lambda u, v: _in_row_blocks(block, pump_nodes.size, u, v)
+    return lambda u, v: _in_row_blocks(block, pump_nodes.size, u, v,
+                                       elements)
 
 
 def _ring_strips(inner, outer):

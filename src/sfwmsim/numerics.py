@@ -19,8 +19,12 @@ level together, calling ``f(x, y)`` with one panel per row (``x`` of shape
 panel sum and running sum rounds as for one integral on its own.
 
 ``_sinc_phasor`` forms the phase-matching factor sinc(x) e^{ix} of the pump
-convolution for both the pulsed integrand and the joint spectral amplitude,
-at one sin and one cos per element.
+convolution element by element, at one sin and one cos each, for the joint
+spectral amplitude and the Taylor pulsed integrand.  ``_sinc_phasor_sum``
+contracts it over the pump nodes when x separates into a per-node phase
+minus a per-column phase, as on the rows of the step-index pulsed
+integrand: one reciprocal per element, with ``_sinc_phasor`` only for the
+elements within 1e-3 of x = 0.
 """
 from __future__ import annotations
 
@@ -113,11 +117,13 @@ def sinc(x):
 def _sinc_phasor(x, scale=None):
     """scale * sinc(x) * e^{ix} as one complex array, from one sin and one cos.
 
-    Bit for bit the same product formed with NumPy's complex exp: that exp
-    gives (cos x, sin x) exactly, and a real times a complex rounds each
-    part once, so the real factor scale * sinc(x), formed first, times
-    cos x and sin x rounds alike, without a second sin, complex
-    temporaries or a complex multiply.
+    Serves the pair-wise pump convolution (the joint spectral amplitude and
+    the Taylor pulsed integrand) and the near-zero terms of
+    ``_sinc_phasor_sum``.  Bit for bit the same product formed with NumPy's
+    complex exp: that exp gives (cos x, sin x) exactly, and a real times a
+    complex rounds each part once, so the real factor scale * sinc(x),
+    formed first, times cos x and sin x rounds alike, without a second sin,
+    complex temporaries or a complex multiply.
     """
     s = np.sin(x)
     t = _sin_over(s, x)
@@ -127,6 +133,40 @@ def _sinc_phasor(x, scale=None):
     np.multiply(t, np.cos(x), out=out.real)
     np.multiply(t, s, out=out.imag)
     return out
+
+
+# |x| below which _sinc_phasor_sum takes sinc(x) e^{ix} directly: the two
+# reciprocal terms cancel there, to about eps/|x| of the element
+_NEAR_ZERO = 1e-3
+
+
+def _sinc_phasor_sum(amp, q, phi):
+    """F[p, j] = sum_k amp[p, k] sinc(x) e^{ix}, x = q[p, k] - phi[p, j].
+
+    ``amp`` and ``q`` have shape (P, K), ``phi`` (P, n).  Separable through
+    sinc(x) e^{ix} = (e^{2ix} - 1) / (2ix):
+
+        F = [e^{-2i phi} sum_k amp e^{2iq} / x - sum_k amp / x] / (2i),
+
+    so the exponentials are per (p, k) and per (p, j), and each element
+    costs one subtraction and one reciprocal.  Both sums are one real
+    stacked ``matmul`` of [Re(amp e^{2iq}), Im(amp e^{2iq}), amp] against
+    1/x, so each row is contracted on its own and equals a one-row call
+    bit for bit.  Where |x| < _NEAR_ZERO the two terms cancel; those
+    elements drop out of the sums and add amp sinc(x) e^{ix} instead.
+    """
+    x = q[:, :, None] - phi[:, None, :]
+    near = np.abs(x) < _NEAR_ZERO
+    any_near = near.any()
+    recip = 1.0 / (np.where(near, np.inf, x) if any_near else x)
+    amp_e = amp * np.exp(2j * q)
+    sums = np.matmul(np.stack([amp_e.real, amp_e.imag, amp], axis=1), recip)
+    w = np.exp(-2j * phi)
+    F = 0.5j * (sums[:, 2] - w * (sums[:, 0] + 1j * sums[:, 1]))
+    if any_near:
+        p, k, j = np.nonzero(near)
+        np.add.at(F, (p, j), _sinc_phasor(x[p, k, j], amp[p, k]))
+    return F
 
 
 def erf_ratio(x):

@@ -345,21 +345,26 @@ def _pump_rule(config):
     return nodes, weights, beta(nodes, fiber), pump_envelope(p1, nodes)
 
 
-# Largest block (rows x pump nodes x columns) the pump convolution
-# evaluates at once.  It bounds the working set (a dozen arrays of this
-# size, 128 KiB each when complex) while amortizing the per-call cost;
-# 2 ** 14 ran no faster in the pulsed integrand and peaked about 1 MB higher.
+# Largest block (rows x pump nodes x columns) the pair-wise pump
+# convolution evaluates at once.  It bounds the working set (a dozen arrays
+# of this size, 128 KiB each when complex) while amortizing the per-call
+# cost; on the Taylor pulsed integrand 2 ** 14 ran slower and peaked about
+# 1 MB higher.  The step-index pulsed integrand's separable block holds
+# about four real arrays per element, so twice the elements keep a like
+# working set: on step-index sweep rows 2 ** 14 ran about 20% faster than
+# 2 ** 13 at the same peak RSS, and 2 ** 15 no faster than 2 ** 14.
 _BLOCK_ELEMENTS = 2 ** 13
+_SEPARABLE_BLOCK_ELEMENTS = 2 * _BLOCK_ELEMENTS
 
 
-def _in_row_blocks(fn, n_nodes, a, b):
+def _in_row_blocks(fn, n_nodes, a, b, elements=_BLOCK_ELEMENTS):
     """``fn(a, b)`` over the rows of ``a`` and ``b`` (shape (P, n)) in blocks.
 
-    A block holds as many whole rows as fit in _BLOCK_ELEMENTS with
+    A block holds as many whole rows as fit in ``elements`` with
     ``n_nodes`` pump nodes per element of ``b``; the results are joined in
     row order.
     """
-    step = max(1, _BLOCK_ELEMENTS // (n_nodes * b.shape[1]))
+    step = max(1, elements // (n_nodes * b.shape[1]))
     return np.concatenate([fn(a[r:r + step], b[r:r + step])
                            for r in range(0, len(b), step)])
 
@@ -473,7 +478,10 @@ def jsa_grid(config, window=None, n_s=64, n_i=64):
 
     The whole grid is one block of rows for the pump convolution; each row
     is contracted on its own, so a row equals a one-row call bit for bit.
+    Raises ValueError unless ``n_s`` and ``n_i`` are at least 1.
     """
+    if n_s < 1 or n_i < 1:
+        raise ValueError(f"jsa_grid needs n_s, n_i >= 1, got {n_s}, {n_i}")
     if window is None:
         window = jsa_window(config)
     s_lo, s_hi, i_lo, i_hi = window

@@ -204,6 +204,27 @@ class TestExitCodes:
         assert len(rows) == 3
         assert all("no phasematched frequency" in r["error"] for r in rows)
 
+    # every subcommand with --points, with the options it requires
+    POINTS_COMMANDS = {
+        "dispersion": (),
+        "sweep": ("--parameter", "length", "--range", "0.3:0.5"),
+        "jsa": (),
+        "contour": ("--pump-range", "0.74:0.76"),
+    }
+
+    @pytest.mark.parametrize("points", ["0", "-3", "2.5", "many"])
+    @pytest.mark.parametrize("command", sorted(POINTS_COMMANDS))
+    def test_points_not_a_positive_integer_is_a_usage_error(
+            self, tmp_path, pulsed, capsys, command, points):
+        # parsed before the config is read or anything is computed
+        with pytest.raises(SystemExit) as info:
+            run(tmp_path, command, pulsed, *self.POINTS_COMMANDS[command],
+                f"--points={points}", out="out.csv")
+        assert info.value.code == 2
+        assert (f"--points: must be a positive integer, got {points!r}"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "out.csv").exists()
+
 
 def test_repeat_efficiency_runs_byte_identical(tmp_path, pulsed):
     texts = []

@@ -13,7 +13,7 @@ from sfwmsim.efficiency import (_rotated_integrand, _rotated_window,
                                 photons_per_pulse, pump_photon_rate, sigma_max)
 from sfwmsim.errors import DivergenceError, RegimeError
 from sfwmsim.sfwm import (_BLOCK_ELEMENTS, PumpSpec, SourceConfig,
-                          _pump_convolution, _pump_rule, h_function,
+                          _pump_convolution, _pump_rule, h_function, jsa,
                           nonlinear_phase, solve_phasematch_center)
 
 PHOTONS_PER_PULSE_REF = 13365579.49501524   # sqrt(2 pi) P / (hbar w0 sigma)
@@ -262,6 +262,35 @@ class TestRotatedIntegrand:
                                      for r in range(p)])
         assert block.shape == (p, n)
         assert block.tobytes() == one_by_one.tobytes()
+
+
+class TestPairwiseConvolutionBits:
+    """The pair-wise pump convolution (Taylor integrand, jsa) keeps its bits.
+
+    Several Taylor benchmark references report a quadrature error equal to
+    the one they are checked against, so any rounding change on this path
+    fails them at random; these values pin it until the error estimate is
+    honest.
+    """
+
+    def test_taylor_pulsed_eta(self):
+        # fiber A's Taylor fit at 708 nm, truncated at beta4, L = 0.3 m
+        fiber = taylor_fiber(omega_from_um(0.708), (
+            12709608.91856346, 4.972458401064144e-09, 1.7257388265561942e-27,
+            6.591119073571425e-41, -5.586155955194142e-56), length=0.3)
+        pump = PumpSpec.from_units(0.708, 3.0, 0.3, 80.0)
+        res = eta_pulsed_numeric(SourceConfig(fiber=fiber, pump1=pump,
+                                              pump2=pump))
+        assert res.eta.hex() == "0x1.5f1ce41e5a25bp-24"
+        assert (res.diagnostics["quadrature_error"].hex()
+                == "0x1.4072b07a6dd0ap+204")
+        assert res.diagnostics["shell"].hex() == "0x1.3c8ab78d488b5p-12"
+
+    def test_jsa_value(self, cfg_ndp):
+        center = solve_phasematch_center(cfg_ndp)
+        f = jsa(center.omega_s + 1e12, center.omega_i - 2e12, cfg_ndp)
+        assert f.real.hex() == "0x1.13027cf13027ep+33"
+        assert f.imag.hex() == "-0x1.4009d5c2c1a59p+38"
 
 
 class TestDeterminism:

@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from sfwmsim.errors import BracketError, NonConvergenceError
 from sfwmsim.numerics import (QuadratureSpec, RootBracket, _gauss_nodes,
-                              _panel_sums, _sinc_phasor, bracket_root,
-                              erf_ratio, find_root, integrate_1d, integrate_2d,
-                              sinc)
+                              _panel_sums, _sinc_phasor, _sinc_phasor_sum,
+                              bracket_root, erf_ratio, find_root, integrate_1d,
+                              integrate_2d, sinc)
 
 # frozen oracle values (brute-force trapezoid / long bisection, see comments)
 SINC2_0_40 = 1.5584510463645005          # 1e7-point trapezoid of sinc^2
@@ -438,6 +438,55 @@ class TestSincPhasor:
         got = _sinc_phasor(x)
         assert np.isnan(got[0].real) and np.isnan(got[0].imag)
         assert got[1] == 1.0 and got[2] == 1.0 + 1e-200j
+
+
+class TestSincPhasorSum:
+    """``_sinc_phasor_sum`` against the direct sum of sinc(x) e^{ix}."""
+
+    # x forced onto the single-element path and both sides of its threshold
+    FORCED = (0.0, 1e-150, -1e-150,
+              math.nextafter(1e-3, 0.0), -math.nextafter(1e-3, 0.0),
+              math.nextafter(1e-3, 1.0), -math.nextafter(1e-3, 1.0))
+
+    @classmethod
+    def block(cls, k, seed):
+        # rows 1-3 carry phases of the size the pulsed integrand forms (L/2
+        # beta ~ 6e6 rad, x = q - phi within +-80 rad); row 0 sits at zero so
+        # that x = q - 0 takes the forced values exactly in its column 3
+        rng = np.random.default_rng(seed)
+        offset = np.array([[0.0], [6e6], [6e6], [6e6]])
+        q = offset + rng.uniform(-40, 40, (4, k))
+        phi = offset + rng.uniform(-40, 40, (4, 15))
+        amp = rng.uniform(0.05, 1.0, (4, k))
+        phi[0, 3] = 0.0
+        q[0, :len(cls.FORCED)] = cls.FORCED
+        q[1, 5] = phi[1, 7]                   # x = 0 at full phase size
+        q[2, :2] = phi[2, 0]                  # two of them in one element
+        return amp, q, phi
+
+    @staticmethod
+    def direct(amp, q, phi):
+        x = q[:, :, None] - phi[:, None, :]
+        s = np.ones_like(x)
+        nz = x != 0
+        s[nz] = np.sin(x[nz]) / x[nz]
+        return np.einsum("pk,pkj->pj", amp, s * np.exp(1j * x))
+
+    @pytest.mark.parametrize("k", [33, 60, 180])
+    def test_matches_direct_sum(self, k):
+        for seed in range(3):
+            amp, q, phi = self.block(k, 10 * k + seed)
+            got = _sinc_phasor_sum(amp, q, phi)
+            want = self.direct(amp, q, phi)
+            assert got.shape == want.shape == (4, 15)
+            peak = np.max(np.abs(want), axis=1)
+            assert np.all(np.max(np.abs(got - want), axis=1) <= 1e-12 * peak)
+
+    def test_nan_maps_to_nan(self):
+        amp = np.ones((1, 3))
+        got = _sinc_phasor_sum(amp, np.array([[0.5, math.nan, 2.0]]),
+                               np.array([[0.5, 1.0]]))
+        assert np.isnan(got).all()
 
 
 def test_repeat_runs_bit_identical():

@@ -66,3 +66,37 @@ def test_compare_exit_status(tmp_path, eta, status):
          _write(tmp_path / "a.json", A), _write(tmp_path / "b.json", b)],
         capture_output=True, text=True, timeout=60)
     assert run.returncode == status, run.stderr
+
+
+def _column(error, integral=2.0):
+    return {"eta": 1.0, "quadrature_error": error, "integral": integral}
+
+
+def test_quadrature_margin_is_left_of_the_larger_allowance(tool):
+    # numeric: allowed max(1e-3, 3e-3) = 3e-3, achieved 1.5e-3 -> 0.5;
+    # cw: allowed 1e-6 (the reference did better), achieved 9e-7 -> 0.1
+    answers = {"numeric": _column(3e-3), "cw": _column(1.8e-6),
+               "closed": {"eta": 1.0}}
+    ref = {"numeric": _column(6e-3), "cw": _column(1e-6)}
+    margin, column = tool.quadrature_margin(answers, ref)
+    assert column == "cw" and margin == pytest.approx(0.1)
+    # a column that raised on either side has no check
+    ref["cw"] = {"error": "WindowError"}
+    margin, column = tool.quadrature_margin(answers, ref)
+    assert column == "numeric" and margin == pytest.approx(0.5)
+    # an entry with no such column (contour) has no margin
+    assert tool.quadrature_margin({"points": 3}, {"points": 3}) is None
+
+
+def test_smallest_margins_per_workload(tool):
+    ref = {"numeric": _column(2e-3)}
+    rows = [("sweep_pcf", "sweep_pcf/0", {"numeric": _column(2e-3)}, ref),
+            ("sweep_pcf", "sweep_pcf/1", {"numeric": _column(1e-3)}, ref),
+            ("sweep_taylor", "sweep_taylor/4", {"numeric": _column(5e-3)}, ref),
+            ("sweep_taylor", "sweep_taylor/5", {"numeric": _column(1e-3)}, ref),
+            ("contour_cli", "contour_cli/0", {"points": 3}, {"points": 3})]
+    # a reference whose error equals the allowance has margin exactly 0,
+    # and a failing entry a negative one
+    assert tool.smallest_margins(rows) == {
+        "sweep_pcf": (0.0, "sweep_pcf/0", "numeric"),
+        "sweep_taylor": (-1.5, "sweep_taylor/4", "numeric")}

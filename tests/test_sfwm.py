@@ -327,6 +327,20 @@ class TestJsaGrid:
         assert jsa_grid(swapped, n_s=9, n_i=9) == jsa_grid(cfg_ndp, n_s=9,
                                                            n_i=9)
 
+    @pytest.mark.parametrize("n_s, n_i", [(0, 4), (4, 0), (-2, 4), (4, -1)])
+    def test_fewer_than_one_point_per_axis_rejected(self, cfg_dp, n_s, n_i):
+        # an explicit window: the check comes before any physics
+        window = (2.0e15, 2.1e15, 3.0e15, 3.1e15)
+        with pytest.raises(ValueError, match="n_s, n_i >= 1"):
+            jsa_grid(cfg_dp, window=window, n_s=n_s, n_i=n_i)
+
+    def test_one_point_per_axis(self, cfg_dp):
+        window = (2.0e15, 2.1e15, 3.0e15, 3.1e15)
+        grid = jsa_grid(cfg_dp, window=window, n_s=1, n_i=1)
+        assert grid.omega_s_axis == (2.0e15,)
+        assert grid.omega_i_axis == (3.0e15,)
+        assert len(grid.amplitude) == 1 and len(grid.amplitude[0]) == 1
+
 
 class TestConfigValidation:
     def test_mixed_regime_rejected(self, fiber_a):
