@@ -19,14 +19,22 @@ and at least halves the previous step, bisection otherwise.  Elements that
 pass the test after the fixed steps are left untouched.
 
 Queries of fewer than _VECTOR_MIN_POINTS frequencies (scalar root finding,
-mode profiles) run the same ladder one point at a time in plain floats
-(``_solve_one``), because on a one-element array each NumPy call costs more
-than its arithmetic; larger queries run it element-wise on arrays.  Both
-evaluate G through the one ``_g_and_gprime``, and the ladder uses only
-IEEE-exact arithmetic (+, -, *, /, sqrt) besides the Bessel functions, so
-a point gets the same bits either way: cubes are written as products,
-because NumPy may evaluate an array ``x ** 3`` with a SIMD pow that
-differs in the last bit from the libm pow of a scalar, and on the CPU.
+mode profiles) run the same ladder one point at a time (``_solve_one``),
+because on a one-element array each NumPy call costs more than its
+arithmetic; larger queries run it element-wise on arrays.  Both evaluate G
+through the one formula of ``_g_and_gprime``.  For one point it runs in
+Python floats: the guidance, math.sqrt and the Bessel ufuncs' values
+converted with ``float`` give floats, which round exactly like NumPy
+float64, at a fraction of the cost of NumPy-scalar arithmetic.  The ladder
+uses only IEEE-exact arithmetic (+, -, *, /, sqrt) besides the Bessel
+functions, so a point gets the same bits either way: cubes are written as
+products, because NumPy may evaluate an array ``x ** 3`` with a SIMD pow
+that differs in the last bit from the libm pow of a scalar, and on the CPU.
+Where a float raises and NumPy does not (a zero divisor, the root of a
+negative number), the float path evaluates again in np.float64, and the
+Newton quotient g / gp is always taken in np.float64, so inf, NaN and
+their warnings stay NumPy's.  The bisection steps of both ladders need
+only the sign of G and skip G'.
 
 ``he11_solve_seeded`` (Newton seeded from a b(omega) table, with a checked
 fallback to ``he11_solve``) is not used by the package, whose array
@@ -49,34 +57,43 @@ _NEWTON_STEPS = 6
 _POLISH_STEPS = 48
 _VECTOR_MIN_POINTS = 4
 
+# (sqrt, J0, J1, K0, K1) for Python floats and for NumPy arguments; a
+# ufunc of a float returns np.float64, so the float path converts back
+_FLOAT_FNS = (math.sqrt, lambda x: float(j0(x)), lambda x: float(j1(x)),
+              lambda x: float(k0(x)), lambda x: float(k1(x)))
+_NUMPY_FNS = (np.sqrt, j0, j1, k0, k1)
+
 
 def active_backend():
     """Name of the kernel implementation in use (always 'python')."""
     return "python"
 
 
+def _sellmeier_sum(lam_um):
+    """Sum of the three Sellmeier terms, n^2 - 1 (floats or arrays)."""
+    l2 = lam_um * lam_um
+    return (0.6961663 * l2 / (l2 - 0.0684043 ** 2)
+            + 0.4079426 * l2 / (l2 - 0.1162414 ** 2)
+            + 0.8974794 * l2 / (l2 - 9.896161 ** 2))
+
+
 def sellmeier_n(lam_um):
     """Fused-silica refractive index (three-term Sellmeier fit)."""
-    lam_um = np.asarray(lam_um, dtype=float)
-    l2 = lam_um * lam_um
-    s = (0.6961663 * l2 / (l2 - 0.0684043 ** 2)
-         + 0.4079426 * l2 / (l2 - 0.1162414 ** 2)
-         + 0.8974794 * l2 / (l2 - 9.896161 ** 2))
-    return np.sqrt(1.0 + s)
+    return np.sqrt(1.0 + _sellmeier_sum(np.asarray(lam_um, dtype=float)))
 
 
-def _g_and_gprime(b, V, q):
-    """Characteristic function G(b) and its analytic derivative.
+def _characteristic(b, V, q, gprime, fns):
+    """G(b), and G'(b) or None: the formula of ``_g_and_gprime``.
 
-    Takes arrays or floats; only IEEE-exact arithmetic besides the Bessel
-    functions, so a float and an array element get the same bits.
+    ``fns`` is (sqrt, J0, J1, K0, K1) for the argument type at hand.
     """
-    u = V * np.sqrt(1.0 - b)
-    w = V * np.sqrt(b)
-    ju0 = j0(u)
-    ju1 = j1(u)
-    kw0 = k0(w)
-    kw1 = k1(w)
+    sqrt, bj0, bj1, bk0, bk1 = fns
+    u = V * sqrt(1.0 - b)
+    w = V * sqrt(b)
+    ju0 = bj0(u)
+    ju1 = bj1(u)
+    kw0 = bk0(w)
+    kw1 = bk1(w)
     X = (ju0 - ju1 / u) / (u * ju1)
     Y = -(kw0 + kw1 / w) / (w * kw1)
     t1 = 1.0 / (u * u)
@@ -85,6 +102,8 @@ def _g_and_gprime(b, V, q):
     Bf = X + q * Y
     R = (t1 + t2) * (t1 + q * t2)
     G = A * Bf - R
+    if not gprime:
+        return G, None
 
     # dX/du and dY/dw via the Bessel ODEs; du/db = -V^2/(2u), dw/db = V^2/(2w)
     Xp = -2.0 * X / u - u * X * X - 1.0 / u + 1.0 / (u * u * u)
@@ -101,18 +120,42 @@ def _g_and_gprime(b, V, q):
     return G, Gp
 
 
+def _g_and_gprime(b, V, q, gprime=True):
+    """Characteristic function G(b) and its analytic derivative.
+
+    Takes arrays, or a float b with float V and q; the latter runs in
+    Python floats (see the module docstring), and falls back to
+    np.float64 where a float would raise, so a zero divisor or a negative
+    root gives NumPy's inf or NaN.  With ``gprime=False`` (the bisection
+    steps, which need only G's sign) G' is skipped and None returned for
+    it.
+    """
+    if type(b) is float:
+        try:
+            return _characteristic(b, V, q, gprime, _FLOAT_FNS)
+        except (ZeroDivisionError, ValueError):
+            b = np.float64(b)
+    return _characteristic(b, V, q, gprime, _NUMPY_FNS)
+
+
 def _converged(g, gp):
-    """Residual test shared by both solvers: |G| <= 1e-13 max(|G'|, 1)."""
+    """Residual test of the array ladders: |G| <= 1e-13 max(|G'|, 1).
+
+    ``_solve_one`` writes the same test in floats.
+    """
     return np.abs(g) <= 1e-13 * np.maximum(np.abs(gp), 1.0)
 
 
-def _guidance(omega, core_radius, fill):
-    """(ncl, na2, V, q) of the equivalent step-index fiber (floats or arrays)."""
+def _guidance(omega, core_radius, fill, sqrt=np.sqrt):
+    """(ncl, na2, V, q) of the equivalent step-index fiber.
+
+    Arrays by default; ``sqrt=math.sqrt`` keeps a float omega in floats.
+    """
     lam_um = 2.0e6 * np.pi * C / omega
-    nco = sellmeier_n(lam_um)
+    nco = sqrt(1.0 + _sellmeier_sum(lam_um))
     ncl = fill + (1.0 - fill) * nco
     na2 = nco * nco - ncl * ncl
-    V = omega / C * core_radius * np.sqrt(na2)
+    V = omega / C * core_radius * sqrt(na2)
     ratio = ncl / nco
     return ncl, na2, V, ratio * ratio
 
@@ -125,7 +168,8 @@ def he11_solve(omega, core_radius, fill):
     """
     omega = np.asarray(omega, dtype=float)
     if omega.size < _VECTOR_MIN_POINTS:
-        sol = [_solve_one(om, core_radius, fill) for om in omega.ravel().tolist()]
+        sol = [_solve_one(om, core_radius, fill)
+               for om in omega.ravel().tolist()]
         out = np.array(sol, dtype=float).reshape(omega.shape + (3,))
         return out[..., 0], out[..., 1], out[..., 2]
 
@@ -137,7 +181,7 @@ def he11_solve(omega, core_radius, fill):
 
     for _ in range(_BISECT_STEPS):
         bm = 0.5 * (b_lo + b_hi)
-        g, _gp = _g_and_gprime(bm, V, q)
+        g, _ = _g_and_gprime(bm, V, q, gprime=False)
         pos = g > 0.0
         b_lo = np.where(pos, bm, b_lo)
         b_hi = np.where(pos, b_hi, bm)
@@ -180,20 +224,26 @@ def he11_solve(omega, core_radius, fill):
 
 
 def _solve_one(omega, core_radius, fill):
-    """(neff, u, w) of one frequency: ``he11_solve``'s ladder in floats.
+    """(neff, u, w) of one float frequency: ``he11_solve``'s ladder in floats.
 
     Every branch mirrors the element-wise ``np.where`` of the array ladder,
-    so the result has the same bits as the array solve of that point.  G and
-    G' stay NumPy float64, so a zero G' gives inf and a warning as there.
+    so the result has the same bits as the array solve of that point.  The
+    guidance and G run in Python floats (NumPy float64 where a float would
+    raise, as in ``_g_and_gprime``); g / gp is taken in np.float64, so a
+    zero G' gives inf and a warning as in the array ladder.
     """
-    ncl, na2, V, q = (float(x) for x in _guidance(omega, core_radius, fill))
+    try:
+        ncl, na2, V, q = _guidance(omega, core_radius, fill, math.sqrt)
+    except (ZeroDivisionError, ValueError):
+        ncl, na2, V, q = (float(x) for x in
+                          _guidance(np.float64(omega), core_radius, fill))
     t = min(V, J1_FIRST_ZERO) / V
     b_lo = 1.0 - t * t + 1e-12
     b_hi = 1.0 - 1e-12
 
     for _ in range(_BISECT_STEPS):
         bm = 0.5 * (b_lo + b_hi)
-        if _g_and_gprime(bm, V, q)[0] > 0.0:
+        if _g_and_gprime(bm, V, q, gprime=False)[0] > 0.0:
             b_lo = bm
         else:
             b_hi = bm
@@ -205,20 +255,21 @@ def _solve_one(omega, core_radius, fill):
             b_lo = b
         else:
             b_hi = b
-        step = b - g / gp
+        step = b - float(np.float64(g) / gp)
         b = step if b_lo <= step <= b_hi else 0.5 * (b_lo + b_hi)
 
     dx_old = b_hi - b_lo
     for _ in range(_POLISH_STEPS):
         g, gp = _g_and_gprime(b, V, q)
-        if _converged(g, gp):
+        # _converged in floats; max keeps a NaN |G'| as np.maximum does
+        if abs(g) <= 1e-13 * max(abs(gp), 1.0):
             break
         if g > 0.0:
             b_lo = b
         else:
             b_hi = b
         with np.errstate(divide="ignore", invalid="ignore"):
-            dx = g / gp
+            dx = float(np.float64(g) / gp)
         step = b - dx
         if b_lo <= step <= b_hi and abs(2.0 * dx) <= abs(dx_old):
             b_new = step

@@ -11,10 +11,11 @@ approximation is badly off at this index contrast and is not used.
 Which path serves which step-index query:
 
 * n_eff and beta at a scalar frequency, or at an array of fewer than
-  _TABLE_MIN_POINTS frequencies, come from the exact solve, which runs
-  such short queries in plain floats.  Scalars are cached per geometry
-  (core_radius, air_fill_fraction) in a bounded LRU cache of
-  _SCALAR_CACHE_SIZE entries.
+  _TABLE_MIN_POINTS frequencies, come from the exact solve,
+  ``kernels.he11_solve``, which runs such short queries in Python floats
+  with the bits of its array ladder.  A scalar has its range and guidance
+  checks done in floats too, and is cached per geometry (core_radius,
+  air_fill_fraction) in a bounded LRU cache of _SCALAR_CACHE_SIZE entries.
 * n_eff and beta at larger arrays come from a per-geometry table: a
   piecewise-Chebyshev fit of n_eff in x = ln omega over the whole
   Sellmeier window, sampled from the exact solve (``_neff_table``).  It is
@@ -191,14 +192,18 @@ def silica_index(omega):
     return n
 
 
+def _range_error(lam_um):
+    lo, hi = SELLMEIER_RANGE_UM
+    return WavelengthRangeError(
+        f"wavelength {lam_um:.4f} um outside Sellmeier validity "
+        f"[{lo}, {hi}] um")
+
+
 def _check_sellmeier_range(lam_um):
     lo, hi = SELLMEIER_RANGE_UM
     bad = (lam_um < lo) | (lam_um > hi)
     if np.any(bad):
-        offending = np.atleast_1d(lam_um)[np.atleast_1d(bad)][0]
-        raise WavelengthRangeError(
-            f"wavelength {offending:.4f} um outside Sellmeier validity "
-            f"[{lo}, {hi}] um")
+        raise _range_error(np.atleast_1d(lam_um)[np.atleast_1d(bad)][0])
 
 
 def _checked_omega(omega):
@@ -208,12 +213,15 @@ def _checked_omega(omega):
     return om
 
 
+def _cutoff_error(omega):
+    return ModeCutoffError(
+        f"fundamental-mode solve failed at omega={omega:.6e} rad/s "
+        f"(lambda={um_from_omega(omega):.4f} um)")
+
+
 def _require_guided(neff, om):
     if not np.all(np.isfinite(neff)):
-        bad = om[~np.isfinite(neff)][0]
-        raise ModeCutoffError(
-            f"fundamental-mode solve failed at omega={bad:.6e} rad/s "
-            f"(lambda={um_from_omega(bad):.4f} um)")
+        raise _cutoff_error(om[~np.isfinite(neff)][0])
 
 
 @lru_cache(maxsize=64)
@@ -308,7 +316,19 @@ def _index_and_group_slowness(omega, fiber):
 
 @lru_cache(maxsize=_SCALAR_CACHE_SIZE)
 def _neff_scalar_cached(omega, core_radius, fill):
-    return float(_exact_solve(omega, core_radius, fill)[0][0])
+    """Exact n_eff of one float omega, with the checks of ``_exact_solve``.
+
+    The range and guidance checks run in floats; a zero omega is an
+    infinite wavelength, as NumPy's division makes it there.
+    """
+    lo, hi = SELLMEIER_RANGE_UM
+    lam_um = um_from_omega(omega) if omega else math.copysign(math.inf, omega)
+    if lam_um < lo or lam_um > hi:
+        raise _range_error(lam_um)
+    neff = float(kernels.he11_solve(omega, core_radius, fill)[0])
+    if not math.isfinite(neff):
+        raise _cutoff_error(omega)
+    return neff
 
 
 def effective_index(omega, fiber):

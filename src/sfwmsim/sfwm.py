@@ -248,18 +248,17 @@ def phasematch_roots(config):
     f = _line_mismatch(config)
     vals = f(grid)
     keep = ~_near_pump(config, grid)
+    # intervals with both ends kept that start on a zero or change sign
+    crossing = (keep[:-1] & keep[1:]
+                & ((vals[:-1] == 0.0) | (vals[:-1] * vals[1:] < 0)))
 
     roots = []
-    for i in range(len(grid) - 1):
-        if not (keep[i] and keep[i + 1]):
-            continue
+    for i in np.flatnonzero(crossing).tolist():
         if vals[i] == 0.0:
             root = float(grid[i])
-        elif vals[i] * vals[i + 1] < 0:
+        else:
             root = find_root(f, bracket_root(f, grid[i], grid[i + 1]),
                              tol=1e2)
-        else:
-            continue
         if not _near_pump(config, root):
             roots.append(root)
     above = sorted((om for om in roots if om > 0.5 * total),

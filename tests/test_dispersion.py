@@ -13,7 +13,7 @@ from sfwmsim.dispersion import (FiberSpec, TaylorDispersion, beta, beta1,
                                 find_zero_dispersion, gamma_pump, gamma_sfwm,
                                 mode_profile, nonlinear_parameters,
                                 silica_index)
-from sfwmsim.errors import WavelengthRangeError
+from sfwmsim.errors import ModeCutoffError, WavelengthRangeError
 
 
 def hand_sellmeier(lam_um):
@@ -66,6 +66,20 @@ class TestEffectiveIndex:
         arr = effective_index(oms, fiber_a)
         scal = np.array([effective_index(float(om), fiber_a) for om in oms])
         assert np.max(np.abs(arr - scal) / scal) < 1e-12
+
+    @pytest.mark.parametrize("omega, lam", [(1e13, "188.3652"),
+                                            (1e17, "0.0188")])
+    def test_scalar_out_of_window_raises(self, fiber_b, omega, lam):
+        with pytest.raises(WavelengthRangeError) as err:
+            effective_index(omega, fiber_b)
+        assert str(err.value) == (f"wavelength {lam} um outside Sellmeier "
+                                  "validity [0.21, 3.7] um")
+
+    def test_scalar_nan_raises_cutoff(self, fiber_b):
+        with pytest.raises(ModeCutoffError) as err:
+            effective_index(math.nan, fiber_b)
+        assert str(err.value) == ("fundamental-mode solve failed at "
+                                  "omega=nan rad/s (lambda=nan um)")
 
     def test_beta_definition(self, fiber_a):
         om = omega_from_um(0.708)
@@ -120,6 +134,54 @@ class TestModeSolve:
         om = omega_from_um(np.array([[0.8], [1.2]]))
         for out in kernels.he11_solve(om, 0.97e-6, 0.91):
             assert out.shape == (2, 1)
+
+
+def characteristic_b():
+    """b over the ladder's bracket [1e-12, 1 - 1e-12], both ends crowded."""
+    ends = np.logspace(-12, -1, 500)
+    return np.concatenate([np.linspace(1e-12, 1.0 - 1e-12, 1500), ends,
+                           1.0 - ends, [np.nan]])
+
+
+class TestFloatCharacteristic:
+    """The float call of G and G' rounds like the array call, bit for bit."""
+
+    @GEOMETRIES
+    def test_float_call_matches_array_call(self, core_radius, fill):
+        b = characteristic_b()
+        for lam in (0.25, 0.75, 1.55, 3.5):
+            V, q = (float(x) for x in kernels._guidance(
+                omega_from_um(np.array(lam)), core_radius, fill)[2:])
+            g, gp = kernels._g_and_gprime(b, V, q)
+            expected = [(x.hex(), y.hex()) for x, y in zip(g.tolist(),
+                                                           gp.tolist())]
+            calls = [kernels._g_and_gprime(x, V, q) for x in b.tolist()]
+            assert all(type(x) is float for call in calls for x in call)
+            assert [(x.hex(), y.hex()) for x, y in calls] == expected
+            signs = [kernels._g_and_gprime(x, V, q, gprime=False)
+                     for x in b.tolist()]
+            assert [(x.hex(), y) for x, y in signs] == [
+                (x, None) for x, _y in expected]
+
+    def test_raising_float_arguments_take_numpy_semantics(self):
+        # a zero divisor (b = 0 or 1) or a negative root (b outside [0, 1])
+        # raises in floats; those fall back to np.float64, as the array does
+        V, q = 2.0, 0.8
+        b = np.array([0.0, 1.0, -0.5, 1.5])
+        with np.errstate(all="ignore"):
+            g, gp = kernels._g_and_gprime(b, V, q)
+            calls = [kernels._g_and_gprime(x, V, q) for x in b.tolist()]
+        assert [(float(x).hex(), float(y).hex()) for x, y in calls] == [
+            (x.hex(), y.hex()) for x, y in zip(g.tolist(), gp.tolist())]
+        assert not all(np.isfinite(g))
+
+    def test_guidance_in_floats_matches_arrays(self):
+        om = omega_from_um(window_wavelengths(500))
+        arrays = kernels._guidance(om, 0.5e-6, 0.6)
+        floats = [kernels._guidance(x, 0.5e-6, 0.6, math.sqrt)
+                  for x in om.tolist()]
+        assert [tuple(v.hex() for v in f) for f in floats] == [
+            tuple(float(a[i]).hex() for a in arrays) for i in range(om.size)]
 
 
 class TestNeffTable:

@@ -12,6 +12,34 @@ from sfwmsim.phasematch import (ContourPoint, OrientationUndefinedError,
 from sfwmsim.sfwm import (PumpSpec, SourceConfig, nonlinear_phase,
                           phase_mismatch, solve_phasematch_center)
 
+# 5-point contour of fiber B pumped at 0.75 um over 0.64-0.87 um
+CONTOUR_BITS = [
+    ("0x1.079095ee476aap+51", "0x1.ccc639f00e0f8p+48", "-0x1.ccc639f00e0f8p+48",
+     "-0x1.146deda0c011ep+4", "outer"),
+    ("0x1.079095ee476aap+51", "-0x1.ccc639f00e0f8p+48", "0x1.ccc639f00e0f8p+48",
+     "-0x1.22e48497cffb9p+6", "outer"),
+    ("0x1.079095ee476aap+51", "0x1.87a3e9824c480p+44", "-0x1.87a3e9824c480p+44",
+     "0x1.85b2afc70878cp+5", "inner"),
+    ("0x1.079095ee476aap+51", "-0x1.87a3e9824c480p+44", "0x1.87a3e9824c480p+44",
+     "0x1.4a4d5038f7875p+5", "inner"),
+    ("0x1.1ba339ee9fedbp+51", "0x1.5159f8b40b230p+49", "-0x1.5159f8b40b230p+49",
+     "0x1.d436735637ccdp+1", "outer"),
+    ("0x1.1ba339ee9fedbp+51", "-0x1.5159f8b40b230p+49", "0x1.5159f8b40b230p+49",
+     "0x1.595e4c654e41ap+6", "outer"),
+    ("0x1.1ba339ee9fedbp+51", "0x1.6c3d74c79e900p+44", "-0x1.6c3d74c79e900p+44",
+     "0x1.64910cc4993b0p+5", "inner"),
+    ("0x1.1ba339ee9fedbp+51", "-0x1.6c3d74c79e900p+44", "0x1.6c3d74c79e900p+44",
+     "0x1.6b6ef33b66c4fp+5", "inner"),
+    ("0x1.330519167b907p+51", "0x1.6ba443dc4bc88p+49", "-0x1.6ba443dc4bc88p+49",
+     "0x1.2c4fb7972fe73p+6", "outer"),
+    ("0x1.330519167b907p+51", "-0x1.6ba443dc4bc88p+49", "0x1.6ba443dc4bc88p+49",
+     "0x1.dd82434680c60p+3", "outer"),
+    ("0x1.330519167b907p+51", "0x1.fcb1593347f00p+44", "-0x1.fcb1593347f00p+44",
+     "0x1.3c892376a0d74p+5", "inner"),
+    ("0x1.330519167b907p+51", "-0x1.fcb1593347f00p+44", "0x1.fcb1593347f00p+44",
+     "0x1.9376dc895f28bp+5", "inner"),
+]
+
 
 class TestOrientationAngle:
     def test_degenerate_config_anchor(self, cfg_dp):
@@ -126,6 +154,15 @@ class TestContour:
     def test_requires_degenerate(self, cfg_ndp):
         with pytest.raises(RegimeError):
             contour(cfg_ndp, (0.6, 0.9), 4)
+
+    def test_golden_bits(self, cfg_loop):
+        # float.hex of (pump frequency, signal and idler detunings, angle)
+        # as the per-interval scan loop and the NumPy-scalar mode solve
+        # found them: a change that moves a bit of the scalar path fails here
+        got = [(p.pump_frequency.hex(), p.detuning_signal.hex(),
+                p.detuning_idler.hex(), p.theta_si.hex(), p.branch)
+               for p in contour(cfg_loop, (0.64, 0.87), 5)]
+        assert got == CONTOUR_BITS
 
     def test_sorted_by_pump_frequency(self, points):
         freqs = [p.pump_frequency for p in points]

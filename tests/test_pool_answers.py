@@ -100,3 +100,13 @@ def test_smallest_margins_per_workload(tool):
     assert tool.smallest_margins(rows) == {
         "sweep_pcf": (0.0, "sweep_pcf/0", "numeric"),
         "sweep_taylor": (-1.5, "sweep_taylor/4", "numeric")}
+
+
+def test_summary_prints_margin_and_cpu_per_workload(tool):
+    margins = {"sweep_pcf": (5.52e-7, "sweep_pcf/0", "numeric")}
+    cpu = {"sweep_pcf": 12.345, "contour_cli": 7.0}
+    assert tool.summary(margins, cpu) == [
+        "sweep_pcf: smallest quadrature_error margin 5.52e-07 "
+        "(sweep_pcf/0 numeric); in-process CPU 12.35 s (not BENCH evidence)",
+        "contour_cli: no quadrature_error check; in-process CPU 7.00 s "
+        "(not BENCH evidence)"]

@@ -144,6 +144,17 @@ class TestPhasematchCenter:
         with pytest.raises(NoPhasematchError):
             solve_phasematch_center(cfg_dp, branch="inner")
 
+    # float.hex of the roots as the per-interval scan loop and the
+    # NumPy-scalar mode solve found them: a change that moves a bit of the
+    # scalar path fails here
+    @pytest.mark.parametrize("name, roots", [
+        ("cfg_dp", ("0x1.727fa82d8dbfcp+51",)),
+        ("cfg_ndp", ("0x1.6dfb349988560p+51",)),
+        ("cfg_cw_dp", ("0x1.726ec45ebe5ffp+51",))])
+    def test_roots_bits(self, request, name, roots):
+        config = request.getfixturevalue(name)
+        assert tuple(r.hex() for r in phasematch_roots(config)) == roots
+
     def test_loop_fiber_has_both_branches(self, cfg_loop):
         roots = phasematch_roots(cfg_loop)
         assert len(roots) >= 2

@@ -4,7 +4,10 @@
 through the benchmark's own operation with the sfwmsim of SRC/src, writes
 every entry's answers and check_answers mismatches to OUT.json, and prints,
 per workload, the smallest relative margin of the quadrature-error check and
-the entry that holds it (a margin of 0 fails on any rounding change).
+the entry that holds it (a margin of 0 fails on any rounding change), beside
+the CPU seconds the workload's operations took in this process.  That CPU
+figure is a first size of a gain from one process, without repeats or
+interleaving: it is not BENCH evidence.
 ``pool_answers.py --compare A.json B.json`` prints each field that differs
 between two such files, with its relative size where both are numbers, and
 exits with status 1 if any field differs (0 if none does).
@@ -14,6 +17,7 @@ import math
 import os
 import sys
 import tempfile
+import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
@@ -55,16 +59,36 @@ def smallest_margins(rows):
     return best
 
 
+def summary(margins, cpu):
+    """One line per workload of ``cpu``: smallest margin and CPU seconds.
+
+    ``margins`` is ``smallest_margins``' result; ``cpu`` maps a workload to
+    the in-process CPU seconds of its operations.
+    """
+    lines = []
+    for workload, seconds in cpu.items():
+        m = margins.get(workload)
+        check = (f"smallest quadrature_error margin {m[0]:.3g} ({m[1]} {m[2]})"
+                 if m else "no quadrature_error check")
+        lines.append(f"{workload}: {check}; in-process CPU {seconds:.2f} s "
+                     "(not BENCH evidence)")
+    return lines
+
+
 def run_pool(src, out):
     sys.path.insert(0, os.path.join(os.path.abspath(src), "src"))
     import sfwmsim
     import sfwmsim.cli  # noqa: F401  (the contour operation calls it)
-    result, rows = {}, []
+    result, rows, cpu = {}, [], {}
     with tempfile.TemporaryDirectory() as work:
         for workload in wl.WORKLOADS:
             op = wl.make_op(workload, sfwmsim, work, workload)
+            cpu[workload] = 0.0
             for entry in wl.load_reference(workload)["entries"]:
-                answers = op(wl.build_input(workload, sfwmsim, entry["input"]))
+                inp = wl.build_input(workload, sfwmsim, entry["input"])
+                start = time.process_time()
+                answers = op(inp)
+                cpu[workload] += time.process_time() - start
                 key = f"{workload}/{entry['id']}"
                 result[key] = {
                     "answers": answers,
@@ -73,9 +97,8 @@ def run_pool(src, out):
     with open(out, "w", encoding="utf-8") as fh:
         json.dump(result, fh, indent=1, sort_keys=True)
     bad = sum(bool(r["bad"]) for r in result.values())
-    for workload, (margin, key, column) in smallest_margins(rows).items():
-        print(f"{workload}: smallest quadrature_error margin {margin:.3g} "
-              f"({key} {column})")
+    for line in summary(smallest_margins(rows), cpu):
+        print(line)
     print(f"{len(result)} entries, {bad} failing check_answers")
 
 
