@@ -22,11 +22,21 @@ Which path serves which step-index query:
   keyed on (core_radius, air_fill_fraction), because length and n2 do not
   enter the dispersion, built on first use, and agrees with the exact solve
   to a few 1e-14 absolute.
+* ``_beta_exact`` gives beta at every point of an array with the bits of
+  the scalar query: one exact solve of the whole array, with the array
+  range and guidance checks and without the scalar cache.  The lockstep
+  root finding of the phase-matching contour evaluates each of its Brent
+  steps, over all its brackets, this way.
 * beta1 = (n + n_x) / c and beta2 = (n_x + n_xx) / (c omega), with n_x and
   n_xx the x-derivatives of n_eff, come from the table's analytic
   derivatives for every input, scalars included.
-* Mode profiles take (u, w) from the exact solve; they and the effective
-  areas built from them are cached per geometry too.
+* Mode profiles take (u, w) from the exact solve.  Their normalisation
+  integrals and the overlap integrals of the effective area share one
+  integrand (``_overlap_integrals``, amplitudes from ``_amplitude``) and
+  run many carriers in one lockstep quadrature: ``gamma_pumps`` batches
+  the pump carriers of a contour without caching them, and the scalar
+  ``mode_profile`` and effective-area queries are the one-carrier case,
+  cached per geometry.
 
 Scalars stay exact because they feed root finding, where the answers sit
 at the solver's rounding floor: the phasematched frequencies and contour
@@ -51,7 +61,7 @@ area, gamma) still use the step-index machinery.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
@@ -60,7 +70,7 @@ from . import _kernels_py as kernels
 from .constants import (C, SELLMEIER_RANGE_UM, N2_SILICA_DEFAULT,
                         omega_from_um, um_from_omega)
 from .errors import ModeCutoffError, OverlapError, WavelengthRangeError
-from .numerics import bracket_root, find_root, integrate_1d
+from .numerics import DEFAULT_QUADRATURE, _levels, bracket_root, find_root
 
 # n_eff table: equal panels in ln(omega) over the Sellmeier window, Chebyshev
 # nodes and fitted polynomial degree per panel, and the smallest array query
@@ -156,14 +166,8 @@ class ModeProfile:
 
     def amplitude(self, rho):
         """Exact normalized amplitude at radius rho [m] (scalar or array)."""
-        from scipy.special import j0 as _j0, k0 as _k0
         arr = np.atleast_1d(np.asarray(rho, dtype=float))
-        r = self.core_radius
-        inside = arr < r
-        out = np.empty_like(arr)
-        out[inside] = _j0(self.u * arr[inside] / r) / _j0(self.u)
-        out[~inside] = _k0(self.w * arr[~inside] / r) / _k0(self.w)
-        out *= self.norm
+        out = _amplitude(arr, self.core_radius, self.u, self.w, self.norm)
         if np.asarray(rho).ndim == 0:
             return float(out[0])
         return out
@@ -180,6 +184,29 @@ class NonlinearParameters:
     gamma_pump_1: float   # 1/(W m)
     gamma_pump_2: float   # 1/(W m)
     a_eff: float          # m^2
+
+
+def _amplitude(rho, r, u, w, norm):
+    """norm J0(u rho/r)/J0(u) where rho < r, norm K0(w rho/r)/K0(w) elsewhere.
+
+    The one amplitude formula of ``ModeProfile``, the normalisation and the
+    overlap integrals.  ``r``, ``u``, ``w`` and ``norm`` are floats or
+    arrays that broadcast against the array ``rho`` (one profile per row);
+    J0(u) and K0(w) are evaluated once per entry of ``u`` and ``w``.
+    """
+    from scipy.special import j0 as _j0, k0 as _k0
+    shape = rho.shape
+    inside = rho < r
+    outside = ~inside
+    out = np.empty_like(rho)
+    out[inside] = (_j0(np.broadcast_to(u, shape)[inside] * rho[inside]
+                       / np.broadcast_to(r, shape)[inside])
+                   / np.broadcast_to(_j0(u), shape)[inside])
+    out[outside] = (_k0(np.broadcast_to(w, shape)[outside] * rho[outside]
+                        / np.broadcast_to(r, shape)[outside])
+                    / np.broadcast_to(_k0(w), shape)[outside])
+    out *= norm
+    return out
 
 
 def silica_index(omega):
@@ -277,7 +304,9 @@ def _table_eval(om, fiber, order):
     k = np.minimum(s.astype(np.intp), _TABLE_PANELS - 1)
     powers = np.vander(2.0 * (s - k) - 1.0, _TABLE_DEGREE + 1,
                        increasing=True)
-    out = (coeffs[:order + 1, k] * powers).sum(axis=-1)
+    terms = coeffs[:order + 1, k]
+    terms *= powers
+    out = terms.sum(axis=-1)
     _require_guided(out[0], om)
     return out
 
@@ -288,6 +317,19 @@ def _exact_solve(omega, core_radius, fill):
     neff, u, w = kernels.he11_solve(om, core_radius, fill)
     _require_guided(neff, om)
     return neff, u, w
+
+
+def _beta_exact(omega, fiber):
+    """beta at every point of a flat array, each as the scalar ``beta`` gives it.
+
+    The Taylor polynomial, or the exact solve of the whole array (never the
+    table) with the array range and guidance checks; it bypasses the
+    scalar cache.
+    """
+    if fiber.taylor is not None:
+        return fiber.taylor.k(omega)
+    om = np.asarray(omega, dtype=float)
+    return _exact_solve(om, fiber.core_radius, fiber.air_fill_fraction)[0] * om / C
 
 
 def _solve_step_index(omega, fiber):
@@ -410,19 +452,55 @@ def mode_profile(omega, fiber):
 
 @lru_cache(maxsize=4096)
 def _mode_profile(omega, core_radius, fill):
-    _neff, u, w = _exact_solve(omega, core_radius, fill)
-    u, w = float(u[0]), float(w[0])
-    r = core_radius
+    return _mode_profiles([omega], core_radius, fill)[0]
 
-    from scipy.special import j0 as _j0, k0 as _k0
-    raw_in = lambda rho: _j0(u * rho / r) / _j0(u)
-    raw_out = lambda rho: _k0(w * rho / r) / _k0(w)
-    rho_max = r * (1.0 + 42.0 / w)
-    n_in = integrate_1d(lambda rho: raw_in(rho) ** 2 * rho, 0.0, r)
-    n_out = integrate_1d(lambda rho: raw_out(rho) ** 2 * rho, r, rho_max)
-    norm = 1.0 / math.sqrt(2 * math.pi * (n_in.value + n_out.value))
-    return ModeProfile(carrier_frequency=omega, core_radius=r, u=u, w=w,
-                       norm=norm)
+
+def _mode_profiles(omegas, core_radius, fill):
+    """Normalized profiles at many carriers [rad/s] of one geometry.
+
+    One exact solve gives every (u, w); the raw shapes (norm 1) go through
+    ``_overlap_integrals`` as pairs, so the two normalisation integrals of
+    every carrier run in one lockstep call.
+    """
+    _neff, u, w = _exact_solve(omegas, core_radius, fill)
+    raw = [ModeProfile(carrier_frequency=float(om), core_radius=core_radius,
+                       u=uk, w=wk, norm=1.0)
+           for om, uk, wk in zip(np.ravel(omegas), u.tolist(), w.tolist())]
+    sums = _overlap_integrals([(p, p) for p in raw])
+    return [replace(p, norm=1.0 / math.sqrt(2 * math.pi * (n_in + n_out)))
+            for p, (n_in, n_out) in zip(raw, sums)]
+
+
+def _overlap_integrals(sets):
+    """Int f_1 ... f_m rho drho over the core and over the cladding, per set.
+
+    ``sets`` holds tuples of m profiles.  For set s with r its first
+    profile's core radius, integral 2s runs over [0, r] and 2s + 1 over
+    [r, the smallest outer_extent], all in one ``_levels`` call at the
+    default quadrature spec.  The integrand is ones * f_1 * ... * f_m *
+    rho, each f from ``_amplitude`` with the profile's own parameters, so
+    each integral has the bits of its own ``integrate_1d`` call.  Returns
+    an array (sets, 2).
+    """
+    n = len(sets)
+    # (set, profile, [u, w, norm, core radius])
+    params = np.array([[(p.u, p.w, p.norm, p.core_radius) for p in profiles]
+                       for profiles in sets], dtype=float)
+    r = params[:, 0, 3]
+    rho_max = np.array([min(p.outer_extent for p in profiles)
+                        for profiles in sets])
+
+    def integrand(owner, rho):
+        out = np.ones_like(rho)
+        # per profile slot: u, w, norm and radius of each row's set, (rows, 1)
+        for u, w, norm, radius in params[owner // 2].transpose(1, 2, 0)[..., None]:
+            out = out * _amplitude(rho, radius, u, w, norm)
+        return out * rho
+
+    value, _error, _subdivisions = _levels(
+        integrand, 2 * n, np.stack([np.zeros(n), r], axis=1).ravel(),
+        np.stack([r, rho_max], axis=1).ravel(), DEFAULT_QUADRATURE)
+    return value.reshape(n, 2)
 
 
 def effective_area(profiles):
@@ -431,25 +509,28 @@ def effective_area(profiles):
     1 / (2 pi Int f1 f2 f3 f4 rho drho); the order of the profiles does not
     matter because the integrand is a plain product.
     """
-    if len(profiles) != 4:
-        raise ValueError("effective_area takes exactly four profiles")
-    r = profiles[0].core_radius
-    if any(abs(p.core_radius - r) > 1e-12 * r for p in profiles):
-        raise ValueError("profiles must share the fiber geometry")
-    rho_max = min(p.outer_extent for p in profiles)
+    return _effective_areas([profiles])[0]
 
-    def product(rho):
-        out = np.ones_like(rho)
-        for p in profiles:
-            out = out * p.amplitude(rho)
-        return out * rho
 
-    inner = integrate_1d(product, 0.0, r)
-    outer = integrate_1d(product, r, rho_max)
-    overlap = 2 * math.pi * (inner.value + outer.value)
-    if not (overlap > 0 and math.isfinite(overlap)):
-        raise OverlapError(f"vanishing four-mode overlap: {overlap}")
-    return 1.0 / overlap
+def _effective_areas(sets):
+    """``effective_area`` of many sets of four profiles, in one batch.
+
+    All the overlap integrals run in one ``_overlap_integrals`` call; the
+    first set with a vanishing overlap raises OverlapError.
+    """
+    for profiles in sets:
+        if len(profiles) != 4:
+            raise ValueError("effective_area takes exactly four profiles")
+        r = profiles[0].core_radius
+        if any(abs(p.core_radius - r) > 1e-12 * r for p in profiles):
+            raise ValueError("profiles must share the fiber geometry")
+    areas = []
+    for inner, outer in _overlap_integrals(sets):
+        overlap = 2 * math.pi * (inner + outer)
+        if not (overlap > 0 and math.isfinite(overlap)):
+            raise OverlapError(f"vanishing four-mode overlap: {overlap}")
+        areas.append(1.0 / overlap)
+    return areas
 
 
 def _a_eff(fiber, *carriers):
@@ -468,6 +549,19 @@ def gamma_pump(fiber, omega):
     """Self/cross-phase nonlinear coefficient of one pump [1/(W m)]."""
     a = _a_eff(fiber, omega, omega, omega, omega)
     return fiber.n2_kerr * float(omega) / (C * a)
+
+
+def gamma_pumps(fiber, omegas):
+    """``gamma_pump`` at many pump carriers [rad/s], bit for bit, in one batch.
+
+    One ``_mode_profiles`` and one ``_effective_areas`` call serve every
+    carrier, without the per-carrier caches.
+    """
+    profiles = _mode_profiles(omegas, fiber.core_radius,
+                              fiber.air_fill_fraction)
+    areas = _effective_areas([(p,) * 4 for p in profiles])
+    return [fiber.n2_kerr * float(om) / (C * a)
+            for om, a in zip(omegas, areas)]
 
 
 def gamma_sfwm(fiber, omega_p1, omega_p2, omega_s, omega_i):

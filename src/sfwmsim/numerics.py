@@ -18,6 +18,16 @@ level together, calling ``f(x, y)`` with one panel per row (``x`` of shape
 (panels, 1), ``y`` of shape (panels, order)).  Batching moves no bits: each
 panel sum and running sum rounds as for one integral on its own.
 
+``_levels`` takes one interval per integral, so integrals over different
+ranges (the mode-profile normalisations and overlaps of many carriers)
+share its levels too.
+
+Root finding has one Brent body, ``_brent``, written as a generator that
+yields each abscissa and is sent f there.  ``find_root`` drives one;
+``find_roots`` advances many brackets in lockstep, one call of a
+vectorised f per step for all of them, and each lane gets the bits of its
+own ``find_root``.
+
 ``_sinc_phasor`` forms the phase-matching factor sinc(x) e^{ix} of the pump
 convolution element by element, at one sin and one cos each, for the joint
 spectral amplitude and the Taylor pulsed integrand.  ``_sinc_phasor_sum``
@@ -93,8 +103,32 @@ def bracket_root(f, lo, hi):
     return RootBracket(lo, hi, f(lo), f(hi))
 
 
+# The default 15-point Gauss-Legendre rule (QuadratureSpec.panel_order),
+# as float.hex of np.polynomial.legendre.leggauss(15) gives it (a test pins
+# the bits).  As constants, the default integrals depend on no LAPACK build
+# and make no eigen-solve, which costs about 0.75 MB of resident memory on
+# first use; other orders (the pump rule's) still come from leggauss.
+_GAUSS_15_NODES = (
+    "-0x1.f9da27c32e6d0p-1", "-0x1.dfe24c4f8b447p-1", "-0x1.b248221fffd63p-1",
+    "-0x1.72e6e181ab3c4p-1", "-0x1.245676f08f3a4p-1", "-0x1.939c69257d6b6p-2",
+    "-0x1.9c0ba62ef04b5p-3", "0x0.0p+0", "0x1.9c0ba62ef04b5p-3",
+    "0x1.939c69257d6b6p-2", "0x1.245676f08f3a4p-1", "0x1.72e6e181ab3c4p-1",
+    "0x1.b248221fffd63p-1", "0x1.dfe24c4f8b447p-1", "0x1.f9da27c32e6d0p-1",
+)
+_GAUSS_15_WEIGHTS = (
+    "0x1.f7dc7227a2908p-6", "0x1.2038260b5d03ap-4", "0x1.b6ec9635f1120p-4",
+    "0x1.1dd73b4963165p-3", "0x1.5484f30a86ed3p-3", "0x1.7d41fa76dc267p-3",
+    "0x1.96633f1fd02cfp-3", "0x1.9ee1575f9c980p-3", "0x1.96633f1fd02cfp-3",
+    "0x1.7d41fa76dc267p-3", "0x1.5484f30a86ed3p-3", "0x1.1dd73b4963165p-3",
+    "0x1.b6ec9635f1120p-4", "0x1.2038260b5d03ap-4", "0x1.f7dc7227a2908p-6",
+)
+
+
 @lru_cache(maxsize=32)
 def _gauss_nodes(order):
+    if order == 15:
+        return (np.array([float.fromhex(h) for h in _GAUSS_15_NODES]),
+                np.array([float.fromhex(h) for h in _GAUSS_15_WEIGHTS]))
     x, w = np.polynomial.legendre.leggauss(order)
     return x, w
 
@@ -233,27 +267,37 @@ def _panel_sums(half, vals, w):
 
 
 def _levels(f, count, a, b, spec):
-    """``count`` adaptive Gauss-Legendre integrals over [a, b], a level at a time.
+    """``count`` adaptive Gauss-Legendre integrals, a level at a time.
 
-    Each level makes one call ``f(owner, nodes)``: row r of ``nodes``
-    (panels, order) holds the Gauss nodes of one panel of integral
-    ``owner[r]``; ``f`` returns their values, shape (panels, order, *k).
-    Returns values (count, *k), errors and subdivisions (count,), or raises
-    the NonConvergenceError (with its best estimate) of the lowest-numbered
-    integral to reach the subdivision cap, as a sequential run would.
+    Integral i runs over [a[i], b[i]]; ``a`` and ``b`` are floats shared
+    by all the integrals or sequences of ``count`` bounds.  Each level
+    makes one call ``f(owner, nodes)``: row r of ``nodes`` (panels, order)
+    holds the Gauss nodes of one panel of integral ``owner[r]``; ``f``
+    returns their values, shape (panels, order, *k).  Returns values
+    (count, *k), errors and subdivisions (count,), or raises the
+    NonConvergenceError (with its best estimate) of the lowest-numbered
+    integral to reach the subdivision cap, as a sequential run would: the
+    integrals below it run to the end, the ones above it are dropped.
 
     Live panels are rows of arrays (edges, owner, value, error of the split
     that made them), grouped by owner.  A split is accepted on the global
-    tolerance prorated by panel width; ``max(rel_tol * |estimate|,
-    abs_tol)`` is NaN for a NaN estimate and then accepts nothing.  Sums
-    are sequential (``_fold``): the estimate adds the pending values in
-    level order to the accepted ones in acceptance order; the result sums
-    the accepted (on failure, also the pending) panels left to right.
+    tolerance prorated by the panel's share of its integral's interval;
+    ``max(rel_tol * |estimate|, abs_tol)`` is NaN for a NaN estimate and
+    then accepts nothing.  Sums are sequential (``_fold``): the estimate
+    adds the pending values in level order to the accepted ones in
+    acceptance order; the result sums the accepted (on failure, also the
+    pending) panels left to right.  Each integral rounds exactly as it
+    would on its own, so any grouping of integrals into one call gives the
+    bits of separate ``integrate_1d`` calls.
     """
-    if not a < b:
-        raise ValueError(f"integration bounds must satisfy a < b, got [{a}, {b}]")
-    a, b = float(a), float(b)
-    span = b - a
+    lo, hi = np.empty(count), np.empty(count)
+    lo[:], hi[:] = a, b
+    ordered = lo < hi
+    if not ordered.all():
+        bad = int(np.argmin(ordered))
+        raise ValueError("integration bounds must satisfy a < b, "
+                         f"got [{lo[bad]}, {hi[bad]}]")
+    span = hi - lo
     x, w = _gauss_nodes(spec.panel_order)
 
     def gauss_sums(owner, lo, hi):
@@ -263,7 +307,6 @@ def _levels(f, count, a, b, spec):
         return _panel_sums(half, vals, w)
 
     owner = np.arange(count)
-    lo, hi = np.full(count, a), np.full(count, b)
     val = gauss_sums(owner, lo, hi)
     err = np.full(val.shape, math.inf)
     accepted_sum = np.zeros_like(val)
@@ -292,7 +335,7 @@ def _levels(f, count, a, b, spec):
         err_max = _maxnorm(split_err)
         width = hi - lo
         accept = np.repeat(
-            (err_max <= tol * width / span)
+            (err_max <= tol * width / span[owner])
             # a split error at the children's rounding cannot be refined away
             | (err_max <= _NOISE * (_maxnorm(left) + _maxnorm(right)))
             | (width < _NOISE * np.maximum(np.maximum(np.abs(lo), np.abs(hi)), 1.0)),
@@ -401,14 +444,15 @@ def integrate_2d(f, window, spec=DEFAULT_QUADRATURE, *, inner_spec=None):
                             subdivisions=outer.subdivisions + inner_sub[0])
 
 
-def find_root(f, bracket, tol):
-    """Root of ``f`` inside a validated bracket (Brent with bisection fallback).
+def _brent(bracket, tol):
+    """Brent's method on a validated bracket, as a generator.
 
-    The returned value always lies inside the original bracket and the final
-    bracket width is at most ``tol``.
+    Yields each abscissa at which it needs f, is sent f there, and returns
+    the root.  This is the one Brent body: ``find_root`` drives one such
+    generator and ``find_roots`` many in lockstep.  It only compares and
+    combines the values it is sent, so a lane's iterates depend on nothing
+    but its own bracket and values.
     """
-    if isinstance(bracket, (tuple, list)):
-        bracket = bracket_root(f, bracket[0], bracket[1])
     if tol <= 0:
         raise ValueError("tol must be > 0")
     a, b = bracket.lo, bracket.hi
@@ -450,7 +494,80 @@ def find_root(f, bracket, tol):
                 d = e = m      # fall back to bisection
         a, fa = b, fb
         b = b + (d if abs(d) > tol1 else math.copysign(tol1, m))
-        fb = f(b)
+        fb = yield b
         if (fb > 0) == (fc > 0):
             c, fc = a, fa
             d = e = b - a
+
+
+def find_root(f, bracket, tol):
+    """Root of ``f`` inside a bracket (Brent with bisection fallback).
+
+    ``bracket`` is a RootBracket or a (lo, hi) pair, whose ends are
+    evaluated first.  The returned value always lies inside the original
+    bracket and the final bracket width is at most ``tol``.  The steps are
+    those of ``_brent``, with one call ``f(x)`` per step.
+    """
+    steps = _bracketed(bracket, tol)
+    value = None           # starts the generator
+    try:
+        while True:
+            value = f(steps.send(value))
+    except StopIteration as done:
+        return done.value
+
+
+def _bracketed(bracket, tol):
+    """``_brent`` on a RootBracket, or on a (lo, hi) pair evaluated first.
+
+    A pair's ends are asked for in ``bracket_root``'s order, lo then hi,
+    and validated before ``tol`` is.
+    """
+    if not isinstance(bracket, RootBracket):
+        lo, hi = bracket
+        f_lo = yield lo
+        bracket = RootBracket(lo, hi, f_lo, (yield hi))
+    return (yield from _brent(bracket, tol))
+
+
+def find_roots(f, brackets, tol):
+    """Roots of many brackets, their Brent steps taken in lockstep.
+
+    Each bracket (a RootBracket, or a (lo, hi) pair, as ``find_root``
+    takes it) is a lane with its own ``_brent`` generator, and each step
+    makes one call ``f(lanes, x)`` for all the lanes still refining:
+    ``x[j]`` is the next abscissa of lane ``lanes[j]`` (lanes ascending),
+    and ``f`` returns one value per lane, the float f there or, in its
+    place, the exception that evaluating it raised.  A lane ends with the
+    root ``find_root`` gives its bracket, bit for bit, whatever the other
+    lanes do, or with the exception ``find_root`` would raise there.  As a
+    sequential run stops at its first error, the lanes below the lowest
+    failed lane run to the end and the ones above it are dropped: their
+    entries are None, also where they had ended.
+
+    Returns one entry per bracket: root, exception or None.
+    """
+    if tol <= 0:
+        raise ValueError("tol must be > 0")
+    outcomes = [None] * len(brackets)
+    failed = len(brackets)
+    live = {lane: _bracketed(bracket, tol)
+            for lane, bracket in enumerate(brackets)}
+    values = dict.fromkeys(live)   # None starts each generator
+    while live:
+        x = {}
+        for lane, steps in live.items():
+            value = values[lane]
+            try:
+                x[lane] = (steps.throw(value) if isinstance(value, Exception)
+                           else steps.send(value))
+            except StopIteration as done:
+                outcomes[lane] = done.value
+            except Exception as exc:
+                outcomes[lane] = exc
+                failed = min(failed, lane)
+        live = {lane: live[lane] for lane in x if lane < failed}
+        if live:
+            values = dict(zip(live, f(list(live), [x[lane] for lane in live])))
+    outcomes[failed + 1:] = [None] * len(outcomes[failed + 1:])
+    return outcomes

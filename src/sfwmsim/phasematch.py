@@ -23,7 +23,7 @@ import numpy as np
 from .constants import omega_from_um, um_from_omega
 from .errors import DivergenceError, NoPhasematchError, RegimeError
 from .dispersion import beta1
-from .sfwm import phasematch_roots
+from .sfwm import phasematch_roots_lockstep
 
 _GRAD_FLOOR = 1e-18     # s/m; below this the level-curve direction is undefined
 
@@ -104,20 +104,35 @@ def contour(config, pump_wavelength_range_um, n_points):
     detuning is the outer branch, anything else inner; frequencies with no
     solution are skipped.  Points are ordered by pump frequency, outer
     branch first within a frequency.
+
+    The roots of all the pump frequencies are found in lockstep
+    (``phasematch_roots_lockstep``): the pump betas and nonlinear phases in
+    one batch, and each Brent step of every bracket in one exact mode
+    solve.  The answer is bit for bit that of ``phasematch_roots`` at one
+    pump frequency after another, and so is the error raised: a
+    NoPhasematchError skips its frequency, and any other error is the one
+    the lowest-index pump frequency raises, after the frequencies below it
+    have given their points (orientation angles included).
     """
     if not config.degenerate:
         raise RegimeError("the pump-detuning contour is defined for "
                           "degenerate pumps")
     lo_um, hi_um = pump_wavelength_range_um
     lams = np.linspace(lo_um, hi_um, n_points)
-    points = []
+    configs, error = [], None
     for lam in lams:
-        om_p = omega_from_um(float(lam))
-        cfg = _repumped(config, om_p)
         try:
-            roots = phasematch_roots(cfg)
-        except NoPhasematchError:
+            configs.append(_repumped(config, omega_from_um(float(lam))))
+        except (ValueError, ArithmeticError) as exc:
+            error = exc        # an invalid wavelength: raised after the ones below
+            break
+    points = []
+    for cfg, roots in zip(configs, phasematch_roots_lockstep(configs)):
+        if isinstance(roots, NoPhasematchError):
             continue
+        if isinstance(roots, Exception):
+            raise roots
+        om_p = cfg.pump1.omega0
         for rank, om_s in enumerate(roots):
             om_i = cfg.omega_total - om_s
             branch = "outer" if rank == 0 else "inner"
@@ -133,6 +148,8 @@ def contour(config, pump_wavelength_range_um, n_points):
                     detuning_idler=omi - om_p,
                     theta_si=theta,
                     branch=branch))
+    if error is not None:
+        raise error
     points.sort(key=lambda p: (p.pump_frequency, p.branch != "outer",
                                -p.detuning_signal))
     return points

@@ -19,15 +19,17 @@ from dataclasses import astuple, dataclass
 import numpy as np
 
 from .constants import TWO_PI, um_from_omega, omega_from_um
-from .dispersion import (FiberSpec, beta, beta1, beta2, effective_index,
-                         gamma_pump)
-from .errors import ConfigError, NoPhasematchError, RegimeError
+from .dispersion import (FiberSpec, _beta_exact, beta, beta1, beta2,
+                         effective_index, gamma_pump, gamma_pumps)
+from .errors import ConfigError, NoPhasematchError, RegimeError, SfwmError
 from .numerics import (QuadratureSpec, _gauss_nodes, _sinc_phasor,
-                       bracket_root, find_root)
+                       bracket_root, find_root, find_roots)
 
 # band scanned for phasematched frequencies [um]
 SCAN_BAND_UM = (0.35, 2.2)
 _SCAN_POINTS = 1200
+# bracket width [rad/s] to which the phasematched frequencies are refined
+_ROOT_TOL = 1e2
 
 
 @dataclass(frozen=True)
@@ -158,8 +160,11 @@ def pump_envelope(pump, omega):
 
 def nonlinear_phase(config):
     """gamma1 P1 + gamma2 P2 [1/m]; average powers in the CW regime."""
-    g1 = gamma_pump(config.fiber, config.pump1.omega0)
-    g2 = gamma_pump(config.fiber, config.pump2.omega0)
+    return _nonlinear_phase(config, gamma_pump(config.fiber, config.pump1.omega0),
+                            gamma_pump(config.fiber, config.pump2.omega0))
+
+
+def _nonlinear_phase(config, g1, g2):
     if config.is_cw:
         return g1 * config.pump1.avg_power + g2 * config.pump2.avg_power
     return g1 * peak_power(config.pump1) + g2 * peak_power(config.pump2)
@@ -190,12 +195,40 @@ def _line_mismatch(config):
     frequency and total = omega_1 + omega_2.  A scalar gives a float through
     the exact scalar solve; an array goes through the array path.  The scan,
     the root refinement, the centre residual and the CW integrand all use
-    this one function.
+    this one function; ``_exact_line_mismatch`` evaluates its scalar
+    formula on arrays.
     """
+    return _mismatch_on_line(config, *_pump_terms(config))
+
+
+def _pump_terms(config):
+    """(beta(omega_1) + beta(omega_2), nonlinear phase) at the pump carriers."""
+    fiber = config.fiber
+    return (beta(config.pump1.omega0, fiber) + beta(config.pump2.omega0, fiber),
+            nonlinear_phase(config))
+
+
+def _pump_terms_batch(configs):
+    """``_pump_terms`` of many configs of one fiber, bit for bit, uncached.
+
+    The betas of all their distinct pump carriers come from one exact
+    evaluation (``_beta_exact``), and their gammas from one
+    ``gamma_pumps`` batch.
+    """
+    fiber = configs[0].fiber
+    carriers = list(dict.fromkeys(om for c in configs
+                                  for om in (c.pump1.omega0, c.pump2.omega0)))
+    b = dict(zip(carriers, _beta_exact(np.array(carriers), fiber).tolist()))
+    g = dict(zip(carriers, gamma_pumps(fiber, carriers)))
+    return [(b[c.pump1.omega0] + b[c.pump2.omega0],
+             _nonlinear_phase(c, g[c.pump1.omega0], g[c.pump2.omega0]))
+            for c in configs]
+
+
+def _mismatch_on_line(config, s_pumps, nl):
+    """``_line_mismatch`` with its pump beta sum and nonlinear phase given."""
     fiber = config.fiber
     total = config.omega_total
-    s_pumps = beta(config.pump1.omega0, fiber) + beta(config.pump2.omega0, fiber)
-    nl = nonlinear_phase(config)
 
     def dk(om):
         if np.ndim(om) == 0:
@@ -205,6 +238,18 @@ def _line_mismatch(config):
         return s_pumps - beta(om, fiber) - beta(total - om, fiber) - nl
 
     return dk
+
+
+def _exact_line_mismatch(fiber, om, total, s_pumps, nl):
+    """The scalar dk of ``_line_mismatch`` at every point of a flat array.
+
+    ``total``, ``s_pumps`` and ``nl`` are per point or shared.  beta comes
+    from one exact evaluation of all 2n frequencies (``_beta_exact``), so
+    each value has the bits of the scalar dk at that point.
+    """
+    om = np.asarray(om, dtype=float)
+    b = _beta_exact(np.concatenate([om, total - om]), fiber)
+    return s_pumps - b[:om.size] - b[om.size:] - nl
 
 
 def _near_pump(config, om):
@@ -226,15 +271,8 @@ def _near_pump(config, om):
     return near
 
 
-def phasematch_roots(config):
-    """Distinct signal-above phasematched frequencies, outer first.
-
-    Sign-scans SCAN_BAND_UM (excluding each pump's neighbourhood, see
-    ``_near_pump``), refines every crossing by bracketed root finding, and
-    returns the roots above the energy-conservation midpoint ordered by
-    detuning magnitude, largest (outer branch) first.  Mirror roots follow
-    by energy conservation.  Empty tuple when nothing phasematches.
-    """
+def _scan_band(config):
+    """(lo, hi) [rad/s] of the scan: SCAN_BAND_UM, with mirrors in band too."""
     total = config.omega_total
     lo = omega_from_um(SCAN_BAND_UM[1])
     hi = omega_from_um(SCAN_BAND_UM[0])
@@ -244,30 +282,170 @@ def phasematch_roots(config):
     if not lo < hi:
         raise NoPhasematchError("scan band is empty after mirroring",
                                 scanned_range=SCAN_BAND_UM)
-    grid = np.linspace(lo, hi, _SCAN_POINTS)
-    f = _line_mismatch(config)
-    vals = f(grid)
-    keep = ~_near_pump(config, grid)
-    # intervals with both ends kept that start on a zero or change sign
-    crossing = (keep[:-1] & keep[1:]
-                & ((vals[:-1] == 0.0) | (vals[:-1] * vals[1:] < 0)))
+    return lo, hi
 
-    roots = []
-    for i in np.flatnonzero(crossing).tolist():
-        if vals[i] == 0.0:
-            root = float(grid[i])
-        else:
-            root = find_root(f, bracket_root(f, grid[i], grid[i + 1]),
-                             tol=1e2)
-        if not _near_pump(config, root):
-            roots.append(root)
-    above = sorted((om for om in roots if om > 0.5 * total),
-                   key=lambda om: abs(om - 0.5 * total), reverse=True)
+
+def _crossings(config, dk, band):
+    """Scan of ``band`` with the array dk: (lo, hi, dk(lo) == 0) of each
+    interval to refine (``_signal_crossings``), in scan order."""
+    grid = np.linspace(*band, _SCAN_POINTS)
+    vals = dk(grid)
+    return [(grid[i], grid[i + 1], vals[i] == 0.0)
+            for i in _signal_crossings(config, grid, vals)]
+
+
+def _signal_crossings(config, grid, vals):
+    """Indexes i of the scan intervals [grid[i], grid[i + 1]] to refine.
+
+    Both ends kept (``_near_pump``), a zero at the start or a sign change,
+    and an end above the midpoint: a root refined inside an interval that
+    ends at or below it cannot be a signal-above root.
+    """
+    keep = ~_near_pump(config, grid)
+    crossing = (keep[:-1] & keep[1:]
+                & ((vals[:-1] == 0.0) | (vals[:-1] * vals[1:] < 0))
+                & (grid[1:] > 0.5 * config.omega_total))
+    return np.flatnonzero(crossing).tolist()
+
+
+def _signal_roots(config, roots):
+    """Distinct roots above the midpoint and off the pumps, outer first."""
+    half = 0.5 * config.omega_total
+    above = sorted((om for om in roots
+                    if not _near_pump(config, om) and om > half),
+                   key=lambda om: abs(om - half), reverse=True)
     distinct = []
     for om in above:
         if all(abs(om - o) > 1e-6 * om for o in distinct):
             distinct.append(om)
     return tuple(distinct)
+
+
+def phasematch_roots(config):
+    """Distinct signal-above phasematched frequencies, outer first.
+
+    Sign-scans SCAN_BAND_UM (excluding each pump's neighbourhood, see
+    ``_near_pump``) with the array mismatch, refines each crossing on the
+    signal side of the energy-conservation midpoint by Brent's method on
+    the exact scalar mismatch (``find_root``, from a bracket evaluated
+    there too), and returns the roots above the midpoint ordered by
+    detuning magnitude, largest (outer branch) first.  Mirror roots follow
+    by energy conservation.  Empty tuple when nothing phasematches.
+
+    dk is symmetric under om <-> total - om, so every crossing has a mirror
+    crossing; the scan skips every interval that ends at or below the
+    midpoint, because the root refined in it lies inside it and would be
+    dropped as not above the midpoint.  The answer is bit for bit that of
+    refining every crossing.
+    """
+    band = _scan_band(config)
+    f = _line_mismatch(config)
+    roots = [float(lo) if on_zero else
+             find_root(f, bracket_root(f, lo, hi), tol=_ROOT_TOL)
+             for lo, hi, on_zero in _crossings(config, f, band)]
+    return _signal_roots(config, roots)
+
+
+def phasematch_roots_lockstep(configs):
+    """``phasematch_roots`` of many configs of one fiber, refined in lockstep.
+
+    Returns one entry per config: the tuple ``phasematch_roots(config)``
+    returns, or the exception it raises.  Each config runs the stages of
+    ``phasematch_roots`` in their order (scan grid, pump betas and
+    nonlinear phase, scan, then its crossings in scan order), and two of
+    them are batched across configs, without the per-carrier caches:
+
+    * the pump beta sums and nonlinear phases come from one batch over
+      the distinct pump carriers (``_pump_terms_batch``);
+    * every crossing of every config is one lane of ``find_roots``,
+      which evaluates its bracket ends and then takes its Brent steps;
+      each step of all the live lanes is one exact array evaluation of
+      the mismatch (``_exact_line_mismatch``: one mode solve per step,
+      not one per point, and not through the scalar cache).
+
+    Every root has the bits of ``phasematch_roots``.  Where a batch
+    raises a package error (SfwmError), its configs or lanes are evaluated
+    one at a time as ``phasematch_roots`` evaluates them, so each gets the
+    error it raises there.  A NoPhasematchError is one config's answer.
+    Any other package error ends the run where a sequential run over the
+    configs would end: the configs below it finish, and the entries above
+    it are None.
+    """
+    fiber = configs[0].fiber if configs else None
+    if any(c.fiber != fiber for c in configs):
+        raise ValueError("configs must share the fiber")
+    out = [None] * len(configs)
+    failed = len(configs)
+
+    def fail(k, exc):
+        nonlocal failed
+        out[k] = exc
+        if not isinstance(exc, NoPhasematchError):
+            failed = min(failed, k)
+
+    def each(keys, stage):
+        """{k: stage(k)} in config order; a config that raises ends there."""
+        done = {}
+        for k in keys:
+            try:
+                done[k] = stage(k)
+            except SfwmError as exc:
+                fail(k, exc)
+            if failed <= k:
+                break
+        return done
+
+    bands = each(range(len(configs)), lambda k: _scan_band(configs[k]))
+    try:
+        pumps = dict(zip(bands, _pump_terms_batch([configs[k] for k in bands])
+                         if bands else ()))
+    except SfwmError:
+        pumps = each(bands, lambda k: _pump_terms(configs[k]))
+    dks = {k: _mismatch_on_line(configs[k], *pumps[k]) for k in pumps}
+    # one scan at a time, so only its crossings are kept
+    scans = each(dks, lambda k: _crossings(configs[k], dks[k], bands[k]))
+
+    # one lane per crossing, in sequential order: its config and outcome
+    # (the root where the scan hit a zero, else refined below)
+    lanes, outcome, brackets, refine = [], [], [], []
+    for k, found in scans.items():
+        for lo, hi, on_zero in found:
+            if not on_zero:
+                refine.append(len(lanes))
+                brackets.append((lo, hi))
+            lanes.append(k)
+            outcome.append(float(lo) if on_zero else None)
+    # per refined lane: total, pump beta sum and nonlinear phase
+    owner = [lanes[j] for j in refine]
+    terms = np.array([(configs[k].omega_total, *pumps[k])
+                      for k in owner]).reshape(-1, 3).T
+
+    def mismatch(ids, x):
+        """dk of refined lane ids[n] at x[n], or the exception it raises."""
+        try:
+            return _exact_line_mismatch(fiber, x, *terms[:, ids]).tolist()
+        except SfwmError:
+            values = []
+            for n, xn in zip(ids, x):
+                try:
+                    values.append(dks[owner[n]](xn))
+                except SfwmError as exc:
+                    values.append(exc)
+            return values
+
+    for j, value in zip(refine, find_roots(mismatch, brackets, _ROOT_TOL)):
+        outcome[j] = value
+
+    roots = {k: [] for k in scans}
+    for k, value in zip(lanes, outcome):
+        if isinstance(value, Exception):
+            fail(k, value)
+            break
+        roots[k].append(value)
+    for k, found in roots.items():
+        if k < failed:
+            out[k] = _signal_roots(configs[k], found)
+    return out
 
 
 def solve_phasematch_center(config, branch="outer", side="signal-above"):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,12 +9,15 @@ from sfwmsim import _kernels_py
 from sfwmsim import _kernels_py as kernels
 from sfwmsim.constants import (C, SELLMEIER_RANGE_UM, omega_from_um,
                                um_from_omega)
-from sfwmsim.dispersion import (FiberSpec, TaylorDispersion, beta, beta1,
-                                beta2, effective_area, effective_index,
-                                find_zero_dispersion, gamma_pump, gamma_sfwm,
+from sfwmsim.dispersion import (FiberSpec, TaylorDispersion, _amplitude,
+                                _beta_exact, _effective_areas, _mode_profiles,
+                                beta, beta1, beta2, effective_area,
+                                effective_index, find_zero_dispersion,
+                                gamma_pump, gamma_pumps, gamma_sfwm,
                                 mode_profile, nonlinear_parameters,
                                 silica_index)
-from sfwmsim.errors import ModeCutoffError, WavelengthRangeError
+from sfwmsim.errors import (ModeCutoffError, OverlapError,
+                            WavelengthRangeError)
 
 
 def hand_sellmeier(lam_um):
@@ -468,6 +472,151 @@ class TestGamma:
         assert params.gamma_sfwm > 0
         assert params.gamma_pump_1 == params.gamma_pump_2
         assert params.a_eff > 0
+
+
+# carrier sets [um] of the batched-area tests: degenerate and four distinct
+AREA_SETS = {"degenerate_708": (0.708,) * 4, "degenerate_155": (1.55,) * 4,
+             "distinct": (0.521, 1.042, 0.6, 0.9),
+             "distinct2": (0.75, 0.75, 0.62, 0.95)}
+AREA_GEOMETRY = {"A": (0.97e-6, 0.91), "B": (0.5e-6, 0.6),
+                 "core20": (20e-6, 0.91)}
+# float.hex of effective_area(profiles) and of gamma_pump at the set's
+# first carrier, as one integrate_1d call per normalisation and overlap
+# integral gave them
+AREA_BITS = {
+    ("A", "degenerate_708"): ("0x1.d463697ee9f29p-40",
+                       "0x1.1bfa30dec46e8p-3"),
+    ("A", "degenerate_155"): ("0x1.263510631e8e2p-39",
+                       "0x1.9d0454b644223p-5"),
+    ("A", "distinct"): ("0x1.dc363a3129742p-40",
+                 "0x1.93ba908736bd3p-3"),
+    ("A", "distinct2"): ("0x1.db9b0ac79be06p-40",
+                  "0x1.0957d327e9db0p-3"),
+    ("B", "degenerate_708"): ("0x1.4d5c83d2432aep-41",
+                       "0x1.8f005b203666bp-2"),
+    ("B", "degenerate_155"): ("0x1.c851cba4fc50dp-40",
+                       "0x1.0a49d354c8790p-4"),
+    ("B", "distinct"): ("0x1.6774b404fd4adp-41",
+                 "0x1.3759f9d9f29bcp-1"),
+    ("B", "distinct2"): ("0x1.60edf5fadbb73p-41",
+                  "0x1.6c264de83707cp-2"),
+    ("core20", "degenerate_708"): ("0x1.4bfd5e32b282dp-31",
+                            "0x1.90a661a78589dp-12"),
+    ("core20", "degenerate_155"): ("0x1.4f64a46be3ddcp-31",
+                            "0x1.6a4c88cfc45f4p-13"),
+    ("core20", "distinct"): ("0x1.4c38b6271f724p-31",
+                      "0x1.10d7d40ba8d8ep-11"),
+    ("core20", "distinct2"): ("0x1.4c3a6ba7c01f8p-31",
+                       "0x1.7a05a57e1b8adp-12"),
+}
+# float.hex of the profile norm per (geometry, carrier [um])
+NORM_BITS = {
+    ("A", 0.708): "0x1.96dc1f37307b0p+16",
+    ("A", 1.55): "0x1.88669a2e6df09p+17",
+    ("A", 0.521): "0x1.333c94778379cp+16",
+    ("A", 1.042): "0x1.1c6d14d8104acp+17",
+    ("A", 0.6): "0x1.5e3ec58dc4d5ep+16",
+    ("A", 0.9): "0x1.f62dc404c5acep+16",
+    ("A", 0.75): "0x1.ac433c4537230p+16",
+    ("A", 0.62): "0x1.68e91039d077dp+16",
+    ("A", 0.95): "0x1.07005e343ea1fp+17",
+    ("B", 0.708): "0x1.a913d1f483af1p+18",
+    ("B", 1.55): "0x1.2b42e169d39b4p+19",
+    ("B", 0.521): "0x1.4f89e9ae6889dp+18",
+    ("B", 1.042): "0x1.0ed7986eff22dp+19",
+    ("B", 0.6): "0x1.7781643ee837fp+18",
+    ("B", 0.9): "0x1.f30d0a01e8c25p+18",
+    ("B", 0.75): "0x1.bacfcfddd70a7p+18",
+    ("B", 0.62): "0x1.811ec6ffbb6cbp+18",
+    ("B", 0.95): "0x1.01a309648a879p+19",
+    ("core20", 0.708): "0x1.19d7633a8789dp+8",
+    ("core20", 1.55): "0x1.3778ec2abcafep+9",
+    ("core20", 0.521): "0x1.9b5e99cdbb44ep+7",
+    ("core20", 1.042): "0x1.a0f2081930e0cp+8",
+    ("core20", 0.6): "0x1.dbe64e0ecde90p+7",
+    ("core20", 0.9): "0x1.678e8f275b2e5p+8",
+    ("core20", 0.75): "0x1.2addbd011ee4dp+8",
+    ("core20", 0.62): "0x1.ec2fd6745c553p+7",
+    ("core20", 0.95): "0x1.7bc419faa9580p+8",
+}
+
+
+class TestExactArrayBeta:
+    """_beta_exact gives every point the bits of the scalar beta."""
+
+    @pytest.mark.parametrize("core_radius, fill",
+                             [(0.97e-6, 0.91), (0.5e-6, 0.6), (20e-6, 0.91)])
+    def test_step_index_equals_scalar(self, core_radius, fill):
+        fiber = FiberSpec(core_radius=core_radius, air_fill_fraction=fill,
+                          length=1.0)
+        om = omega_from_um(np.linspace(0.36, 2.1, 97))
+        got = _beta_exact(om, fiber)
+        assert [v.hex() for v in got.tolist()] == \
+            [float(beta(float(x), fiber)).hex() for x in om]
+
+    def test_taylor_equals_scalar(self):
+        fiber = taylor_fiber(omega_from_um(0.708), (1.2e7, 4.9e-9, 3e-26, 1e-40))
+        om = omega_from_um(np.linspace(0.5, 1.2, 41))
+        assert [v.hex() for v in _beta_exact(om, fiber).tolist()] == \
+            [beta(float(x), fiber).hex() for x in om]
+
+    def test_range_checked(self, fiber_a):
+        with pytest.raises(WavelengthRangeError):
+            _beta_exact(np.array([omega_from_um(0.8), 1e13, 2e15, 3e15]),
+                        fiber_a)
+
+
+class TestBatchedAreas:
+    """Profiles, areas and gammas of many carriers in one lockstep batch."""
+
+    @pytest.mark.parametrize("geom", sorted(AREA_GEOMETRY))
+    def test_scalar_area_bits(self, geom):
+        r, fill = AREA_GEOMETRY[geom]
+        fiber = FiberSpec(core_radius=r, air_fill_fraction=fill, length=1.0)
+        for name, lams in AREA_SETS.items():
+            oms = [omega_from_um(lam) for lam in lams]
+            area = effective_area([mode_profile(om, fiber) for om in oms])
+            assert (area.hex(), gamma_pump(fiber, oms[0]).hex()) == \
+                AREA_BITS[geom, name]
+
+    @pytest.mark.parametrize("geom", sorted(AREA_GEOMETRY))
+    def test_batch_equals_scalar_bits(self, geom):
+        r, fill = AREA_GEOMETRY[geom]
+        lams = sorted({lam for s in AREA_SETS.values() for lam in s})
+        profiles = dict(zip(lams, _mode_profiles(
+            [omega_from_um(lam) for lam in lams], r, fill)))
+        for lam, p in profiles.items():
+            assert p.norm.hex() == NORM_BITS[geom, lam]
+        areas = _effective_areas([[profiles[lam] for lam in s]
+                                  for s in AREA_SETS.values()])
+        assert [a.hex() for a in areas] == \
+            [AREA_BITS[geom, name][0] for name in AREA_SETS]
+        fiber = FiberSpec(core_radius=r, air_fill_fraction=fill, length=1.0)
+        gammas = gamma_pumps(fiber, [omega_from_um(s[0])
+                                     for s in AREA_SETS.values()])
+        assert [gm.hex() for gm in gammas] == \
+            [AREA_BITS[geom, name][1] for name in AREA_SETS]
+
+    def test_batch_of_one_is_the_scalar_profile(self, fiber_b):
+        om = omega_from_um(0.8)
+        (batch,) = _mode_profiles([om], fiber_b.core_radius,
+                                  fiber_b.air_fill_fraction)
+        assert batch == mode_profile(om, fiber_b)
+
+    def test_amplitude_formula_shared(self, fiber_a):
+        prof = mode_profile(omega_from_um(0.708), fiber_a)
+        rho = np.linspace(0.0, 3 * fiber_a.core_radius, 301)
+        rows = np.stack([rho, rho[::-1]])
+        got = _amplitude(rows, fiber_a.core_radius, np.full((2, 1), prof.u),
+                         np.full((2, 1), prof.w), np.full((2, 1), prof.norm))
+        assert got.tobytes() == np.stack(
+            [prof.amplitude(rho), prof.amplitude(rho[::-1])]).tobytes()
+
+    def test_vanishing_overlap_raises(self, fiber_a):
+        prof = mode_profile(omega_from_um(0.708), fiber_a)
+        dead = replace(prof, norm=0.0)
+        with pytest.raises(OverlapError):
+            _effective_areas([[prof] * 4, [dead, prof, prof, prof]])
 
 
 class TestFiberSpecValidation:

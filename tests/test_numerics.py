@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 from sfwmsim.errors import BracketError, NonConvergenceError
 from sfwmsim.numerics import (QuadratureSpec, RootBracket, _gauss_nodes,
-                              _panel_sums, _sinc_phasor, _sinc_phasor_sum,
-                              bracket_root, erf_ratio, find_root, integrate_1d,
+                              _levels, _panel_sums, _sinc_phasor,
+                              _sinc_phasor_sum, bracket_root, erf_ratio,
+                              find_root, find_roots, integrate_1d,
                               integrate_2d, sinc)
 
 # frozen oracle values (brute-force trapezoid / long bisection, see comments)
@@ -250,6 +251,12 @@ class TestPanelSums:
             assert got.shape == want.shape
             assert got.tobytes() == want.tobytes()
 
+    def test_default_rule_is_leggauss(self):
+        # the pinned default rule has the bits np.polynomial gives it
+        for got, want in zip(_gauss_nodes(15),
+                             np.polynomial.legendre.leggauss(15)):
+            assert got.tobytes() == want.tobytes()
+
     def test_one_value_per_node(self):
         _, w = _gauss_nodes(15)
         with pytest.raises(ValueError):
@@ -340,6 +347,183 @@ class TestFindRoot:
         root = find_root(f, (lo, hi), 1e-10)
         assert lo <= root <= hi
         assert abs(root - center) < 1e-8
+
+
+def _step(x):
+    return -1.0 if x < 0.3 else 1.0
+
+
+# (f, bracket, tol, float.hex of the root and evaluations of f, bracket
+# ends included) as the loop-bodied find_root gave them
+BRENT_GOLDEN = {
+    "linear": (lambda x: x - 2, (0.0, 5.0), 1e-12, "0x1.0000000000000p+1", 3),
+    "cos": (math.cos, (1.0, 2.0), 1e-12, "0x1.921fb54442d18p+0", 7),
+    "cubic": (lambda x: x ** 3 - 2 * x - 5, (2.0, 3.0), 1e-12,
+              "0x1.0c1a4350819e4p+1", 8),
+    "fa_zero": (lambda x: x - 1, (1.0, 3.0), 1e-12, "0x1.0000000000000p+0", 2),
+    "fb_zero": (lambda x: x - 3, (1.0, 3.0), 1e-12, "0x1.8000000000000p+1", 2),
+    # constant |f|: every step is the bisection fallback
+    "step": (_step, (0.0, 1.0), 1e-10, "0x1.3333333300000p-2", 36),
+    "root10": (lambda x: math.copysign(abs(x - 0.3) ** 0.1, x - 0.3),
+               (0.0, 1.0), 1e-12, "0x1.333333333202bp-2", 39),
+    "exp": (lambda x: math.exp(x) - 10, (0.0, 5.0), 1e-10,
+            "0x1.26bb1bbb5556ep+1", 11),
+    "wide": (lambda x: ((x - 2.5e15) / 1e14) ** 3 + 0.1 * (x - 2.5e15) / 1e14
+             - 0.05, (2.4e15, 2.7e15), 1e2, "0x1.1f66e666d288bp+51", 16),
+}
+
+
+class TestBrentLanes:
+    """find_root and the lockstep lanes of find_roots share one Brent body."""
+
+    @pytest.mark.parametrize("name", sorted(BRENT_GOLDEN))
+    def test_find_root_bits(self, name):
+        f, bracket, tol, root, evals = BRENT_GOLDEN[name]
+        xs = []
+        got = find_root(lambda x: xs.append(x) or f(x), bracket, tol)
+        assert float(got).hex() == root
+        assert len(xs) == evals
+
+    def lockstep(self, names, calls=None):
+        fs = [BRENT_GOLDEN[n][0] for n in names]
+
+        def f(lanes, x):
+            if calls is not None:
+                calls.append(list(lanes))
+            return [fs[lane](xj) for lane, xj in zip(lanes, x)]
+
+        brackets = [BRENT_GOLDEN[n][1] for n in names]
+        return find_roots(f, brackets, 1e-12)
+
+    def test_lanes_equal_find_root(self):
+        # all tolerances 1e-12 here, so compare with find_root, not the table
+        names = sorted(n for n in BRENT_GOLDEN if BRENT_GOLDEN[n][2] == 1e-12)
+        calls = []
+        roots = self.lockstep(names, calls)
+        for name, root in zip(names, roots):
+            f, bracket, tol, _root, evals = BRENT_GOLDEN[name]
+            assert float(root).hex() == float(find_root(f, bracket, tol)).hex()
+            # one call per evaluation of each lane, ends included
+            assert sum(names.index(name) in c for c in calls) == evals
+        # lanes end at different steps, and each call serves the live ones
+        assert len({len(c) for c in calls}) > 2
+        assert len(calls) == max(BRENT_GOLDEN[n][4] for n in names)
+
+    @pytest.mark.parametrize("name", sorted(BRENT_GOLDEN))
+    def test_lane_bits_match_golden(self, name):
+        f, bracket, tol, root, _evals = BRENT_GOLDEN[name]
+        others = ["cos", "step", "wide"]
+        fs = [f] + [BRENT_GOLDEN[n][0] for n in others]
+        brackets = [bracket] + [BRENT_GOLDEN[n][1] for n in others]
+        got = find_roots(
+            lambda lanes, x: [fs[lane](xj) for lane, xj in zip(lanes, x)],
+            brackets, tol)
+        assert float(got[0]).hex() == root
+
+    def test_validated_bracket_lane(self):
+        f = BRENT_GOLDEN["cubic"][0]
+        bracket = bracket_root(f, 2.0, 3.0)
+        got = find_roots(lambda lanes, x: [f(xj) for xj in x], [bracket], 1e-12)
+        assert float(got[0]).hex() == "0x1.0c1a4350819e4p+1"
+
+    def test_failed_lane_ends_the_lanes_above(self):
+        # lane 1 (11 evaluations) fails at its fourth; lane 0 (cos) still
+        # needs seven, lane 2 (step) 36, and lane 3 (linear) ends after three
+        fs = [math.cos, lambda x: math.exp(x) - 10, _step, lambda x: x - 2]
+        seen = [0] * 4
+
+        def f(lanes, x):
+            out = []
+            for lane, xj in zip(lanes, x):
+                seen[lane] += 1
+                if lane == 1 and seen[lane] == 4:
+                    out.append(ZeroDivisionError("lane 1"))
+                else:
+                    out.append(fs[lane](xj))
+            return out
+
+        got = find_roots(f, [(1.0, 2.0), (0.0, 5.0), (0.0, 1.0), (0.0, 5.0)],
+                         1e-12)
+        assert float(got[0]).hex() == float(find_root(fs[0], (1.0, 2.0), 1e-12)).hex()
+        assert isinstance(got[1], ZeroDivisionError)
+        assert got[2:] == [None, None]
+        assert seen[0] == 7 and seen[2] == 4
+
+    def test_bracket_error_is_a_lane_failure(self):
+        got = find_roots(lambda lanes, x: [1.0 + xj * xj for xj in x],
+                         [(-1.0, 1.0)], 1e-12)
+        assert isinstance(got[0], BracketError)
+
+    def test_invalid_tolerance(self):
+        with pytest.raises(ValueError):
+            find_roots(lambda lanes, x: x, [(0.0, 1.0)], 0.0)
+
+
+# four integrals on their own intervals, as separate integrate_1d calls
+# gave them: float.hex of value and error, and subdivisions
+LEVELS_C = np.array([0.3, -0.5, 1.2, 2.0])
+LEVELS_W = np.array([8.0, 3.0, 20.0, 1.0])
+LEVELS_A = [-3.0, -1.0, 0.0, 1.5]
+LEVELS_B = [5.0, 0.25, 2.5, 7.0]
+LEVELS_GOLDEN = [
+    ("0x1.2b1efbf3e3c56p-5", "0x1.6d9dbd06fc980p-42", 53),
+    ("0x1.948602ed4ef75p-3", "0x1.d68fe5f577500p-41", 39),
+    ("-0x1.328de6340d7e0p-6", "0x1.705f9e7430000p-43", 45),
+    ("0x1.4ec45d7d65576p+0", "0x1.48136cbf8a000p-41", 43),
+]
+
+
+class TestLevelsBounds:
+    spec = QuadratureSpec(rel_tol=1e-11)
+
+    def test_separate_calls_bits(self):
+        for c, w, a, b, want in zip(LEVELS_C, LEVELS_W, LEVELS_A, LEVELS_B,
+                                    LEVELS_GOLDEN):
+            res = integrate_1d(lambda x: np.sqrt(np.abs(x - c)) * np.cos(w * x),
+                               a, b, self.spec)
+            assert (float(res.value).hex(), res.error_estimate.hex(),
+                    res.subdivisions) == want
+
+    def test_per_integral_bounds_equal_separate_calls(self):
+        def f(owner, x):
+            c, w = LEVELS_C[owner, None], LEVELS_W[owner, None]
+            return np.sqrt(np.abs(x - c)) * np.cos(w * x)
+
+        value, error, subdivisions = _levels(f, 4, LEVELS_A, LEVELS_B, self.spec)
+        got = [(float(v).hex(), float(e).hex(), int(n))
+               for v, e, n in zip(value, error, subdivisions)]
+        assert got == LEVELS_GOLDEN
+
+    def test_bounds_checked_per_integral(self):
+        with pytest.raises(ValueError):
+            _levels(lambda owner, x: x, 2, [0.0, 1.0], [1.0, 1.0], self.spec)
+
+    def test_nonconvergence_owner_order(self):
+        # integrals 1 and 3 fail; 3 (fast oscillation) reaches the cap at
+        # level 7, 1 (a jump, one split per level) at level 22, yet the
+        # sequential order raises 1's error, with its own best estimate
+        spec = QuadratureSpec(rel_tol=1e-15, abs_tol=0.0, max_subdivisions=40)
+        fs = [lambda x: np.sin(1.0 * x * x), lambda x: (x > math.pi / 4) * 1.0,
+              lambda x: np.sin(3.0 * x * x), lambda x: np.sin(80.0 * x * x)]
+        bounds = [10.0, 2.0, 2.0, 10.0]
+        with pytest.raises(NonConvergenceError) as one:
+            integrate_1d(fs[1], 0.0, 2.0, spec)
+        assert (float(one.value.best).hex(), one.value.error_estimate.hex(),
+                one.value.subdivisions) == (
+            "0x1.36f0259a2c153p+0", "0x1.2c38ba4c94080p-29", 41)
+
+        def f(owner, x):
+            out = np.empty_like(x)
+            for k, g in enumerate(fs):
+                rows = owner == k
+                out[rows] = g(x[rows])
+            return out
+
+        with pytest.raises(NonConvergenceError) as err:
+            _levels(f, 4, 0.0, bounds, spec)
+        assert float(err.value.best).hex() == "0x1.36f0259a2c153p+0"
+        assert err.value.error_estimate.hex() == "0x1.2c38ba4c94080p-29"
+        assert err.value.subdivisions == 41
 
 
 class TestErfRatio:

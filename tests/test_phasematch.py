@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 from conftest import taylor_fiber
+from sfwmsim import _kernels_py as kernels
+from sfwmsim import dispersion, sfwm
 from sfwmsim.constants import omega_from_um
-from sfwmsim.errors import RegimeError
+from sfwmsim.errors import ModeCutoffError, NoPhasematchError, RegimeError
 from sfwmsim.phasematch import (ContourPoint, OrientationUndefinedError,
-                                contour, orientation_angle)
+                                _repumped, contour, orientation_angle)
 from sfwmsim.sfwm import (PumpSpec, SourceConfig, nonlinear_phase,
                           phase_mismatch, solve_phasematch_center)
 
@@ -167,3 +169,95 @@ class TestContour:
     def test_sorted_by_pump_frequency(self, points):
         freqs = [p.pump_frequency for p in points]
         assert freqs == sorted(freqs)
+
+
+def sequential_contour(config, lams):
+    """Contour points one pump frequency after another (no lockstep).
+
+    ``phasematch_roots`` and ``orientation_angle`` per frequency, as
+    ``contour`` defines its answer and its errors.
+    """
+    points = []
+    for lam in lams:
+        cfg = _repumped(config, omega_from_um(float(lam)))
+        try:
+            roots = sfwm.phasematch_roots(cfg)
+        except NoPhasematchError:
+            continue
+        for rank, om_s in enumerate(roots):
+            for oms, omi in ((om_s, cfg.omega_total - om_s),
+                             (cfg.omega_total - om_s, om_s)):
+                try:
+                    theta = orientation_angle(oms, omi, cfg)
+                except OrientationUndefinedError:
+                    continue
+                points.append((cfg.pump1.omega0, oms - cfg.pump1.omega0,
+                               theta, "outer" if rank == 0 else "inner"))
+    return sorted(points, key=lambda p: (p[0], p[3] != "outer", -p[1]))
+
+
+class TestContourErrorOrder:
+    """contour answers and fails as a pump-by-pump run would."""
+
+    LAMS = np.linspace(0.70, 0.80, 5)
+
+    @pytest.mark.parametrize("lo, hi, n", [(0.3, 0.8, 11), (0.75, 2.5, 5)])
+    def test_no_phasematch_frequency_is_skipped(self, cfg_loop, lo, hi, n):
+        # 0.3 and 2.5 um pumps leave an empty scan band after mirroring
+        for lam in (0.3, 2.5):
+            with pytest.raises(NoPhasematchError):
+                sfwm.phasematch_roots(_repumped(cfg_loop, omega_from_um(lam)))
+        got = [(p.pump_frequency, p.detuning_signal, p.theta_si, p.branch)
+               for p in contour(cfg_loop, (lo, hi), n)]
+        assert got == sequential_contour(cfg_loop, np.linspace(lo, hi, n))
+        assert got
+
+    def iterates(self, cfg_loop, monkeypatch):
+        """Abscissas at which phasematch_roots evaluates dk, per pump."""
+        out = []
+        find_root, bracket_root = sfwm.find_root, sfwm.bracket_root
+        for lam in self.LAMS:
+            xs = []
+            with monkeypatch.context() as m:
+                m.setattr(sfwm, "bracket_root", lambda f, lo, hi: bracket_root(
+                    lambda x: xs.append(x) or f(x), lo, hi))
+                m.setattr(sfwm, "find_root", lambda f, b, tol: find_root(
+                    lambda x: xs.append(x) or f(x), b, tol))
+                sfwm.phasematch_roots(_repumped(cfg_loop, omega_from_um(lam)))
+            out.append(xs)
+        return out
+
+    def poison(self, monkeypatch, omegas):
+        """Make the exact mode solve fail (NaN n_eff) at the given omegas."""
+        solve = kernels.he11_solve
+
+        def failing(omega, core_radius, fill):
+            neff, u, w = solve(omega, core_radius, fill)
+            return np.where(np.isin(omega, omegas), np.nan, neff), u, w
+
+        monkeypatch.setattr(kernels, "he11_solve", failing)
+        dispersion._neff_scalar_cached.cache_clear()
+
+    def test_lowest_pump_error_wins(self, cfg_loop, monkeypatch):
+        xs = self.iterates(cfg_loop, monkeypatch)
+        # pump 1 fails at its ninth evaluation (a late Brent step of its
+        # first crossing), pump 3 at its first (a bracket end): in lockstep
+        # pump 3 fails first, yet a pump-by-pump run raises pump 1's error
+        late, early = xs[1][8], xs[3][0]
+        self.poison(monkeypatch, [late, early])
+        with pytest.raises(ModeCutoffError) as want:
+            sequential_contour(cfg_loop, self.LAMS)
+        with pytest.raises(ModeCutoffError) as got:
+            contour(cfg_loop, (0.70, 0.80), 5)
+        assert str(got.value) == str(want.value)
+        assert f"{late:.6e}" in str(got.value)
+
+    def test_single_failing_pump(self, cfg_loop, monkeypatch):
+        xs = self.iterates(cfg_loop, monkeypatch)
+        self.poison(monkeypatch, [xs[3][5]])
+        with pytest.raises(ModeCutoffError) as want:
+            sequential_contour(cfg_loop, self.LAMS)
+        with pytest.raises(ModeCutoffError) as got:
+            contour(cfg_loop, (0.70, 0.80), 5)
+        assert str(got.value) == str(want.value)
+        assert f"{xs[3][5]:.6e}" in str(got.value)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from conftest import taylor_fiber
 from sfwmsim.constants import C, omega_from_um, um_from_omega
 from sfwmsim.dispersion import beta, beta1, beta2
+from sfwmsim import sfwm
 from sfwmsim.errors import NoPhasematchError, RegimeError
 from sfwmsim.numerics import integrate_1d
 from sfwmsim.sfwm import (_BLOCK_ELEMENTS, PumpSpec, SourceConfig,
@@ -380,3 +381,104 @@ class TestConfigValidation:
         assert phasematch_roots(swapped) == phasematch_roots(cfg_ndp)
         assert solve_phasematch_center(swapped) == \
             solve_phasematch_center(cfg_ndp)
+
+
+def _repumped_loop(config, lams):
+    return [replace(config, pump1=replace(config.pump1, omega0=omega_from_um(lam)),
+                    pump2=replace(config.pump2, omega0=omega_from_um(lam)))
+            for lam in lams]
+
+
+class TestSignalSideRefinement:
+    """Only crossings that can give a signal-above root are refined."""
+
+    @pytest.mark.parametrize("name", ["cfg_dp", "cfg_ndp", "cfg_cw_dp",
+                                      "cfg_loop"])
+    def test_no_iterate_at_or_below_midpoint(self, request, monkeypatch, name):
+        config = request.getfixturevalue(name)
+        xs = []
+        find_root, bracket_root = sfwm.find_root, sfwm.bracket_root
+        monkeypatch.setattr(sfwm, "find_root", lambda f, b, tol: find_root(
+            lambda x: xs.append(x) or f(x), b, tol))
+        monkeypatch.setattr(sfwm, "bracket_root", lambda f, lo, hi: bracket_root(
+            lambda x: xs.append(x) or f(x), lo, hi))
+        roots = sfwm.phasematch_roots(config)
+        assert roots and xs
+        assert min(xs) > 0.5 * config.omega_total
+
+    def test_no_lockstep_iterate_at_or_below_midpoint(self, cfg_loop,
+                                                      monkeypatch):
+        configs = _repumped_loop(cfg_loop, np.linspace(0.68, 0.84, 6))
+        seen = []
+        exact = sfwm._exact_line_mismatch
+
+        def record(fiber, om, total, s_pumps, nl):
+            seen.append(np.asarray(om) - 0.5 * np.asarray(total))
+            return exact(fiber, om, total, s_pumps, nl)
+
+        monkeypatch.setattr(sfwm, "_exact_line_mismatch", record)
+        assert all(sfwm.phasematch_roots_lockstep(configs))
+        assert seen and min(d.min() for d in seen) > 0.0
+
+
+class TestLockstepRoots:
+    """phasematch_roots_lockstep equals phasematch_roots, bit for bit."""
+
+    def check(self, configs):
+        want = []
+        for config in configs:
+            try:
+                want.append(tuple(r.hex() for r in phasematch_roots(config)))
+            except NoPhasematchError as exc:
+                want.append(type(exc))
+        got = [tuple(r.hex() for r in roots)
+               if isinstance(roots, tuple) else type(roots)
+               for roots in sfwm.phasematch_roots_lockstep(configs)]
+        assert got == want
+        return want
+
+    def test_loop_fiber(self, cfg_loop):
+        want = self.check(_repumped_loop(cfg_loop, np.linspace(0.62, 0.88, 11)))
+        assert {len(w) for w in want} >= {0, 2}
+
+    def test_taylor_fiber(self):
+        fiber = taylor_fiber(omega_from_um(0.708), (
+            12709608.91856346, 4.972458401064144e-09, 1.7257388265561942e-27,
+            6.591119073571425e-41, -5.586155955194142e-56, 9.39673010226559e-71,
+            -1.7057484072930343e-85, 3.578548420376906e-100,
+            -6.356628143533568e-115), length=0.3)
+        pump = PumpSpec.from_units(0.7105, 2.0, 0.4, 80.0)
+        config = SourceConfig(fiber=fiber, pump1=pump, pump2=pump)
+        want = self.check(_repumped_loop(config, np.linspace(0.69, 0.73, 7)))
+        assert any(want)
+
+    def test_cw_and_nondegenerate(self, cfg_cw_dp, cfg_ndp):
+        self.check([cfg_cw_dp])
+        self.check([cfg_ndp, replace(cfg_ndp, pump2=replace(
+            cfg_ndp.pump2, omega0=omega_from_um(1.05)))])
+
+    def test_empty_band_is_an_answer(self, cfg_loop):
+        want = self.check(_repumped_loop(cfg_loop, [0.3, 0.75, 2.5, 0.8]))
+        assert want[0] is want[2] is NoPhasematchError
+
+    def test_one_exact_evaluation_per_step(self, cfg_loop, monkeypatch):
+        configs = _repumped_loop(cfg_loop, np.linspace(0.68, 0.84, 9))
+        steps, solves = [], []
+        find_roots, exact = sfwm.find_roots, sfwm._beta_exact
+
+        def counted(f, brackets, tol):
+            return find_roots(lambda lanes, x: steps.append(len(x)) or f(lanes, x),
+                              brackets, tol)
+
+        monkeypatch.setattr(sfwm, "find_roots", counted)
+        monkeypatch.setattr(sfwm, "_beta_exact",
+                            lambda om, fiber: solves.append(om.size) or exact(om, fiber))
+        sfwm.phasematch_roots_lockstep(configs)
+        # one exact solve of the distinct pump carriers, then one of both
+        # frequencies of every live lane per step
+        assert solves == [len(configs)] + [2 * n for n in steps]
+        assert len(steps) < sum(steps) / 4
+
+    def test_configs_share_the_fiber(self, cfg_dp, cfg_loop):
+        with pytest.raises(ValueError):
+            sfwm.phasematch_roots_lockstep([cfg_dp, cfg_loop])
