@@ -15,7 +15,7 @@ from .dispersion import (FiberSpec, ModeProfile, NonlinearParameters,
                          effective_area, effective_index,
                          find_zero_dispersion, gamma_pump, gamma_sfwm,
                          mode_profile, nonlinear_parameters, silica_index)
-from .efficiency import (EfficiencyResult, b_parameter, eta_closed, eta_cw,
+from .efficiency import (EfficiencyResult, eta_closed, eta_cw,
                          eta_pulsed_numeric, l_max, photons_per_pulse,
                          pump_photon_rate, sigma_max)
 from .errors import (BracketError, ConfigError, DivergenceError,

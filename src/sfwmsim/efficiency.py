@@ -113,18 +113,6 @@ def _signal_idler_walkoff(op):
     return dbsi
 
 
-def b_parameter(config):
-    """Pump walk-off parameter B (dimensionless) of the closed-form pulsed
-    efficiency; math.inf for group-velocity-degenerate pumps."""
-    _require_pulsed(config, "b_parameter")
-    op = operating_point(config)
-    s1, s2 = config.pump1.sigma, config.pump2.sigma
-    db12 = abs(op.b1_p1 - op.b1_p2)
-    if db12 == 0.0:
-        return math.inf
-    return math.sqrt(s1 * s1 + s2 * s2) / (s1 * s2 * config.fiber.length * db12)
-
-
 def l_max(config):
     """Fiber length where the pump pulses stop overlapping [m]."""
     _require_pulsed(config, "l_max")

@@ -1,17 +1,13 @@
 """Phase-matching cartography for degenerate pumping.
 
-Two entry points, both behind the ``contour`` subcommand:
-
-* ``contour`` maps the zero-mismatch contour in (pump frequency, detuning)
-  space over a pump-wavelength sweep and labels the outer/inner solution
-  branches;
-* ``orientation_angle`` gives the angle of the phasematched level curve in
-  (omega_s, omega_i) space at one point of it.  A -45 degree orientation
-  corresponds to matched signal/idler group velocities, beta1(omega_s) ==
-  beta1(omega_i), and is where the conversion efficiency peaks; the angle
-  is exactly -45 degrees there, also when the mismatch gradient vanishes.
-  It holds the higher-frequency pump at its carrier, which the -41 degree
-  anchor of 521/1042 nm pumping decides.
+``contour`` maps the zero-mismatch contour in (pump frequency, detuning)
+space over a pump-wavelength sweep, labels the outer/inner solution
+branches and gives each point the angle of the phasematched level curve in
+(omega_s, omega_i) space, ``orientation_angle``.  A -45 degree orientation
+corresponds to matched signal/idler group velocities, beta1(omega_s) ==
+beta1(omega_i), and is where the conversion efficiency peaks.  The
+contour's answer is defined per pump frequency by ``phasematch_roots`` and
+``orientation_angle``; it is computed in one array pass.
 """
 from __future__ import annotations
 
@@ -21,7 +17,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .constants import omega_from_um, um_from_omega
-from .errors import DivergenceError, NoPhasematchError, RegimeError
+from .errors import (DivergenceError, NoPhasematchError, RegimeError,
+                     SfwmError)
 from .dispersion import beta1
 from .sfwm import phasematch_roots_lockstep
 
@@ -45,15 +42,6 @@ class ContourPoint:
         return um_from_omega(self.pump_frequency)
 
 
-def _fold_angle_deg(theta_rad):
-    th = math.degrees(theta_rad)
-    while th <= -90.0:
-        th += 180.0
-    while th > 90.0:
-        th -= 180.0
-    return th
-
-
 def orientation_angle(omega_s, omega_i, config):
     """Angle of the zero-mismatch level curve at (omega_s, omega_i) [deg].
 
@@ -74,18 +62,45 @@ def orientation_angle(omega_s, omega_i, config):
     PCF at 521/1042 nm, holding the 521 nm pump gives the -41.50 degree
     anchor and holding the 1042 nm pump -40.46.  Read from the stored pump
     order, the angle does not depend on the order the pumps were given in.
+    This is the one-point case of ``_orientation_angles``.
     """
-    fiber = config.fiber
-    b1_conj = beta1(omega_s + omega_i - config.pump2.omega0, fiber)
-    g_s = b1_conj - beta1(omega_s, fiber)
-    g_i = b1_conj - beta1(omega_i, fiber)
-    if g_s == g_i:
-        return -45.0
-    if math.hypot(g_s, g_i) < _GRAD_FLOOR:
+    theta, = _orientation_angles(config.fiber,
+                                 [(omega_s, omega_i, config.pump2.omega0)])
+    if theta is None:
         raise OrientationUndefinedError(
             f"mismatch gradient below {_GRAD_FLOOR} s/m at "
             f"({omega_s:.4e}, {omega_i:.4e})")
-    return _fold_angle_deg(math.atan2(-g_s, g_i))
+    return theta
+
+
+def _orientation_angles(fiber, points):
+    """``orientation_angle`` of many (omega_s, omega_i, omega_2) points, None
+    where undefined, from one beta1 query over the (omega_s + omega_i -
+    omega_2, omega_s, omega_i) of each point in turn.  beta1 evaluates each
+    frequency on its own, so the angles have the bits of one-point queries.
+    If the query raises an SfwmError, one query per frequency in that order
+    raises the error of the first failing one."""
+    omegas = [om for s, i, held in points for om in (s + i - held, s, i)]
+    try:
+        b1 = beta1(np.array(omegas, dtype=float), fiber).tolist()
+    except SfwmError:
+        b1 = [beta1(om, fiber) for om in omegas]
+    return [_angle(c - s, c - i) for c, s, i in zip(b1[::3], b1[1::3], b1[2::3])]
+
+
+def _angle(g_s, g_i):
+    """Angle [deg] in (-90, 90] of the level curve with mismatch gradient
+    (g_s, g_i): -45 where the components are equal, None where undefined."""
+    if g_s == g_i:
+        return -45.0
+    if math.hypot(g_s, g_i) < _GRAD_FLOOR:
+        return None
+    th = math.degrees(math.atan2(-g_s, g_i))
+    while th <= -90.0:
+        th += 180.0
+    while th > 90.0:
+        th -= 180.0
+    return th
 
 
 def _repumped(config, omega_p):
@@ -101,18 +116,16 @@ def contour(config, pump_wavelength_range_um, n_points):
     For every pump frequency on the grid all signal-side solutions are
     found; each contributes two points (signal above and below the pump).
     Branch labels follow detuning magnitude per pump frequency: the largest
-    detuning is the outer branch, anything else inner; frequencies with no
-    solution are skipped.  Points are ordered by pump frequency, outer
-    branch first within a frequency.
+    detuning is the outer branch, anything else inner.  Frequencies with no
+    solution and points with an undefined orientation are skipped.  Points
+    are ordered by pump frequency, outer branch first within a frequency.
 
-    The roots of all the pump frequencies are found in lockstep
-    (``phasematch_roots_lockstep``): the pump betas and nonlinear phases in
-    one batch, and each Brent step of every bracket in one exact mode
-    solve.  The answer is bit for bit that of ``phasematch_roots`` at one
-    pump frequency after another, and so is the error raised: a
-    NoPhasematchError skips its frequency, and any other error is the one
-    the lowest-index pump frequency raises, after the frequencies below it
-    have given their points (orientation angles included).
+    The answer, and the error raised, are those of ``phasematch_roots`` and
+    then ``orientation_angle`` at one pump frequency after another, bit for
+    bit, from one array pass: the roots of every frequency in lockstep
+    (``phasematch_roots_lockstep``), then one beta1 query for the angles of
+    all points below the first frequency whose roots raised
+    (``_orientation_angles``), and only then that roots error.
     """
     if not config.degenerate:
         raise RegimeError("the pump-detuning contour is defined for "
@@ -126,28 +139,23 @@ def contour(config, pump_wavelength_range_um, n_points):
         except (ValueError, ArithmeticError) as exc:
             error = exc        # an invalid wavelength: raised after the ones below
             break
-    points = []
+    # (signal, idler, pump frequency, branch) of every point, pump by pump
+    candidates = []
     for cfg, roots in zip(configs, phasematch_roots_lockstep(configs)):
         if isinstance(roots, NoPhasematchError):
             continue
         if isinstance(roots, Exception):
-            raise roots
+            error = roots      # raised after the angles of the ones below
+            break
         om_p = cfg.pump1.omega0
         for rank, om_s in enumerate(roots):
             om_i = cfg.omega_total - om_s
             branch = "outer" if rank == 0 else "inner"
-            for s_sign in (+1, -1):
-                oms, omi = (om_s, om_i) if s_sign > 0 else (om_i, om_s)
-                try:
-                    theta = orientation_angle(oms, omi, cfg)
-                except OrientationUndefinedError:
-                    continue
-                points.append(ContourPoint(
-                    pump_frequency=om_p,
-                    detuning_signal=oms - om_p,
-                    detuning_idler=omi - om_p,
-                    theta_si=theta,
-                    branch=branch))
+            candidates += [(om_s, om_i, om_p, branch), (om_i, om_s, om_p, branch)]
+    thetas = _orientation_angles(config.fiber, [c[:3] for c in candidates])
+    points = [ContourPoint(om_p, oms - om_p, omi - om_p, theta, branch)
+              for (oms, omi, om_p, branch), theta in zip(candidates, thetas)
+              if theta is not None]
     if error is not None:
         raise error
     points.sort(key=lambda p: (p.pump_frequency, p.branch != "outer",

@@ -22,8 +22,7 @@ from .constants import TWO_PI, um_from_omega, omega_from_um
 from .dispersion import (FiberSpec, _beta_exact, beta, beta1, beta2,
                          effective_index, gamma_pump, gamma_pumps)
 from .errors import ConfigError, NoPhasematchError, RegimeError, SfwmError
-from .numerics import (QuadratureSpec, _gauss_nodes, _sinc_phasor,
-                       bracket_root, find_root, find_roots)
+from .numerics import QuadratureSpec, _gauss_nodes, _sinc_phasor, find_roots
 
 # band scanned for phasematched frequencies [um]
 SCAN_BAND_UM = (0.35, 2.2)
@@ -324,53 +323,54 @@ def _signal_roots(config, roots):
 def phasematch_roots(config):
     """Distinct signal-above phasematched frequencies, outer first.
 
-    Sign-scans SCAN_BAND_UM (excluding each pump's neighbourhood, see
-    ``_near_pump``) with the array mismatch, refines each crossing on the
-    signal side of the energy-conservation midpoint by Brent's method on
-    the exact scalar mismatch (``find_root``, from a bracket evaluated
-    there too), and returns the roots above the midpoint ordered by
-    detuning magnitude, largest (outer branch) first.  Mirror roots follow
-    by energy conservation.  Empty tuple when nothing phasematches.
-
-    dk is symmetric under om <-> total - om, so every crossing has a mirror
-    crossing; the scan skips every interval that ends at or below the
-    midpoint, because the root refined in it lies inside it and would be
-    dropped as not above the midpoint.  The answer is bit for bit that of
-    refining every crossing.
+    The one-config case of ``phasematch_roots_lockstep``, raising the error
+    it would return, with the pump terms from the per-carrier caches
+    (``_pump_terms``), where ``nonlinear_phase`` and ``gamma_sfwm`` read them.
     """
-    band = _scan_band(config)
-    f = _line_mismatch(config)
-    roots = [float(lo) if on_zero else
-             find_root(f, bracket_root(f, lo, hi), tol=_ROOT_TOL)
-             for lo, hi, on_zero in _crossings(config, f, band)]
-    return _signal_roots(config, roots)
+    roots = _roots_lockstep([config], cached=True)[0]
+    if isinstance(roots, Exception):
+        raise roots
+    return roots
 
 
 def phasematch_roots_lockstep(configs):
     """``phasematch_roots`` of many configs of one fiber, refined in lockstep.
 
-    Returns one entry per config: the tuple ``phasematch_roots(config)``
-    returns, or the exception it raises.  Each config runs the stages of
-    ``phasematch_roots`` in their order (scan grid, pump betas and
-    nonlinear phase, scan, then its crossings in scan order), and two of
-    them are batched across configs, without the per-carrier caches:
+    This is the one phase-matching path.  Per config, it sign-scans
+    SCAN_BAND_UM (excluding each pump's neighbourhood, see ``_near_pump``)
+    with the array mismatch, refines each crossing on the signal side of
+    the energy-conservation midpoint by Brent's method on the exact scalar
+    mismatch, from a bracket evaluated there too, and keeps the distinct
+    roots above the midpoint, largest detuning (outer branch) first.
+    Mirror roots follow by energy conservation.  dk is symmetric under
+    om <-> total - om, so the scan skips every interval that ends at or
+    below the midpoint: the root refined in it would be dropped.
+
+    Returns one entry per config: its tuple of roots (empty if none), or
+    the exception it raises.  The configs run these stages in their order
+    (scan grid, pump betas and nonlinear phase, scan, then each crossing in
+    scan order), two of them batched, without the per-carrier caches:
 
     * the pump beta sums and nonlinear phases come from one batch over
       the distinct pump carriers (``_pump_terms_batch``);
-    * every crossing of every config is one lane of ``find_roots``,
-      which evaluates its bracket ends and then takes its Brent steps;
-      each step of all the live lanes is one exact array evaluation of
-      the mismatch (``_exact_line_mismatch``: one mode solve per step,
-      not one per point, and not through the scalar cache).
+    * every crossing of every config is one lane of ``find_roots``; each
+      Brent step of all the live lanes is one exact array evaluation of
+      the mismatch (``_exact_line_mismatch``: one mode solve per step).
 
-    Every root has the bits of ``phasematch_roots``.  Where a batch
-    raises a package error (SfwmError), its configs or lanes are evaluated
-    one at a time as ``phasematch_roots`` evaluates them, so each gets the
+    Each root has the bits of ``find_root`` on the scalar mismatch.  Where
+    a batch raises a package error (SfwmError), its configs or lanes are
+    evaluated one at a time through the scalar mismatch, so each gets the
     error it raises there.  A NoPhasematchError is one config's answer.
     Any other package error ends the run where a sequential run over the
     configs would end: the configs below it finish, and the entries above
     it are None.
     """
+    return _roots_lockstep(configs, cached=False)
+
+
+def _roots_lockstep(configs, cached):
+    """``phasematch_roots_lockstep``, with the pump terms from the caches
+    (``_pump_terms``) if ``cached``, else from one uncached batch."""
     fiber = configs[0].fiber if configs else None
     if any(c.fiber != fiber for c in configs):
         raise ValueError("configs must share the fiber")
@@ -396,10 +396,13 @@ def phasematch_roots_lockstep(configs):
         return done
 
     bands = each(range(len(configs)), lambda k: _scan_band(configs[k]))
-    try:
-        pumps = dict(zip(bands, _pump_terms_batch([configs[k] for k in bands])
-                         if bands else ()))
-    except SfwmError:
+    pumps = None
+    if bands and not cached:
+        try:
+            pumps = dict(zip(bands, _pump_terms_batch([configs[k] for k in bands])))
+        except SfwmError:
+            pass       # redone one config at a time below
+    if pumps is None:
         pumps = each(bands, lambda k: _pump_terms(configs[k]))
     dks = {k: _mismatch_on_line(configs[k], *pumps[k]) for k in pumps}
     # one scan at a time, so only its crossings are kept

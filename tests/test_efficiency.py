@@ -8,9 +8,9 @@ from conftest import taylor_fiber
 from sfwmsim.constants import C, HBAR, omega_from_um
 from sfwmsim.dispersion import FiberSpec, beta, beta1, beta2
 from sfwmsim.efficiency import (_rotated_integrand, _rotated_window,
-                                b_parameter, eta_closed, eta_cw,
-                                eta_pulsed_numeric, l_max, operating_point,
-                                photons_per_pulse, pump_photon_rate, sigma_max)
+                                eta_closed, eta_cw, eta_pulsed_numeric, l_max,
+                                operating_point, photons_per_pulse,
+                                pump_photon_rate, sigma_max)
 from sfwmsim.errors import DivergenceError, RegimeError
 from sfwmsim.sfwm import (_BLOCK_ELEMENTS, PumpSpec, SourceConfig,
                           _pump_convolution, _pump_rule, h_function, jsa,
@@ -21,6 +21,12 @@ PHOTONS_PER_PULSE_REF = 13365579.49501524   # sqrt(2 pi) P / (hbar w0 sigma)
 
 def with_length(cfg, length):
     return replace(cfg, fiber=replace(cfg.fiber, length=length))
+
+
+def erf_argument(cfg):
+    """x of the closed form; the pump walk-off parameter B is 1/(sqrt(2) x),
+    which is L_max/(2 sqrt(2) L)."""
+    return eta_closed(cfg).diagnostics["erf_argument"]
 
 
 def with_power(cfg, p_mw):
@@ -59,20 +65,25 @@ class TestPhotonBookkeeping:
 
 class TestBParameterAndScales:
     def test_degenerate_pumps_infinite(self, cfg_dp):
-        assert b_parameter(cfg_dp) == math.inf
+        # x = 0: B = 1/(sqrt(2) x) is infinite
+        assert erf_argument(cfg_dp) == 0.0
         assert l_max(cfg_dp) == math.inf
         assert sigma_max(cfg_dp) == math.inf
 
     def test_b_halves_when_length_doubles(self, cfg_ndp):
-        b1 = b_parameter(cfg_ndp)
-        b2 = b_parameter(with_length(cfg_ndp, 1.0))
+        b1 = 1.0 / (math.sqrt(2) * erf_argument(cfg_ndp))
+        b2 = 1.0 / (math.sqrt(2) * erf_argument(with_length(cfg_ndp, 1.0)))
         assert b2 == pytest.approx(0.5 * b1, rel=1e-9)
+        assert b1 == pytest.approx(
+            l_max(cfg_ndp) / (2 * math.sqrt(2) * cfg_ndp.fiber.length),
+            rel=1e-12)
 
     def test_erf_argument_anchor(self, cfg_ndp):
         # at L = L_max the erf argument 1/(sqrt(2) B) equals 2 by definition
         cfg = with_length(cfg_ndp, 0.263)
-        x = 1.0 / (math.sqrt(2) * b_parameter(cfg))
+        x = erf_argument(cfg)
         assert x == pytest.approx(2.0, rel=0.25)
+        assert x == pytest.approx(2.0 * 0.263 / l_max(cfg), rel=1e-12)
 
     def test_l_max_anchor(self, cfg_ndp):
         assert l_max(cfg_ndp) == pytest.approx(0.263, rel=0.25)
@@ -217,7 +228,7 @@ class TestNumericEfficiency:
         d = eta_closed(swapped)
         assert c.eta == d.eta
         assert l_max(cfg_ndp) == l_max(swapped)
-        assert b_parameter(cfg_ndp) == b_parameter(swapped)
+        assert c.diagnostics["erf_argument"] == d.diagnostics["erf_argument"]
 
 
 class TestRotatedIntegrand:

@@ -6,11 +6,13 @@ import pytest
 
 from conftest import taylor_fiber
 from sfwmsim import _kernels_py as kernels
-from sfwmsim import dispersion, sfwm
+from sfwmsim import dispersion, efficiency, phasematch, sfwm
 from sfwmsim.constants import omega_from_um
-from sfwmsim.errors import ModeCutoffError, NoPhasematchError, RegimeError
+from sfwmsim.errors import (ModeCutoffError, NoPhasematchError, RegimeError,
+                            WavelengthRangeError)
 from sfwmsim.phasematch import (ContourPoint, OrientationUndefinedError,
-                                _repumped, contour, orientation_angle)
+                                _orientation_angles, _repumped, contour,
+                                orientation_angle)
 from sfwmsim.sfwm import (PumpSpec, SourceConfig, nonlinear_phase,
                           phase_mismatch, solve_phasematch_center)
 
@@ -213,18 +215,28 @@ class TestContourErrorOrder:
         assert got
 
     def iterates(self, cfg_loop, monkeypatch):
-        """Abscissas at which phasematch_roots evaluates dk, per pump."""
+        """Abscissas at which phasematch_roots evaluates dk, per pump.
+
+        Each crossing is a lane of ``find_roots``; its bracket ends and
+        Brent steps, lane after lane, are the order of a crossing-by-
+        crossing run.
+        """
         out = []
-        find_root, bracket_root = sfwm.find_root, sfwm.bracket_root
+        find_roots = sfwm.find_roots
         for lam in self.LAMS:
-            xs = []
+            lanes = {}
+
+            def spy(f, brackets, tol):
+                def record(ids, x):
+                    for lane, xn in zip(ids, x):
+                        lanes.setdefault(lane, []).append(xn)
+                    return f(ids, x)
+                return find_roots(record, brackets, tol)
+
             with monkeypatch.context() as m:
-                m.setattr(sfwm, "bracket_root", lambda f, lo, hi: bracket_root(
-                    lambda x: xs.append(x) or f(x), lo, hi))
-                m.setattr(sfwm, "find_root", lambda f, b, tol: find_root(
-                    lambda x: xs.append(x) or f(x), b, tol))
+                m.setattr(sfwm, "find_roots", spy)
                 sfwm.phasematch_roots(_repumped(cfg_loop, omega_from_um(lam)))
-            out.append(xs)
+            out.append([x for lane in sorted(lanes) for x in lanes[lane]])
         return out
 
     def poison(self, monkeypatch, omegas):
@@ -261,3 +273,121 @@ class TestContourErrorOrder:
             contour(cfg_loop, (0.70, 0.80), 5)
         assert str(got.value) == str(want.value)
         assert f"{xs[3][5]:.6e}" in str(got.value)
+
+    def test_beta1_failure_wins_over_a_later_roots_failure(self, cfg_loop,
+                                                           monkeypatch):
+        xs = self.iterates(cfg_loop, monkeypatch)
+        # the idler of pump 1's first point fails the mode solve, the signal
+        # of pump 2's first point is out of range, and pump 3's roots fail
+        # at their first evaluation
+        cfgs = [_repumped(cfg_loop, omega_from_um(lam)) for lam in self.LAMS]
+        cutoff = cfgs[1].omega_total - sfwm.phasematch_roots(cfgs[1])[0]
+        out_of_range = sfwm.phasematch_roots(cfgs[2])[0]
+        query = dispersion.beta1
+
+        def beta1(omega, fiber):
+            # the whole query's range check runs before its solves
+            if np.any(np.isin(omega, out_of_range)):
+                raise WavelengthRangeError(f"range at {out_of_range:.6e}")
+            if np.any(np.isin(omega, cutoff)):
+                raise ModeCutoffError(f"cutoff at {cutoff:.6e}")
+            return query(omega, fiber)
+
+        monkeypatch.setattr(phasematch, "beta1", beta1)
+        self.poison(monkeypatch, [xs[3][0]])
+        with pytest.raises(ModeCutoffError) as want:
+            sequential_contour(cfg_loop, self.LAMS)
+        with pytest.raises(ModeCutoffError) as got:
+            contour(cfg_loop, (0.70, 0.80), 5)
+        assert str(got.value) == str(want.value) == f"cutoff at {cutoff:.6e}"
+
+
+def three_query_angle(omega_s, omega_i, config):
+    """The angle from three one-point beta1 queries, or None if undefined."""
+    fiber = config.fiber
+    b1_conj = dispersion.beta1(omega_s + omega_i - config.pump2.omega0, fiber)
+    g_s = b1_conj - dispersion.beta1(omega_s, fiber)
+    g_i = b1_conj - dispersion.beta1(omega_i, fiber)
+    return phasematch._angle(g_s, g_i)
+
+
+def contour_bits(points):
+    return [(p.pump_frequency.hex(), p.detuning_signal.hex(),
+             p.detuning_idler.hex(), p.theta_si.hex(), p.branch)
+            for p in points]
+
+
+class TestOrientationAngles:
+    """One beta1 query for every point, each angle as one point gives it."""
+
+    def test_equal_to_one_point_queries_on_the_loop_contour(self, cfg_loop):
+        points = [(p.pump_frequency + p.detuning_signal,
+                   p.pump_frequency + p.detuning_idler, p.pump_frequency)
+                  for p in contour(cfg_loop, (0.64, 0.87), 32)]
+        want = []
+        for oms, omi, om_p in points:
+            cfg = _repumped(cfg_loop, om_p)
+            assert orientation_angle(oms, omi, cfg).hex() == \
+                three_query_angle(oms, omi, cfg).hex()
+            want.append(three_query_angle(oms, omi, cfg).hex())
+        got = _orientation_angles(cfg_loop.fiber, points)
+        assert [t.hex() for t in got] == want
+        assert len(want) > 50
+
+    def test_equal_to_one_point_queries_at_the_anchor(self, cfg_ndp):
+        center = solve_phasematch_center(cfg_ndp)
+        oms, omi = center.omega_s, center.omega_i
+        got, = _orientation_angles(cfg_ndp.fiber,
+                                   [(oms, omi, cfg_ndp.pump2.omega0)])
+        assert got == three_query_angle(oms, omi, cfg_ndp) \
+            == orientation_angle(oms, omi, cfg_ndp) == -41.497891687477555
+
+    def test_matched_and_undefined_points_in_one_query(self):
+        # beta2 = 1e-33 s^2/m: equal signal and idler frequencies give equal
+        # gradient components (-45 exactly); the second point is unequal and
+        # below the floor, so undefined; the third is defined
+        om0 = omega_from_um(0.708)
+        fiber = taylor_fiber(om0, (1.2e7, 4.87e-9, 1e-33))
+        pump = PumpSpec.from_units(0.708, 3.0, 1e-9, 80.0)
+        cfg = SourceConfig(fiber=fiber, pump1=pump, pump2=pump)
+        points = [(om0 + 3e13, om0 + 3e13), (om0 + 1e13, om0 - 2e13),
+                  (om0 + 2e15, om0 - 9e14)]
+        got = _orientation_angles(fiber, [(s, i, om0) for s, i in points])
+        assert got[0] == -45.0 and got[1] is None
+        assert got[2] == orientation_angle(*points[2], cfg) != -45.0
+        with pytest.raises(OrientationUndefinedError):
+            orientation_angle(*points[1], cfg)
+
+    def test_undefined_point_is_skipped(self, cfg_loop, monkeypatch):
+        # unequal gradient components far below the floor for the third
+        # point of the query, the signal-above inner point of the highest
+        # pump frequency (0.6975 um, the first to phasematch): the contour
+        # drops that point only
+        query = dispersion.beta1
+
+        def beta1(omega, fiber):
+            out = query(omega, fiber)
+            if np.ndim(omega):
+                out[6:9] = (0.0, 1e-20, 0.0)
+            return out
+
+        monkeypatch.setattr(phasematch, "beta1", beta1)
+        got = contour_bits(contour(cfg_loop, (0.64, 0.87), 5))
+        assert got == CONTOUR_BITS[:10] + CONTOUR_BITS[11:]
+
+    def test_one_beta1_query_per_contour(self, cfg_loop, monkeypatch):
+        calls = []
+        query = dispersion.beta1
+        monkeypatch.setattr(phasematch, "beta1", lambda omega, fiber: (
+            calls.append(np.size(omega)) or query(omega, fiber)))
+        got = contour_bits(contour(cfg_loop, (0.64, 0.87), 5))
+        assert got == CONTOUR_BITS
+        assert calls == [3 * len(CONTOUR_BITS)]
+
+    def test_contour_fills_no_lru_cache(self, cfg_loop):
+        caches = (dispersion._neff_scalar_cached, dispersion._mode_profile,
+                  dispersion._a_eff_cached, efficiency.operating_point)
+        before = [c.cache_info().currsize for c in caches]
+        assert contour(cfg_loop, (0.655, 0.855), 9)
+        assert [c.cache_info().currsize for c in caches] == before
+

@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -110,3 +111,52 @@ def test_summary_prints_margin_and_cpu_per_workload(tool):
         "(sweep_pcf/0 numeric); in-process CPU 12.35 s (not BENCH evidence)",
         "contour_cli: no quadrature_error check; in-process CPU 7.00 s "
         "(not BENCH evidence)"]
+
+
+def _fake_workloads(tool, calls):
+    """A stand-in for perfbench's workloads module: two pools of two entries,
+    whose operation records the workload and input it runs."""
+    pools = {"sweep_pcf": [(0, 1.5), (1, 2.5)], "contour_cli": [(3, 4.0), (4, 5.0)]}
+
+    def make_op(workload, sfwm, work, tag):
+        return lambda inp: calls.append((workload, inp)) or {"eta": inp}
+
+    return SimpleNamespace(
+        WORKLOADS=tuple(pools), _achieved=tool.wl._achieved,
+        load_reference=lambda w: {"entries": [
+            {"id": i, "input": x, "answers": {"eta": x}} for i, x in pools[w]]},
+        build_input=lambda workload, sfwm, inp: inp,
+        make_op=make_op,
+        check_answers=lambda workload, answers, ref: [])
+
+
+def test_workload_filter_runs_only_its_pool(tool, tmp_path, monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(tool, "wl", _fake_workloads(tool, calls))
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")
+    root = str(TOOL.parents[1])
+    assert tool.main(["--workload", "contour_cli", root, a]) == 0
+    assert calls == [("contour_cli", 4.0), ("contour_cli", 5.0)]
+    assert sorted(json.loads(Path(a).read_text())) == ["contour_cli/3",
+                                                       "contour_cli/4"]
+    out = capsys.readouterr().out
+    assert out.startswith("contour_cli: ") and "sweep_pcf" not in out
+    # two files filtered the same way compare as any two files do
+    tool.run_pool(root, b, ["contour_cli"])
+    assert tool.main(["--compare", a, b]) == 0
+    assert capsys.readouterr().out.endswith("0 of 2 fields differ\n")
+    # without the filter every pool runs
+    calls.clear()
+    assert tool.main([root, b]) == 0
+    assert [w for w, _ in calls] == ["sweep_pcf"] * 2 + ["contour_cli"] * 2
+    assert tool.main(["--compare", a, b]) == 1
+
+
+def test_unknown_workload_is_a_usage_error(tmp_path):
+    run = subprocess.run(
+        [sys.executable, str(TOOL), "--workload", "contour", ".",
+         str(tmp_path / "out.json")], capture_output=True, text=True, timeout=60)
+    assert run.returncode == 2
+    assert "invalid choice: 'contour'" in run.stderr
+    assert not (tmp_path / "out.json").exists()

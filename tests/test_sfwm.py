@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import taylor_fiber
 from sfwmsim.constants import C, omega_from_um, um_from_omega
-from sfwmsim.dispersion import beta, beta1, beta2
+from sfwmsim.dispersion import _a_eff_cached, beta, beta1, beta2
 from sfwmsim import sfwm
 from sfwmsim.errors import NoPhasematchError, RegimeError
 from sfwmsim.numerics import integrate_1d
@@ -397,11 +397,10 @@ class TestSignalSideRefinement:
     def test_no_iterate_at_or_below_midpoint(self, request, monkeypatch, name):
         config = request.getfixturevalue(name)
         xs = []
-        find_root, bracket_root = sfwm.find_root, sfwm.bracket_root
-        monkeypatch.setattr(sfwm, "find_root", lambda f, b, tol: find_root(
-            lambda x: xs.append(x) or f(x), b, tol))
-        monkeypatch.setattr(sfwm, "bracket_root", lambda f, lo, hi: bracket_root(
-            lambda x: xs.append(x) or f(x), lo, hi))
+        find_roots = sfwm.find_roots
+        # every abscissa of every lane: bracket ends and Brent steps
+        monkeypatch.setattr(sfwm, "find_roots", lambda f, brackets, tol: find_roots(
+            lambda lanes, x: xs.extend(x) or f(lanes, x), brackets, tol))
         roots = sfwm.phasematch_roots(config)
         assert roots and xs
         assert min(xs) > 0.5 * config.omega_total
@@ -478,6 +477,20 @@ class TestLockstepRoots:
         # frequencies of every live lane per step
         assert solves == [len(configs)] + [2 * n for n in steps]
         assert len(steps) < sum(steps) / 4
+
+    def test_one_config_fills_the_pump_caches(self, cfg_loop):
+        # phasematch_roots takes the pump gamma from the per-carrier cache,
+        # where nonlinear_phase reads it next; the lockstep fills no cache
+        cfg, = _repumped_loop(cfg_loop, [0.7531])
+        before = _a_eff_cached.cache_info()
+        sfwm.phasematch_roots_lockstep([cfg])
+        assert _a_eff_cached.cache_info() == before
+        phasematch_roots(cfg)
+        filled = _a_eff_cached.cache_info()
+        assert filled.currsize == before.currsize + 1
+        nonlinear_phase(cfg)
+        after = _a_eff_cached.cache_info()
+        assert (after.misses, after.hits) == (filled.misses, filled.hits + 2)
 
     def test_configs_share_the_fiber(self, cfg_dp, cfg_loop):
         with pytest.raises(ValueError):

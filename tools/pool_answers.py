@@ -8,10 +8,14 @@ the entry that holds it (a margin of 0 fails on any rounding change), beside
 the CPU seconds the workload's operations took in this process.  That CPU
 figure is a first size of a gain from one process, without repeats or
 interleaving: it is not BENCH evidence.
+``--workload NAME`` (repeatable) runs only the pools of the named workloads,
+e.g. ``--workload contour_cli`` for a contour-only check; two files written
+with the same filter compare as any two files do.
 ``pool_answers.py --compare A.json B.json`` prints each field that differs
 between two such files, with its relative size where both are numbers, and
 exits with status 1 if any field differs (0 if none does).
 """
+import argparse
 import json
 import math
 import os
@@ -75,13 +79,14 @@ def summary(margins, cpu):
     return lines
 
 
-def run_pool(src, out):
+def run_pool(src, out, workloads=None):
+    """Answers of the pools of ``workloads`` (all if None) into ``out``."""
     sys.path.insert(0, os.path.join(os.path.abspath(src), "src"))
     import sfwmsim
     import sfwmsim.cli  # noqa: F401  (the contour operation calls it)
     result, rows, cpu = {}, [], {}
     with tempfile.TemporaryDirectory() as work:
-        for workload in wl.WORKLOADS:
+        for workload in workloads or wl.WORKLOADS:
             op = wl.make_op(workload, sfwmsim, work, workload)
             cpu[workload] = 0.0
             for entry in wl.load_reference(workload)["entries"]:
@@ -130,7 +135,21 @@ def compare(*paths):
     return len(diffs)
 
 
+def main(argv):
+    """Run the pools (``SRC OUT.json``) or compare two files; exit status."""
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--compare", action="store_true",
+                        help="compare two answer files A.json B.json")
+    parser.add_argument("--workload", action="append", choices=wl.WORKLOADS,
+                        help="run only this workload's pool (repeatable)")
+    parser.add_argument("paths", nargs=2, metavar="PATH",
+                        help="SRC OUT.json, or A.json B.json with --compare")
+    args = parser.parse_args(argv)
+    if args.compare:
+        return 1 if compare(*args.paths) else 0
+    run_pool(*args.paths, args.workload)
+    return 0
+
+
 if __name__ == "__main__":
-    if sys.argv[1] == "--compare":
-        sys.exit(1 if compare(*sys.argv[-2:]) else 0)
-    run_pool(*sys.argv[-2:])
+    sys.exit(main(sys.argv[1:]))
