@@ -18,33 +18,34 @@ stop short, so every element that still fails the residual test
 and at least halves the previous step, bisection otherwise.  Elements that
 pass the test after the fixed steps are left untouched.
 
-Queries of fewer than _VECTOR_MIN_POINTS frequencies (scalar root finding,
-mode profiles) run the same ladder one point at a time (``_solve_one``),
-because on a one-element array each NumPy call costs more than its
-arithmetic; larger queries run it element-wise on arrays.  Both evaluate G
-through the one formula of ``_g_and_gprime``.  For one point it runs in
-Python floats: the guidance, math.sqrt and the Bessel ufuncs' values
-converted with ``float`` give floats, which round exactly like NumPy
-float64, at a fraction of the cost of NumPy-scalar arithmetic.  The ladder
-uses only IEEE-exact arithmetic (+, -, *, /, sqrt) besides the Bessel
-functions, so a point gets the same bits either way: cubes are written as
-products, because NumPy may evaluate an array ``x ** 3`` with a SIMD pow
-that differs in the last bit from the libm pow of a scalar, and on the CPU.
-Where a float raises and NumPy does not (a zero divisor, the root of a
-negative number), the float path evaluates again in np.float64, and the
-Newton quotient g / gp is always taken in np.float64, so inf, NaN and
-their warnings stay NumPy's.  The bisection steps of both ladders need
-only the sign of G and skip G'.
+One ladder body (``_ladder``) serves every query, with one of two sets
+of element-wise operations: NumPy's functions for arrays, and a small set
+for one Python float (a conditional for ``np.where``, ``min``/``max``,
+``math.sqrt``).  ``he11_solve`` runs queries of fewer than
+_VECTOR_MIN_POINTS frequencies (scalar root finding, mode profiles) one
+point at a time in floats, because on a one-element array each NumPy call
+costs more than its arithmetic.  Both evaluate G through the one formula
+of ``_g_and_gprime``.  The guidance, math.sqrt and the Bessel ufuncs'
+values converted with ``float`` give floats, which round exactly like
+NumPy float64, at a fraction of the cost of NumPy-scalar arithmetic.  The
+ladder uses only IEEE-exact arithmetic (+, -, *, /, sqrt) besides the
+Bessel functions, so a point gets the same bits either way: cubes are
+written as products, because NumPy may evaluate an array ``x ** 3`` with a
+SIMD pow that differs in the last bit from the libm pow of a scalar, and
+on the CPU.  Where a float raises and NumPy does not (a zero divisor, the
+root of a negative number), the float path evaluates again in np.float64,
+and its Newton quotient g / gp is taken in np.float64, so inf, NaN and
+their warnings stay NumPy's.  The bisection steps need only the sign of G
+and skip G'.
 
-``he11_solve_seeded`` (Newton seeded from a b(omega) table, with a checked
-fallback to ``he11_solve``) is not used by the package, whose array
-queries read a Chebyshev table built from ``he11_solve`` (see
-``dispersion``).  It is kept because benchmark tracing binds it by name.
+``he11_solve_seeded`` is ``he11_solve``: the package never calls it, and
+it is kept only because benchmark tracing binds it by name.
 
 This is the package's only kernel implementation; ``dispersion`` calls it
 directly and ``active_backend`` names it in run manifests.
 """
 import math
+import operator
 
 import numpy as np
 from scipy.special import j0, j1, k0, k1
@@ -62,6 +63,15 @@ _VECTOR_MIN_POINTS = 4
 _FLOAT_FNS = (math.sqrt, lambda x: float(j0(x)), lambda x: float(j1(x)),
               lambda x: float(k0(x)), lambda x: float(k1(x)))
 _NUMPY_FNS = (np.sqrt, j0, j1, k0, k1)
+
+# the ladder's element-wise operations (where, minimum, maximum, any,
+# logical_not, full_like, sqrt, g / G') for one Python float and for arrays;
+# the float quotient is NumPy's, so inf, NaN and their warnings stay NumPy's
+_FLOAT_OPS = (lambda cond, x, y: x if cond else y, min, max, bool,
+              operator.not_, lambda like, value: value, math.sqrt,
+              lambda g, gp: float(np.float64(g) / gp))
+_ARRAY_OPS = (np.where, np.minimum, np.maximum, np.any, np.logical_not,
+              np.full_like, np.sqrt, np.divide)
 
 
 def active_backend():
@@ -138,14 +148,6 @@ def _g_and_gprime(b, V, q, gprime=True):
     return _characteristic(b, V, q, gprime, _NUMPY_FNS)
 
 
-def _converged(g, gp):
-    """Residual test of the array ladders: |G| <= 1e-13 max(|G'|, 1).
-
-    ``_solve_one`` writes the same test in floats.
-    """
-    return np.abs(g) <= 1e-13 * np.maximum(np.abs(gp), 1.0)
-
-
 def _guidance(omega, core_radius, fill, sqrt=np.sqrt):
     """(ncl, na2, V, q) of the equivalent step-index fiber.
 
@@ -160,6 +162,68 @@ def _guidance(omega, core_radius, fill, sqrt=np.sqrt):
     return ncl, na2, V, ratio * ratio
 
 
+def _ladder(omega, core_radius, fill, ops):
+    """(neff, u, w) of a float omega or an array, by one set of operations.
+
+    ``ops`` is _FLOAT_OPS or _ARRAY_OPS; the steps are the same, so a point
+    gets the same bits from either (see the module docstring).
+    """
+    where, minimum, maximum, any_, logical_not, full_like, sqrt, quotient = ops
+    try:
+        ncl, na2, V, q = _guidance(omega, core_radius, fill, sqrt)
+    except (ZeroDivisionError, ValueError):
+        # a float omega where a float raises: NumPy's inf or NaN, as floats
+        ncl, na2, V, q = (float(x) for x in
+                          _guidance(np.float64(omega), core_radius, fill))
+    u_hi = minimum(V, J1_FIRST_ZERO)
+    t = u_hi / V
+    b_lo = 1.0 - t * t + 1e-12
+    b_hi = full_like(b_lo, 1.0 - 1e-12)
+
+    for _ in range(_BISECT_STEPS):
+        bm = 0.5 * (b_lo + b_hi)
+        g, _ = _g_and_gprime(bm, V, q, gprime=False)
+        pos = g > 0.0
+        b_lo = where(pos, bm, b_lo)
+        b_hi = where(pos, b_hi, bm)
+
+    b = 0.5 * (b_lo + b_hi)
+    for _ in range(_NEWTON_STEPS):
+        g, gp = _g_and_gprime(b, V, q)
+        pos = g > 0.0
+        b_lo = where(pos, b, b_lo)
+        b_hi = where(pos, b_hi, b)
+        step = b - quotient(g, gp)
+        inside = (step >= b_lo) & (step <= b_hi)
+        b = where(inside, step, 0.5 * (b_lo + b_hi))
+
+    # rtsafe polish of the elements the fixed steps left short of the
+    # residual test |G| <= 1e-13 max(|G'|, 1) (see the module docstring);
+    # 48 steps cover plain bisection of the unit bracket down to 4e-15
+    dx_old = b_hi - b_lo
+    for _ in range(_POLISH_STEPS):
+        g, gp = _g_and_gprime(b, V, q)
+        todo = logical_not(abs(g) <= 1e-13 * maximum(abs(gp), 1.0))
+        if not any_(todo):
+            break
+        pos = g > 0.0
+        b_lo = where(pos, b, b_lo)
+        b_hi = where(pos, b_hi, b)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            dx = quotient(g, gp)
+        step = b - dx
+        newton = ((step >= b_lo) & (step <= b_hi)
+                  & (abs(2.0 * dx) <= abs(dx_old)))
+        b_new = where(newton, step, 0.5 * (b_lo + b_hi))
+        dx_old = where(todo, b_new - b, dx_old)
+        b = where(todo, b_new, b)
+
+    u = V * sqrt(1.0 - b)
+    w = V * sqrt(b)
+    neff = sqrt(ncl * ncl + b * na2)
+    return neff, u, w
+
+
 def he11_solve(omega, core_radius, fill):
     """Fundamental-mode solve for an array of angular frequencies.
 
@@ -167,150 +231,18 @@ def he11_solve(omega, core_radius, fill):
     Sellmeier range.
     """
     omega = np.asarray(omega, dtype=float)
-    if omega.size < _VECTOR_MIN_POINTS:
-        sol = [_solve_one(om, core_radius, fill)
-               for om in omega.ravel().tolist()]
-        out = np.array(sol, dtype=float).reshape(omega.shape + (3,))
-        return out[..., 0], out[..., 1], out[..., 2]
-
-    ncl, na2, V, q = _guidance(omega, core_radius, fill)
-    u_hi = np.minimum(V, J1_FIRST_ZERO)
-    t = u_hi / V
-    b_lo = 1.0 - t * t + 1e-12
-    b_hi = np.full_like(b_lo, 1.0 - 1e-12)
-
-    for _ in range(_BISECT_STEPS):
-        bm = 0.5 * (b_lo + b_hi)
-        g, _ = _g_and_gprime(bm, V, q, gprime=False)
-        pos = g > 0.0
-        b_lo = np.where(pos, bm, b_lo)
-        b_hi = np.where(pos, b_hi, bm)
-
-    b = 0.5 * (b_lo + b_hi)
-    for _ in range(_NEWTON_STEPS):
-        g, gp = _g_and_gprime(b, V, q)
-        pos = g > 0.0
-        b_lo = np.where(pos, b, b_lo)
-        b_hi = np.where(pos, b_hi, b)
-        step = b - g / gp
-        inside = (step >= b_lo) & (step <= b_hi)
-        b = np.where(inside, step, 0.5 * (b_lo + b_hi))
-
-    # rtsafe polish of the elements the fixed steps left short of the
-    # residual test (see the module docstring); 48 steps cover plain
-    # bisection of the unit bracket down to 4e-15
-    dx_old = b_hi - b_lo
-    for _ in range(_POLISH_STEPS):
-        g, gp = _g_and_gprime(b, V, q)
-        todo = ~_converged(g, gp)
-        if not np.any(todo):
-            break
-        pos = g > 0.0
-        b_lo = np.where(pos, b, b_lo)
-        b_hi = np.where(pos, b_hi, b)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            dx = g / gp
-        step = b - dx
-        newton = ((step >= b_lo) & (step <= b_hi)
-                  & (np.abs(2.0 * dx) <= np.abs(dx_old)))
-        b_new = np.where(newton, step, 0.5 * (b_lo + b_hi))
-        dx_old = np.where(todo, b_new - b, dx_old)
-        b = np.where(todo, b_new, b)
-
-    u = V * np.sqrt(1.0 - b)
-    w = V * np.sqrt(b)
-    neff = np.sqrt(ncl * ncl + b * na2)
-    return neff, u, w
-
-
-def _solve_one(omega, core_radius, fill):
-    """(neff, u, w) of one float frequency: ``he11_solve``'s ladder in floats.
-
-    Every branch mirrors the element-wise ``np.where`` of the array ladder,
-    so the result has the same bits as the array solve of that point.  The
-    guidance and G run in Python floats (NumPy float64 where a float would
-    raise, as in ``_g_and_gprime``); g / gp is taken in np.float64, so a
-    zero G' gives inf and a warning as in the array ladder.
-    """
-    try:
-        ncl, na2, V, q = _guidance(omega, core_radius, fill, math.sqrt)
-    except (ZeroDivisionError, ValueError):
-        ncl, na2, V, q = (float(x) for x in
-                          _guidance(np.float64(omega), core_radius, fill))
-    t = min(V, J1_FIRST_ZERO) / V
-    b_lo = 1.0 - t * t + 1e-12
-    b_hi = 1.0 - 1e-12
-
-    for _ in range(_BISECT_STEPS):
-        bm = 0.5 * (b_lo + b_hi)
-        if _g_and_gprime(bm, V, q, gprime=False)[0] > 0.0:
-            b_lo = bm
-        else:
-            b_hi = bm
-
-    b = 0.5 * (b_lo + b_hi)
-    for _ in range(_NEWTON_STEPS):
-        g, gp = _g_and_gprime(b, V, q)
-        if g > 0.0:
-            b_lo = b
-        else:
-            b_hi = b
-        step = b - float(np.float64(g) / gp)
-        b = step if b_lo <= step <= b_hi else 0.5 * (b_lo + b_hi)
-
-    dx_old = b_hi - b_lo
-    for _ in range(_POLISH_STEPS):
-        g, gp = _g_and_gprime(b, V, q)
-        # _converged in floats; max keeps a NaN |G'| as np.maximum does
-        if abs(g) <= 1e-13 * max(abs(gp), 1.0):
-            break
-        if g > 0.0:
-            b_lo = b
-        else:
-            b_hi = b
-        with np.errstate(divide="ignore", invalid="ignore"):
-            dx = float(np.float64(g) / gp)
-        step = b - dx
-        if b_lo <= step <= b_hi and abs(2.0 * dx) <= abs(dx_old):
-            b_new = step
-        else:
-            b_new = 0.5 * (b_lo + b_hi)
-        dx_old = b_new - b
-        b = b_new
-
-    return (math.sqrt(ncl * ncl + b * na2), V * math.sqrt(1.0 - b),
-            V * math.sqrt(b))
+    if omega.size >= _VECTOR_MIN_POINTS:
+        return _ladder(omega, core_radius, fill, _ARRAY_OPS)
+    sol = [_ladder(om, core_radius, fill, _FLOAT_OPS)
+           for om in omega.ravel().tolist()]
+    out = np.array(sol, dtype=float).reshape(omega.shape + (3,))
+    return out[..., 0], out[..., 1], out[..., 2]
 
 
 def he11_solve_seeded(omega, core_radius, fill, seed_omega, seed_b):
-    """Fundamental-mode solve seeded from a precomputed b(omega) table.
+    """``he11_solve`` of omega; the b(omega) seed table is not used.
 
-    The seed table (built once per fiber with the full ladder) provides a
-    Newton starting point accurate to ~1e-4, so four clipped Newton steps
-    reach machine precision; the clip window of +-0.02 around the seed is
-    far narrower than the separation to the next mode branch.  Elements
-    failing the residual check fall back to ``he11_solve``, so results are
-    independent of the seeding and match the full ladder to rounding error.
+    Kept because benchmark tracing binds the name (see the module
+    docstring).
     """
-    omega = np.asarray(omega, dtype=float)
-    ncl, na2, V, q = _guidance(omega, core_radius, fill)
-
-    seed = np.interp(omega, seed_omega, seed_b)
-    clip_lo = np.maximum(seed - 0.02, 1e-12)
-    clip_hi = np.minimum(seed + 0.02, 1.0 - 1e-12)
-    b = np.clip(seed, clip_lo, clip_hi)
-    for _ in range(4):
-        g, gp = _g_and_gprime(b, V, q)
-        b = np.clip(b - g / gp, clip_lo, clip_hi)
-
-    g, gp = _g_and_gprime(b, V, q)
-    bad = ~_converged(g, gp)
-    if np.any(bad):
-        neff_b, _u, _w = he11_solve(omega[bad], core_radius, fill)
-        b = np.array(b, copy=True)
-        b[bad] = (neff_b ** 2 - ncl[bad] ** 2) / na2[bad]
-
-    u = V * np.sqrt(1.0 - b)
-    w = V * np.sqrt(b)
-    neff = np.sqrt(ncl * ncl + b * na2)
-    return neff, u, w
+    return he11_solve(omega, core_radius, fill)

@@ -409,6 +409,9 @@ def build_parser():
     return parser
 
 
+# parse_args leaves the parser unchanged, so one serves every call of main
+_PARSER = build_parser()
+
 _COMMANDS = {
     "dispersion": cmd_dispersion,
     "gamma": cmd_gamma,
@@ -421,7 +424,7 @@ _COMMANDS = {
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     args.command_line = "sfwmsim " + shlex.join(argv)
     try:
         config = load_config(args.config)

@@ -13,9 +13,8 @@ Which path serves which step-index query:
 * n_eff and beta at a scalar frequency, or at an array of fewer than
   _TABLE_MIN_POINTS frequencies, come from the exact solve,
   ``kernels.he11_solve``, which runs such short queries in Python floats
-  with the bits of its array ladder.  A scalar has its range and guidance
-  checks done in floats too, and is cached per geometry (core_radius,
-  air_fill_fraction) in a bounded LRU cache of _SCALAR_CACHE_SIZE entries.
+  with the bits of its array ladder.  A scalar is the one-point case of
+  that query, with its range and guidance checks, and is not cached.
 * n_eff and beta at larger arrays come from a per-geometry table: a
   piecewise-Chebyshev fit of n_eff in x = ln omega over the whole
   Sellmeier window, sampled from the exact solve (``_neff_table``).  It is
@@ -23,10 +22,9 @@ Which path serves which step-index query:
   enter the dispersion, built on first use, and agrees with the exact solve
   to a few 1e-14 absolute.
 * ``_beta_exact`` gives beta at every point of an array with the bits of
-  the scalar query: one exact solve of the whole array, with the array
-  range and guidance checks and without the scalar cache.  The lockstep
-  root finding of the phase-matching contour evaluates each of its Brent
-  steps, over all its brackets, this way.
+  the scalar query: one exact solve of the whole array (never the table).
+  The lockstep root finding of the phase-matching contour evaluates each
+  of its Brent steps, over all its brackets, this way.
 * beta1 = (n + n_x) / c and beta2 = (n_x + n_xx) / (c omega), with n_x and
   n_xx the x-derivatives of n_eff, come from the table's analytic
   derivatives for every input, scalars included.
@@ -79,8 +77,6 @@ _TABLE_PANELS = 32
 _TABLE_NODES = 16
 _TABLE_DEGREE = 11
 _TABLE_MIN_POINTS = 4
-# entries of the per-geometry cache of exact scalar n_eff
-_SCALAR_CACHE_SIZE = 4096
 
 
 @dataclass(frozen=True)
@@ -219,18 +215,14 @@ def silica_index(omega):
     return n
 
 
-def _range_error(lam_um):
-    lo, hi = SELLMEIER_RANGE_UM
-    return WavelengthRangeError(
-        f"wavelength {lam_um:.4f} um outside Sellmeier validity "
-        f"[{lo}, {hi}] um")
-
-
 def _check_sellmeier_range(lam_um):
     lo, hi = SELLMEIER_RANGE_UM
     bad = (lam_um < lo) | (lam_um > hi)
     if np.any(bad):
-        raise _range_error(np.atleast_1d(lam_um)[np.atleast_1d(bad)][0])
+        lam = np.atleast_1d(lam_um)[np.atleast_1d(bad)][0]
+        raise WavelengthRangeError(
+            f"wavelength {lam:.4f} um outside Sellmeier validity "
+            f"[{lo}, {hi}] um")
 
 
 def _checked_omega(omega):
@@ -240,15 +232,12 @@ def _checked_omega(omega):
     return om
 
 
-def _cutoff_error(omega):
-    return ModeCutoffError(
-        f"fundamental-mode solve failed at omega={omega:.6e} rad/s "
-        f"(lambda={um_from_omega(omega):.4f} um)")
-
-
 def _require_guided(neff, om):
     if not np.all(np.isfinite(neff)):
-        raise _cutoff_error(om[~np.isfinite(neff)][0])
+        omega = om[~np.isfinite(neff)][0]
+        raise ModeCutoffError(
+            f"fundamental-mode solve failed at omega={omega:.6e} rad/s "
+            f"(lambda={um_from_omega(omega):.4f} um)")
 
 
 @lru_cache(maxsize=64)
@@ -323,8 +312,7 @@ def _beta_exact(omega, fiber):
     """beta at every point of a flat array, each as the scalar ``beta`` gives it.
 
     The Taylor polynomial, or the exact solve of the whole array (never the
-    table) with the array range and guidance checks; it bypasses the
-    scalar cache.
+    table) with the range and guidance checks.
     """
     if fiber.taylor is not None:
         return fiber.taylor.k(omega)
@@ -356,21 +344,8 @@ def _index_and_group_slowness(omega, fiber):
     return n, (n + n_x) / C
 
 
-@lru_cache(maxsize=_SCALAR_CACHE_SIZE)
-def _neff_scalar_cached(omega, core_radius, fill):
-    """Exact n_eff of one float omega, with the checks of ``_exact_solve``.
-
-    The range and guidance checks run in floats; a zero omega is an
-    infinite wavelength, as NumPy's division makes it there.
-    """
-    lo, hi = SELLMEIER_RANGE_UM
-    lam_um = um_from_omega(omega) if omega else math.copysign(math.inf, omega)
-    if lam_um < lo or lam_um > hi:
-        raise _range_error(lam_um)
-    neff = float(kernels.he11_solve(omega, core_radius, fill)[0])
-    if not math.isfinite(neff):
-        raise _cutoff_error(omega)
-    return neff
+def _as_result(x):
+    return float(x) if np.ndim(x) == 0 else x
 
 
 def effective_index(omega, fiber):
@@ -379,10 +354,7 @@ def effective_index(omega, fiber):
         k = fiber.taylor.k(omega)
         return k * C / omega
     om = np.asarray(omega, dtype=float)
-    if om.ndim == 0:
-        return _neff_scalar_cached(float(om), fiber.core_radius,
-                                   fiber.air_fill_fraction)
-    return _solve_step_index(om, fiber).reshape(om.shape)
+    return _as_result(_solve_step_index(om, fiber).reshape(om.shape))
 
 
 def beta(omega, fiber):
@@ -390,10 +362,6 @@ def beta(omega, fiber):
     if fiber.taylor is not None:
         return fiber.taylor.k(omega)
     return effective_index(omega, fiber) * np.asarray(omega, dtype=float) / C
-
-
-def _as_result(x):
-    return float(x) if np.ndim(x) == 0 else x
 
 
 def beta1(omega, fiber):

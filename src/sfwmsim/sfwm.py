@@ -14,7 +14,8 @@ Conventions:
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
@@ -76,6 +77,9 @@ class PumpSpec:
 # below every physics tolerance in use.
 CONFIG_QUADRATURE = QuadratureSpec(rel_tol=1e-6)
 
+# the stored pump order: PumpSpec's fields in declaration order
+_PUMP_ORDER = attrgetter("omega0", "sigma", "avg_power", "rep_rate")
+
 
 @dataclass(frozen=True)
 class SourceConfig:
@@ -98,7 +102,7 @@ class SourceConfig:
         if not self.is_cw and self.pump1.rep_rate != self.pump2.rep_rate:
             raise ConfigError("pulsed pumps must share the repetition rate",
                               field="pump2.rep_rate_MHz")
-        pumps = sorted((self.pump1, self.pump2), key=astuple)
+        pumps = sorted((self.pump1, self.pump2), key=_PUMP_ORDER)
         object.__setattr__(self, "pump1", pumps[0])
         object.__setattr__(self, "pump2", pumps[1])
 

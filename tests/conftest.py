@@ -1,3 +1,6 @@
+import importlib
+import pkgutil
+
 import numpy as np
 import pytest
 
@@ -71,3 +74,23 @@ def linear_fit_r2(x, y):
     ss_res = float(np.sum(resid ** 2))
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     return 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
+
+
+def package_lru_caches():
+    """Every functools cache the sfwmsim modules define, by qualified name.
+
+    Found by walking the package, so a cache added anywhere in it, also on
+    a class, is included.
+    """
+    import sfwmsim
+    caches = {}
+    for info in pkgutil.iter_modules(sfwmsim.__path__, "sfwmsim."):
+        module = importlib.import_module(info.name)
+        owners = [module] + [obj for obj in vars(module).values()
+                             if isinstance(obj, type)]
+        for owner in owners:
+            for obj in vars(owner).values():
+                if (hasattr(obj, "cache_info")
+                        and obj.__module__ == module.__name__):
+                    caches[f"{obj.__module__}.{obj.__qualname__}"] = obj
+    return caches

@@ -123,16 +123,21 @@ class TestModeSolve:
         assert np.all(np.abs(g) <= 1e-13 * np.maximum(np.abs(gp), 1.0))
 
     @pytest.mark.parametrize("core_radius, fill",
-                             [(0.97e-6, 0.91), (0.5e-6, 0.6), (0.4e-6, 0.5)],
-                             ids=["fiber_a", "fiber_b", "core_0.4um"])
+                             [(0.97e-6, 0.91), (0.5e-6, 0.6), (0.4e-6, 0.5),
+                              (0.3e-6, 0.6)],
+                             ids=["fiber_a", "fiber_b", "core_0.4um",
+                                  "core_0.3um"])
     def test_one_point_solve_matches_array_solve(self, core_radius, fill):
-        # short queries take the plain-float ladder; it must give the bits
-        # of the array ladder, or scalar and array n_eff would disagree
+        # short queries take the plain-float operations of the ladder; they
+        # must give the bits of the array operations, or scalar and array
+        # n_eff would disagree.  On the 0.3 um core the rtsafe polish runs
+        # out its steps in the far infrared; bytes compare NaN as equal
         om = omega_from_um(window_wavelengths(2000))
         arrays = kernels.he11_solve(om, core_radius, fill)
-        for i, x in enumerate(om):
+        for i in range(om.size):
             one = kernels.he11_solve(om[i:i + 1], core_radius, fill)
-            assert [float(v[0]) for v in one] == [float(v[i]) for v in arrays]
+            assert [v.tobytes() for v in one] == [v[i:i + 1].tobytes()
+                                                  for v in arrays]
 
     def test_short_query_keeps_shape(self):
         om = omega_from_um(np.array([[0.8], [1.2]]))

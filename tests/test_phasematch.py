@@ -4,9 +4,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import taylor_fiber
+from conftest import package_lru_caches, taylor_fiber
 from sfwmsim import _kernels_py as kernels
-from sfwmsim import dispersion, efficiency, phasematch, sfwm
+from sfwmsim import dispersion, phasematch, sfwm
 from sfwmsim.constants import omega_from_um
 from sfwmsim.errors import (ModeCutoffError, NoPhasematchError, RegimeError,
                             WavelengthRangeError)
@@ -248,7 +248,6 @@ class TestContourErrorOrder:
             return np.where(np.isin(omega, omegas), np.nan, neff), u, w
 
         monkeypatch.setattr(kernels, "he11_solve", failing)
-        dispersion._neff_scalar_cached.cache_clear()
 
     def test_lowest_pump_error_wins(self, cfg_loop, monkeypatch):
         xs = self.iterates(cfg_loop, monkeypatch)
@@ -385,9 +384,12 @@ class TestOrientationAngles:
         assert calls == [3 * len(CONTOUR_BITS)]
 
     def test_contour_fills_no_lru_cache(self, cfg_loop):
-        caches = (dispersion._neff_scalar_cached, dispersion._mode_profile,
-                  dispersion._a_eff_cached, efficiency.operating_point)
-        before = [c.cache_info().currsize for c in caches]
+        # the warm-up fills what a geometry needs once (its n_eff table);
+        # a contour over another range then adds nothing to any cache
+        caches = package_lru_caches()
+        assert contour(cfg_loop, (0.70, 0.80), 5)
+        before = {name: c.cache_info().currsize for name, c in caches.items()}
         assert contour(cfg_loop, (0.655, 0.855), 9)
-        assert [c.cache_info().currsize for c in caches] == before
+        assert {name: c.cache_info().currsize
+                for name, c in caches.items()} == before
 

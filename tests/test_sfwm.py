@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -372,6 +372,28 @@ class TestConfigValidation:
         swapped = SourceConfig(fiber=fiber_a, pump1=p1042, pump2=p521)
         assert given == swapped
         assert (given.pump1, given.pump2) == (p1042, p521)
+
+    @pytest.mark.parametrize("sigma_thz, low, high", [
+        (3.0, {"sigma": 2e12}, {"sigma": 3e12}),
+        (3.0, {"avg_power": 1e-4}, {"avg_power": 3e-4}),
+        (3.0, {"sigma": 2e12, "avg_power": 3e-4},
+         {"sigma": 3e12, "avg_power": 1e-4}),
+        (0.0, {"rep_rate": 4e7}, {"rep_rate": 8e7}),
+        (0.0, {"avg_power": 1e-4, "rep_rate": 8e7},
+         {"avg_power": 3e-4, "rep_rate": 4e7})],
+        ids=["sigma", "avg_power", "sigma_first", "cw_rep_rate",
+             "cw_avg_power_first"])
+    def test_equal_carriers_stored_in_field_order(self, fiber_a, sigma_thz,
+                                                  low, high):
+        # equal carriers sort on the remaining fields in declaration order,
+        # the order of dataclasses.astuple
+        base = PumpSpec.from_units(0.708, sigma_thz, 0.3, 80.0)
+        lo, hi = replace(base, **low), replace(base, **high)
+        assert astuple(lo) < astuple(hi)
+        for pumps in ((lo, hi), (hi, lo)):
+            config = SourceConfig(fiber=fiber_a, pump1=pumps[0],
+                                  pump2=pumps[1])
+            assert (config.pump1, config.pump2) == (lo, hi)
 
     def test_swapped_pumps_give_the_same_phasematch(self, cfg_ndp):
         # a config given its pumps in the other order stores them in the
