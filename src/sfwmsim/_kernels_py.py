@@ -176,7 +176,7 @@ def _ladder(omega, core_radius, fill, ops):
         ncl, na2, V, q = (float(x) for x in
                           _guidance(np.float64(omega), core_radius, fill))
     u_hi = minimum(V, J1_FIRST_ZERO)
-    t = u_hi / V
+    t = quotient(u_hi, V)
     b_lo = 1.0 - t * t + 1e-12
     b_hi = full_like(b_lo, 1.0 - 1e-12)
 

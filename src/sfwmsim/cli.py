@@ -5,8 +5,11 @@ Six subcommands: ``dispersion``, ``gamma``, ``efficiency``, ``sweep``,
 ``jsa`` and ``contour``; only ``sweep`` and ``contour`` take ``--svg``,
 which adds a figure next to the CSV.  Every output file gets a RunManifest
 sidecar (<out>.manifest.json) with the config digest, tool version,
-timestamp and the command line as ``main`` received it.  Exit codes:
-0 success, 2 configuration/schema error, 3 numerical non-convergence.
+timestamp and the command line as ``main`` received it.  Exit codes: 0
+success; 2 when the input asks what the model cannot answer (ConfigError,
+RegimeError, DivergenceError, WavelengthRangeError, ModeCutoffError); 3 for
+every other package error, a numerical failure (NonConvergenceError,
+WindowError, NoPhasematchError, OverlapError, BracketError).
 ``gamma``'s per-pump keys follow the stored pump order (lower carrier
 frequency first, see ``SourceConfig``), each with its ``lambda_pump*_um``.
 """
@@ -18,6 +21,8 @@ import datetime
 import json
 import shlex
 import sys
+from dataclasses import replace
+from itertools import combinations
 
 import numpy as np
 
@@ -28,9 +33,8 @@ from .constants import um_from_omega, omega_from_um
 from .dispersion import (beta1, beta2, effective_index, find_zero_dispersion,
                          nonlinear_parameters)
 from .efficiency import eta_closed, eta_cw, eta_pulsed_numeric
-from .errors import (ConfigError, DivergenceError, NoPhasematchError,
-                     NonConvergenceError, RegimeError, SfwmError,
-                     WavelengthRangeError, WindowError)
+from .errors import (ConfigError, DivergenceError, ModeCutoffError,
+                     RegimeError, SfwmError, WavelengthRangeError)
 from .phasematch import contour
 from .sfwm import jsa_grid, peak_power, solve_phasematch_center
 from . import svg as svgmod
@@ -38,7 +42,10 @@ from . import svg as svgmod
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
-_NUMERIC_FAILURES = (NonConvergenceError, WindowError, NoPhasematchError)
+# package errors that say the input asks what the model cannot answer; every
+# other package error is a numerical failure
+_CONFIG_FAILURES = (ConfigError, RegimeError, DivergenceError,
+                    WavelengthRangeError, ModeCutoffError)
 
 
 def _fmt(value):
@@ -128,7 +135,7 @@ def cmd_dispersion(config, args):
             rows.append((lam, effective_index(om, config.fiber),
                          beta1(om, config.fiber) * 1e12,
                          beta2(om, config.fiber) * 1e27))
-        except (WavelengthRangeError, SfwmError) as exc:
+        except SfwmError as exc:
             print(f"warning: {lam:.4f} um: {exc}", file=sys.stderr)
             rows.append((lam, None, None, None))
     try:
@@ -177,132 +184,104 @@ def _emit_json(record, args):
         sys.stdout.write(text)
 
 
+# the efficiency methods of each regime (keyed by is_cw), the main one first
+_METHODS = {False: {"numeric": eta_pulsed_numeric, "closed": eta_closed},
+            True: {"cw": eta_cw}}
+
+
 def cmd_efficiency(config, args):
-    method = args.method
-    if method == "cw" and not config.is_cw:
-        raise ConfigError("cw method needs monochromatic pumps (sigma_THz = 0)")
-    if method in ("numeric", "closed") and config.is_cw:
-        raise ConfigError(f"{method} method needs pulsed pumps (sigma_THz > 0)")
-    records = {}
-    if method in ("numeric", "all") and not config.is_cw:
-        records["numeric"] = _result_record(eta_pulsed_numeric(config))
-    if method in ("closed", "all") and not config.is_cw:
-        records["closed"] = _result_record(eta_closed(config))
-    if (method == "cw" or (method == "all" and config.is_cw)):
-        records["cw"] = _result_record(eta_cw(config))
-    if not records:
-        raise ConfigError(f"no applicable method for {method!r} in this regime")
+    own = _METHODS[config.is_cw]
+    if args.method != "all" and args.method not in own:
+        need = ("pulsed pumps (sigma_THz > 0)" if config.is_cw
+                else "monochromatic pumps (sigma_THz = 0)")
+        raise ConfigError(f"{args.method} method needs {need}")
+    names = own if args.method == "all" else (args.method,)
+    records = {name: _result_record(own[name](config)) for name in names}
     out = {"results": records}
-    names = sorted(records)
-    if len(names) > 1:
-        diffs = {}
-        for i, a in enumerate(names):
-            for b in names[i + 1:]:
-                ea, eb = records[a]["eta"], records[b]["eta"]
-                diffs[f"{a}_vs_{b}"] = abs(ea - eb) / max(abs(ea), abs(eb))
-        out["relative_differences"] = diffs
+    if len(records) > 1:
+        out["relative_differences"] = {
+            f"{a}_vs_{b}": abs(ea - eb) / max(abs(ea), abs(eb))
+            for (a, ea), (b, eb) in combinations(
+                sorted((name, r["eta"]) for name, r in records.items()), 2)}
     _emit_json(out, args)
     return 0
 
 
+# per swept parameter: its CSV column, the PumpSpec field it sets on both
+# pumps (None: the fiber length) and its conversion from the CLI unit to SI
+_SWEEP = {"length": ("length_m", None, float),
+          "power": ("avg_power_mW", "avg_power", lambda mw: mw * 1e-3),
+          "bandwidth": ("sigma_THz", "sigma", lambda thz: thz * 1e12),
+          "pump-frequency": ("lambda_p_um", "omega0", omega_from_um)}
+
+
 def _sweep_config(config, parameter, value):
-    from dataclasses import replace
-    if parameter == "length":
-        return replace(config, fiber=replace(config.fiber, length=value))
-    if parameter == "power":
-        watts = value * 1e-3
-        return replace(config,
-                       pump1=replace(config.pump1, avg_power=watts),
-                       pump2=replace(config.pump2, avg_power=watts))
-    if parameter == "bandwidth":
-        rads = value * 1e12
-        return replace(config,
-                       pump1=replace(config.pump1, sigma=rads),
-                       pump2=replace(config.pump2, sigma=rads))
-    if parameter == "pump-frequency":
-        om = omega_from_um(value)
-        return replace(config,
-                       pump1=replace(config.pump1, omega0=om),
-                       pump2=replace(config.pump2, omega0=om))
-    raise ConfigError(f"unknown sweep parameter {parameter!r}")
+    _column, field, to_si = _SWEEP[parameter]
+    si = to_si(value)
+    if field is None:
+        return replace(config, fiber=replace(config.fiber, length=si))
+    return replace(config, pump1=replace(config.pump1, **{field: si}),
+                   pump2=replace(config.pump2, **{field: si}))
 
 
-_SWEEP_COLUMN = {"length": "length_m", "power": "avg_power_mW",
-                 "bandwidth": "sigma_THz", "pump-frequency": "lambda_p_um"}
+def _sweep_row(cfg, include_cw):
+    """({eta column: eta}, pairs_per_second, errors) of one sweep row.
+
+    The config's own methods, plus ``eta_cw`` at zero pump bandwidths if
+    ``include_cw`` and the config is pulsed; pairs_per_second is the main
+    method's, and errors holds "<method>: <message>" per method that raised.
+    """
+    runs = [(name, method, cfg)
+            for name, method in _METHODS[cfg.is_cw].items()]
+    if include_cw and not cfg.is_cw:
+        runs.append(("cw", eta_cw, replace(
+            cfg, pump1=replace(cfg.pump1, sigma=0.0),
+            pump2=replace(cfg.pump2, sigma=0.0))))
+    etas, pairs, errors = {}, None, []
+    for k, (name, method, run_cfg) in enumerate(runs):
+        try:
+            res = method(run_cfg)
+        except SfwmError as exc:
+            errors.append(f"{name}: {exc}")
+            continue
+        etas[f"eta_{name}"] = res.eta
+        if k == 0:
+            pairs = res.pairs_per_second
+    return etas, pairs, errors
 
 
 def cmd_sweep(config, args):
     lo, hi = _parse_range(args.range, "--range")
-    values = np.linspace(lo, hi, args.points)
-    col = _SWEEP_COLUMN[args.parameter]
-    rows = []
-    failures = 0
-    for value in values:
-        row = {"x": float(value), "eta_numeric": None, "eta_closed": None,
-               "eta_cw": None, "pairs_per_second": None, "error": ""}
-        errors = []
+    col = _SWEEP[args.parameter][0]
+    columns = ["eta_numeric", "eta_closed"]
+    if args.include_cw or config.is_cw:
+        columns.append("eta_cw")
+    rows = []           # (x, etas, pairs_per_second, error)
+    for value in np.linspace(lo, hi, args.points):
+        x = float(value)
         try:
-            cfg = _sweep_config(config, args.parameter, float(value))
+            cfg = _sweep_config(config, args.parameter, x)
         except (ConfigError, ValueError) as exc:
-            row["error"] = str(exc)
-            failures += 1
-            rows.append(row)
+            rows.append((x, {}, None, str(exc)))
             continue
-        if cfg.is_cw:
-            try:
-                res = eta_cw(cfg)
-                row["eta_cw"] = res.eta
-                row["pairs_per_second"] = res.pairs_per_second
-            except (SfwmError,) as exc:
-                errors.append(f"cw: {exc}")
-        else:
-            try:
-                res = eta_pulsed_numeric(cfg)
-                row["eta_numeric"] = res.eta
-                row["pairs_per_second"] = res.pairs_per_second
-            except (SfwmError,) as exc:
-                errors.append(f"numeric: {exc}")
-            try:
-                row["eta_closed"] = eta_closed(cfg).eta
-            except (SfwmError,) as exc:
-                errors.append(f"closed: {exc}")
-            if args.include_cw:
-                try:
-                    from dataclasses import replace
-                    cw_cfg = replace(
-                        cfg, pump1=replace(cfg.pump1, sigma=0.0),
-                        pump2=replace(cfg.pump2, sigma=0.0))
-                    row["eta_cw"] = eta_cw(cw_cfg).eta
-                except (SfwmError,) as exc:
-                    errors.append(f"cw: {exc}")
-        if errors and row["eta_numeric"] is None and row["eta_cw"] is None \
-                and row["eta_closed"] is None:
-            failures += 1
-        row["error"] = "; ".join(errors)
-        rows.append(row)
+        etas, pairs, errors = _sweep_row(cfg, args.include_cw)
+        rows.append((x, etas, pairs, "; ".join(errors)))
+    # a row fails when it has no eta: its config was invalid or every
+    # method it ran raised
+    failures = sum(not etas for _x, etas, _p, _e in rows)
 
     out = args.out or "sweep.csv"
     with open(out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        header = [col, "eta_numeric", "eta_closed"]
-        if args.include_cw or config.is_cw:
-            header.append("eta_cw")
-        header += ["pairs_per_second", "error"]
-        writer.writerow(header)
-        for row in rows:
-            record = [_fmt(row["x"]), _fmt(row["eta_numeric"]),
-                      _fmt(row["eta_closed"])]
-            if args.include_cw or config.is_cw:
-                record.append(_fmt(row["eta_cw"]))
-            record += [_fmt(row["pairs_per_second"]), row["error"]]
-            writer.writerow(record)
+        writer.writerow([col, *columns, "pairs_per_second", "error"])
+        for x, etas, pairs, error in rows:
+            writer.writerow([_fmt(x), *(_fmt(etas.get(c)) for c in columns),
+                             _fmt(pairs), error])
     _write_manifest(out, args)
     if args.svg:
-        series = {"eta_numeric": [r["eta_numeric"] for r in rows],
-                  "eta_closed": [r["eta_closed"] for r in rows]}
-        if args.include_cw or config.is_cw:
-            series["eta_cw"] = [r["eta_cw"] for r in rows]
-        svgmod.line_plot(f"{out}.svg", [r["x"] for r in rows], series,
+        series = {c: [etas.get(c) for _x, etas, _p, _e in rows]
+                  for c in columns}
+        svgmod.line_plot(f"{out}.svg", [x for x, *_ in rows], series,
                          col, "conversion efficiency",
                          title=f"sweep: {args.parameter}")
         _write_manifest(f"{out}.svg", args)
@@ -434,10 +413,10 @@ def main(argv=None):
     _echo_summary(config)
     try:
         return _COMMANDS[args.command](config, args)
-    except (ConfigError, RegimeError, DivergenceError) as exc:
+    except _CONFIG_FAILURES as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except _NUMERIC_FAILURES as exc:
+    except SfwmError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

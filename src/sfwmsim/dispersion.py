@@ -28,6 +28,9 @@ Which path serves which step-index query:
 * beta1 = (n + n_x) / c and beta2 = (n_x + n_xx) / (c omega), with n_x and
   n_xx the x-derivatives of n_eff, come from the table's analytic
   derivatives for every input, scalars included.
+* The efficiency integrands take beta and the weight h at paired signal
+  and idler arrays from one query, ``_signal_idler``: one table evaluation
+  of n and n_x for both arrays, whatever their size.
 * Mode profiles take (u, w) from the exact solve.  Their normalisation
   integrals and the overlap integrals of the effective area share one
   integrand (``_overlap_integrals``, amplitudes from ``_amplitude``) and
@@ -338,10 +341,24 @@ def _table_derivatives(omega, fiber, order):
     return out.reshape((order + 1,) + om.shape)
 
 
-def _index_and_group_slowness(omega, fiber):
-    """(n_eff, beta1) of the step-index model from the table."""
-    n, n_x = _table_derivatives(omega, fiber, 1)
-    return n, (n + n_x) / C
+def _signal_idler(om_s, om_i, fiber):
+    """(beta_s, beta_i, h) at signal and idler arrays of one shape.
+
+    The one dispersion query of the efficiency integrands, one evaluation
+    of both arrays; beta and n have the bits of the array ``beta`` and
+    ``effective_index``, and h is ``sfwm.h_function``'s weight.
+    """
+    shape = np.shape(om_s)
+    om = np.concatenate([np.ravel(om_s), np.ravel(om_i)])
+    if fiber.taylor is not None:
+        k = fiber.taylor.k(om)
+        n, b1 = k * C / om, fiber.taylor.k(om, deriv=1)
+    else:
+        n, n_x = _table_eval(_checked_omega(om), fiber, 1)
+        k, b1 = n * om / C, (n + n_x) / C
+    m = om.size // 2
+    h = om[:m] * om[m:] * b1[:m] * b1[m:] / (n[:m] ** 2 * n[m:] ** 2)
+    return k[:m].reshape(shape), k[m:].reshape(shape), h.reshape(shape)
 
 
 def _as_result(x):
@@ -368,7 +385,8 @@ def beta1(omega, fiber):
     """First frequency derivative of k [s/m]: (n + dn/dx) / c, x = ln omega."""
     if fiber.taylor is not None:
         return fiber.taylor.k(omega, deriv=1)
-    return _as_result(_index_and_group_slowness(omega, fiber)[1])
+    n, n_x = _table_derivatives(omega, fiber, 1)
+    return _as_result((n + n_x) / C)
 
 
 def beta2(omega, fiber):

@@ -18,14 +18,14 @@ from functools import lru_cache
 import numpy as np
 
 from .constants import C, HBAR, TWO_PI
-from .dispersion import (_index_and_group_slowness, beta, beta1,
-                         effective_index, gamma_sfwm)
+from .dispersion import (_signal_idler, beta, beta1, effective_index,
+                         gamma_sfwm)
 from .errors import DivergenceError, RegimeError, WindowError
 from .numerics import (_sinc_phasor_sum, erf_ratio, integrate_1d,
                        integrate_2d, sinc)
 from .sfwm import (_BLOCK_ELEMENTS, _SEPARABLE_BLOCK_ELEMENTS, _SINC_EXTENT,
-                   PhasematchCenter, _in_row_blocks, _line_mismatch,
-                   _pump_convolution, _pump_rule, h_function, nonlinear_phase,
+                   PhasematchCenter, _in_row_blocks, _pump_convolution,
+                   _pump_rule, _pump_terms, h_function, nonlinear_phase,
                    peak_power, pump_envelope, solve_phasematch_center)
 
 # Convergence threshold on the relative contribution of a freshly added
@@ -175,7 +175,9 @@ def _rotated_integrand(config):
     row is contracted over the pump nodes on its own (a stacked
     ``matmul``), so a row's values equal those of a one-row call bit for
     bit.  Algebraically identical to ``h_function * |f|^2`` with f from
-    ``_pump_convolution`` (a property the tests assert).
+    ``_pump_convolution`` (a property the tests assert); h, and on the
+    step-index path beta_s and beta_i, come from one ``_signal_idler``
+    query per block.
 
     On the step-index path the mismatch phase separates on a row: x_k =
     q_k(u) - phi(v), with q_k = L/2 (beta(omega_k) + beta(u - omega_k) -
@@ -210,10 +212,9 @@ def _rotated_integrand(config):
         elements = _BLOCK_ELEMENTS
 
         def block(u, v):
-            om_s = 0.5 * (u + v)
-            om_i = 0.5 * (u - v)
-            f = jsa_pairs(om_s, om_i)
-            return h_function(om_s, om_i, fiber) * np.abs(f) ** 2
+            om_s, om_i = 0.5 * (u + v), 0.5 * (u - v)
+            h = _signal_idler(om_s, om_i, fiber)[2]
+            return h * np.abs(jsa_pairs(om_s, om_i)) ** 2
     else:
         # u -> (amplitudes, phases) over the pump nodes: an outer node's rows
         # recur at every level of its inner integral
@@ -232,15 +233,9 @@ def _rotated_integrand(config):
             amp = np.asarray([a for a, _ in terms])
             q_u = np.asarray([q for _, q in terms])
 
-            m = len(v)
-            om = np.concatenate([0.5 * (u + v), 0.5 * (u - v)])
-            neff, b1 = _index_and_group_slowness(om, fiber)
-            bet = neff * om / C
-            om_s, n_s, beta_s, b1_s = om[:m], neff[:m], bet[:m], b1[:m]
-            om_i, n_i, beta_i, b1_i = om[m:], neff[m:], bet[m:], b1[m:]
-
+            beta_s, beta_i, h = _signal_idler(0.5 * (u + v), 0.5 * (u - v),
+                                              fiber)
             F = _sinc_phasor_sum(amp, q_u, 0.5 * L * (beta_s + beta_i))
-            h = om_s * om_i * b1_s * b1_i / (n_s ** 2 * n_i ** 2)
             return h * pref2 * (F.real ** 2 + F.imag ** 2)
 
     return lambda u, v: _in_row_blocks(block, pump_nodes.size, u, v,
@@ -276,33 +271,21 @@ def _rotated_window(config, op):
     v0 = op.center.omega_s - op.center.omega_i
     u_half = 4.0 * sigma_c
     v_half = 4.0 * _SINC_EXTENT / (config.fiber.length * dbsi)
-    return _clamp_uv((u0 - u_half, u0 + u_half, v0 - v_half, v0 + v_half),
-                     u0, v0)
+    return _clamp_uv(u0, v0, u_half, v_half)
 
 
-def _clamp_uv(window, u0, v0):
-    """Keep the v range clear of the degenerate line v = 0.
+def _clamp_uv(u0, v0, u_half, v_half):
+    """(u_lo, u_hi, v_lo, v_hi): the box u0 +- u_half, v0 +- v_half, clamped.
 
-    The mirror peak sits at -v0, and the region around v = 0 is the
-    near-degenerate emission band around the pumps (nearly phasematched on
-    its own, and increasingly wide for short fibers); staying at least half
-    way keeps both out of the integral.
+    The v range stays clear of the degenerate line v = 0: the mirror peak
+    sits at -v0, and the region around v = 0 is the near-degenerate
+    emission band around the pumps (nearly phasematched on its own, and
+    increasingly wide for short fibers); staying at least half way keeps
+    both out of the integral.  u stays within 20% of u0.
     """
-    u_lo, u_hi, v_lo, v_hi = window
-    v_lo = max(v_lo, v0 - 0.5 * abs(v0))
-    v_hi = min(v_hi, v0 + 0.9 * abs(v0))
-    u_lo = max(u_lo, 0.8 * u0)
-    u_hi = min(u_hi, 1.2 * u0)
-    return (u_lo, u_hi, v_lo, v_hi)
-
-
-def _grow_uv(window, u0, v0):
-    """Window of twice the width around (u0, v0), clamped."""
-    u_lo, u_hi, v_lo, v_hi = window
-    u_half = u_hi - u_lo
-    v_half = v_hi - v_lo
-    return _clamp_uv((u0 - u_half, u0 + u_half, v0 - v_half, v0 + v_half),
-                     u0, v0)
+    return (max(u0 - u_half, 0.8 * u0), min(u0 + u_half, 1.2 * u0),
+            max(v0 - v_half, v0 - 0.5 * abs(v0)),
+            min(v0 + v_half, v0 + 0.9 * abs(v0)))
 
 
 def eta_pulsed_numeric(config):
@@ -357,7 +340,8 @@ def eta_pulsed_numeric(config):
     quad_err = res.error_estimate
     shells = []
     for _expansion in range(1, MAX_EXPANSIONS + 1):
-        grown = _grow_uv(window, u0, v0)
+        # twice the width: the old full widths are the new half-widths
+        grown = _clamp_uv(u0, v0, window[1] - window[0], window[3] - window[2])
         strips = _ring_strips(window, grown)
         if not strips:
             shells.append(0.0)      # fully clamped: the band edge is reached
@@ -424,7 +408,7 @@ def eta_cw(config):
     total = config.omega_total
     half = 0.5 * total
     om_c = op.center.omega_s
-    dk = _line_mismatch(config)
+    s_pumps, nl = _pump_terms(config)
 
     slope = abs(op.b1_i - op.b1_s)
     h_lo = h_up = 400.0 / (L * slope)
@@ -439,7 +423,8 @@ def eta_cw(config):
         return min(lo_half, lo_cap), up_half
 
     def integrand(om):
-        return h_function(om, total - om, fiber) * sinc(0.5 * L * dk(om)) ** 2
+        beta_s, beta_i, h = _signal_idler(om, total - om, fiber)
+        return h * sinc(0.5 * L * (s_pumps - beta_s - beta_i - nl)) ** 2
 
     value_prev = None
     quad_err = 0.0

@@ -1,8 +1,7 @@
 """Exception hierarchy.
 
 Every failure mode that callers are expected to handle gets its own class;
-the CLI maps ConfigError to exit code 2 and the numerical-failure family
-(NonConvergenceError, WindowError, NoPhasematchError) to exit code 3.
+the CLI maps each to exit code 2 or 3 (see ``cli``).
 """
 
 

@@ -190,20 +190,6 @@ def phase_mismatch(omega, omega_s, omega_i, config):
     return out
 
 
-def _line_mismatch(config):
-    """Callable: phase mismatch on the energy-conservation line.
-
-    dk(om) = beta(omega_1) + beta(omega_2) - beta(om) - beta(total - om)
-    - nonlinear phase, with both pumps at their carriers, om the signal
-    frequency and total = omega_1 + omega_2.  A scalar gives a float through
-    the exact scalar solve; an array goes through the array path.  The scan,
-    the root refinement, the centre residual and the CW integrand all use
-    this one function; ``_exact_line_mismatch`` evaluates its scalar
-    formula on arrays.
-    """
-    return _mismatch_on_line(config, *_pump_terms(config))
-
-
 def _pump_terms(config):
     """(beta(omega_1) + beta(omega_2), nonlinear phase) at the pump carriers."""
     fiber = config.fiber
@@ -229,7 +215,13 @@ def _pump_terms_batch(configs):
 
 
 def _mismatch_on_line(config, s_pumps, nl):
-    """``_line_mismatch`` with its pump beta sum and nonlinear phase given."""
+    """Callable: phase mismatch on the energy-conservation line.
+
+    dk(om) = s_pumps - beta(om) - beta(total - om) - nl (``_pump_terms``),
+    total = omega_1 + omega_2: a float through the exact scalar solve for a
+    scalar signal frequency om, the array path for an array.
+    ``_exact_line_mismatch`` and the CW integrand take the same terms.
+    """
     fiber = config.fiber
     total = config.omega_total
 
@@ -244,7 +236,7 @@ def _mismatch_on_line(config, s_pumps, nl):
 
 
 def _exact_line_mismatch(fiber, om, total, s_pumps, nl):
-    """The scalar dk of ``_line_mismatch`` at every point of a flat array.
+    """The scalar dk of ``_mismatch_on_line`` at every point of a flat array.
 
     ``total``, ``s_pumps`` and ``nl`` are per point or shared.  beta comes
     from one exact evaluation of all 2n frequencies (``_beta_exact``), so
@@ -479,8 +471,8 @@ def solve_phasematch_center(config, branch="outer", side="signal-above"):
     om_sig = distinct[index]
     om_s, om_i = (om_sig, total - om_sig) if side == "signal-above" \
         else (total - om_sig, om_sig)
-    return PhasematchCenter(omega_s=om_s, omega_i=om_i,
-                            residual=_line_mismatch(config)(om_sig))
+    dk = _mismatch_on_line(config, *_pump_terms(config))
+    return PhasematchCenter(omega_s=om_s, omega_i=om_i, residual=dk(om_sig))
 
 
 def h_function(omega_s, omega_i, fiber):

@@ -1,9 +1,16 @@
 import csv
 import json
+from dataclasses import replace
 
 import pytest
 
-from sfwmsim import cli
+from sfwmsim import cli, efficiency
+from sfwmsim.config_io import parse_config
+from sfwmsim.efficiency import eta_closed, eta_cw, eta_pulsed_numeric
+from sfwmsim.errors import (BracketError, ConfigError, DivergenceError,
+                            ModeCutoffError, NoPhasematchError,
+                            NonConvergenceError, OverlapError, RegimeError,
+                            SfwmError, WavelengthRangeError, WindowError)
 
 FIBER_A = {"core_radius_um": 0.97, "air_fill_fraction": 0.91, "length_m": 0.5}
 PULSED_708 = {"wavelength_um": 0.708, "sigma_THz": 3.0, "avg_power_mW": 0.3,
@@ -224,6 +231,127 @@ class TestExitCodes:
         assert (f"--points: must be a positive integer, got {points!r}"
                 in capsys.readouterr().err)
         assert not (tmp_path / "out.csv").exists()
+
+
+class TestPackageErrorExitCodes:
+    EXIT = {ConfigError: 2, RegimeError: 2, DivergenceError: 2,
+            WavelengthRangeError: 2, ModeCutoffError: 2,
+            NonConvergenceError: 3, WindowError: 3, NoPhasematchError: 3,
+            OverlapError: 3, BracketError: 3}
+
+    def test_every_package_error_is_mapped(self):
+        assert set(self.EXIT) == set(SfwmError.__subclasses__())
+
+    @pytest.mark.parametrize("error", sorted(EXIT, key=lambda e: e.__name__),
+                             ids=lambda e: e.__name__)
+    def test_exit_code(self, tmp_path, pulsed, monkeypatch, capsys, error):
+        def fail(config):
+            raise error("injected")
+
+        monkeypatch.setattr(cli, "solve_phasematch_center", fail)
+        code, _ = run(tmp_path, "gamma", pulsed, out="gamma.json")
+        assert code == self.EXIT[error]
+        prefix = "config error" if code == 2 else "numerical failure"
+        assert f"{prefix}: injected" in capsys.readouterr().err
+        assert not (tmp_path / "gamma.json").exists()
+
+    def test_cw_window_past_the_sellmeier_window(self, tmp_path, cw, capsys):
+        # the doubling CW window of a short fiber takes the idler past
+        # 3.7 um
+        data = dict(cw, fiber=dict(FIBER_A, length_m=0.05))
+        code, _ = run(tmp_path, "efficiency", data, "--method", "cw")
+        assert code == cli.EXIT_CONFIG
+        assert ("config error: wavelength 5.5027 um outside Sellmeier "
+                "validity") in capsys.readouterr().err
+
+    def test_window_error_is_a_numerical_failure(self, tmp_path, cw,
+                                                 monkeypatch, capsys):
+        monkeypatch.setattr(efficiency, "SHELL_TOL", 0.0)
+        data = dict(cw, fiber=dict(FIBER_A, length_m=2.0))
+        code, _ = run(tmp_path, "efficiency", data, "--method", "cw")
+        assert code == cli.EXIT_NUMERIC
+        assert ("numerical failure: cw window did not converge within 4 "
+                "expansions") in capsys.readouterr().err
+
+
+def fmt(value):
+    return f"{value:.12g}"
+
+
+class TestSweepRows:
+    """Every CSV cell of a sweep row is the library's answer for that row."""
+
+    def expect(self, cfg, include_cw=False):
+        numeric = eta_pulsed_numeric(cfg)
+        row = {"eta_numeric": fmt(numeric.eta),
+               "eta_closed": fmt(eta_closed(cfg).eta),
+               "pairs_per_second": fmt(numeric.pairs_per_second),
+               "error": ""}
+        if include_cw:
+            row["eta_cw"] = fmt(eta_cw(replace(
+                cfg, pump1=replace(cfg.pump1, sigma=0.0),
+                pump2=replace(cfg.pump2, sigma=0.0))).eta)
+        return row
+
+    def test_pulsed_rows_with_cw(self, tmp_path, pulsed):
+        code, out = run(tmp_path, "sweep", pulsed, "--parameter", "length",
+                        "--range", "0.3:0.5", "--points", "2",
+                        "--include-cw", out="sweep.csv")
+        assert code == 0
+        rows = read_csv(out)
+        assert list(rows[0]) == ["length_m", "eta_numeric", "eta_closed",
+                                 "eta_cw", "pairs_per_second", "error"]
+        for row, length in zip(rows, (0.3, 0.5)):
+            cfg = parse_config(dict(pulsed, fiber=dict(FIBER_A,
+                                                       length_m=length)))
+            assert row == {"length_m": fmt(length),
+                           **self.expect(cfg, include_cw=True)}
+
+    @pytest.mark.parametrize("parameter, column, field, value", [
+        ("power", "avg_power_mW", "avg_power_mW", 0.6),
+        ("bandwidth", "sigma_THz", "sigma_THz", 2.0),
+        ("pump-frequency", "lambda_p_um", "wavelength_um", 0.705),
+    ])
+    def test_pump_parameter(self, tmp_path, pulsed, parameter, column,
+                            field, value):
+        code, out = run(tmp_path, "sweep", pulsed, "--parameter", parameter,
+                        "--range", f"{value}:{2 * value}", "--points", "1",
+                        out="sweep.csv")
+        assert code == 0
+        row, = read_csv(out)
+        cfg = parse_config(dict(pulsed, pump1=dict(PULSED_708,
+                                                   **{field: value})))
+        assert row == {column: fmt(value), **self.expect(cfg)}
+
+    def test_invalid_row(self, tmp_path, pulsed, capsys):
+        code, out = run(tmp_path, "sweep", pulsed, "--parameter", "length",
+                        "--range", "0:0.5", "--points", "2", out="sweep.csv")
+        # one failed row in two is past the 10% threshold
+        assert code == cli.EXIT_NUMERIC
+        assert "1/2 sweep points failed" in capsys.readouterr().err
+        invalid, valid = read_csv(out)
+        assert invalid == {"length_m": "0", "eta_numeric": "",
+                           "eta_closed": "", "pairs_per_second": "",
+                           "error": "length must be > 0"}
+        assert valid == {"length_m": "0.5",
+                         **self.expect(parse_config(pulsed))}
+
+    def test_window_error_recorded_in_row(self, tmp_path, pulsed,
+                                          monkeypatch):
+        # a zero shell threshold never accepts the window; the absolute
+        # tolerance (about 3e-9 of the integral) keeps the strips cheap
+        data = dict(pulsed, quadrature={"abs_tol": 1e56})
+        monkeypatch.setattr(efficiency, "SHELL_TOL", 0.0)
+        code, out = run(tmp_path, "sweep", data, "--parameter", "length",
+                        "--range", "0.5:1", "--points", "1", out="sweep.csv")
+        # the closed form still answers, so the row has not failed
+        assert code == 0
+        row, = read_csv(out)
+        assert row == {"length_m": "0.5", "eta_numeric": "",
+                       "eta_closed": fmt(eta_closed(parse_config(data)).eta),
+                       "pairs_per_second": "",
+                       "error": "numeric: pulsed efficiency window did not "
+                                "converge within 4 expansions"}
 
 
 def test_repeat_efficiency_runs_byte_identical(tmp_path, pulsed):

@@ -6,12 +6,13 @@ import pytest
 
 from conftest import taylor_fiber
 from sfwmsim.constants import C, HBAR, omega_from_um
-from sfwmsim.dispersion import FiberSpec, beta, beta1, beta2
+from sfwmsim import efficiency
+from sfwmsim.dispersion import FiberSpec, _signal_idler, beta, beta1, beta2
 from sfwmsim.efficiency import (_rotated_integrand, _rotated_window,
                                 eta_closed, eta_cw, eta_pulsed_numeric, l_max,
                                 operating_point, photons_per_pulse,
                                 pump_photon_rate, sigma_max)
-from sfwmsim.errors import DivergenceError, RegimeError
+from sfwmsim.errors import DivergenceError, RegimeError, WindowError
 from sfwmsim.sfwm import (_BLOCK_ELEMENTS, PumpSpec, SourceConfig,
                           _pump_convolution, _pump_rule, h_function, jsa,
                           nonlinear_phase, solve_phasematch_center)
@@ -273,6 +274,56 @@ class TestRotatedIntegrand:
                                      for r in range(p)])
         assert block.shape == (p, n)
         assert block.tobytes() == one_by_one.tobytes()
+
+
+class TestSignalIdlerQuery:
+    """The integrands' one query has the bits of beta and h_function."""
+
+    @pytest.mark.parametrize("taylor", [False, True], ids=["step", "taylor"])
+    def test_matches_beta_and_h_function(self, cfg_dp, taylor):
+        fiber = cfg_dp.fiber
+        if taylor:
+            fiber = taylor_fiber(omega_from_um(0.708), (
+                12709608.91856346, 4.972458401064144e-09,
+                1.7257388265561942e-27, 6.591119073571425e-41))
+        center = solve_phasematch_center(cfg_dp)
+        om_s = center.omega_s + np.linspace(-2e13, 2e13, 12).reshape(3, 4)
+        om_i = cfg_dp.omega_total - om_s
+        beta_s, beta_i, h = _signal_idler(om_s, om_i, fiber)
+        assert beta_s.shape == beta_i.shape == h.shape == (3, 4)
+        assert beta_s.tobytes() == beta(om_s, fiber).tobytes()
+        assert beta_i.tobytes() == beta(om_i, fiber).tobytes()
+        assert h.tobytes() == h_function(om_s, om_i, fiber).tobytes()
+
+
+class TestWindowError:
+    """A window that never settles raises WindowError with its last values."""
+
+    def test_pulsed(self, cfg_dp, monkeypatch):
+        # with a zero shell threshold the strips lose their absolute floor;
+        # an absolute tolerance of about 3e-9 of the integral (3.5e64)
+        # settles them fast.  The fourth ring adds exactly 0, which a
+        # threshold of 0 does not accept
+        cfg = replace(cfg_dp, quadrature=replace(cfg_dp.quadrature,
+                                                 abs_tol=1e56))
+        monkeypatch.setattr(efficiency, "SHELL_TOL", 0.0)
+        with pytest.raises(WindowError,
+                           match="pulsed efficiency window did not converge "
+                                 "within 4 expansions") as info:
+            eta_pulsed_numeric(cfg)
+        before, last = info.value.last_values
+        assert 0 < before == last < math.inf
+
+    def test_cw(self, cfg_cw_dp, monkeypatch):
+        # below L = 1 m the doubling window leaves the Sellmeier window
+        # before its fourth expansion
+        monkeypatch.setattr(efficiency, "SHELL_TOL", 0.0)
+        with pytest.raises(WindowError,
+                           match="cw window did not converge within 4 "
+                                 "expansions") as info:
+            eta_cw(with_length(cfg_cw_dp, 2.0))
+        assert all(v > 0 and math.isfinite(v)
+                   for v in info.value.last_values)
 
 
 class TestPairwiseConvolutionBits:

@@ -10,7 +10,7 @@ from conftest import taylor_fiber
 from sfwmsim.constants import C, omega_from_um, um_from_omega
 from sfwmsim.dispersion import _a_eff_cached, beta, beta1, beta2
 from sfwmsim import sfwm
-from sfwmsim.errors import NoPhasematchError, RegimeError
+from sfwmsim.errors import ModeCutoffError, NoPhasematchError, RegimeError
 from sfwmsim.numerics import integrate_1d
 from sfwmsim.sfwm import (_BLOCK_ELEMENTS, PumpSpec, SourceConfig,
                           _pump_convolution, _pump_rule, h_function, jsa,
@@ -517,3 +517,52 @@ class TestLockstepRoots:
     def test_configs_share_the_fiber(self, cfg_dp, cfg_loop):
         with pytest.raises(ValueError):
             sfwm.phasematch_roots_lockstep([cfg_dp, cfg_loop])
+
+    @staticmethod
+    def poison_gammas(monkeypatch, carrier, scalar):
+        """Make the pump-gamma batch, and if ``scalar`` also the one-carrier
+        gamma, raise a package error at ``carrier``."""
+        batch, one = sfwm.gamma_pumps, sfwm.gamma_pump
+        batches = []
+
+        def failing_batch(fiber, omegas):
+            batches.append(list(omegas))
+            if carrier in omegas:
+                raise ModeCutoffError(f"cutoff at {carrier:.6e}")
+            return batch(fiber, omegas)
+
+        def failing_one(fiber, omega):
+            if omega == carrier:
+                raise ModeCutoffError(f"cutoff at {carrier:.6e}")
+            return one(fiber, omega)
+
+        monkeypatch.setattr(sfwm, "gamma_pumps", failing_batch)
+        if scalar:
+            monkeypatch.setattr(sfwm, "gamma_pump", failing_one)
+        return batches
+
+    def test_pump_batch_failure_redone_per_config(self, cfg_loop,
+                                                  monkeypatch):
+        # the batch fails, the per-carrier path does not: every config
+        # still gets the roots phasematch_roots gives
+        configs = _repumped_loop(cfg_loop, np.linspace(0.68, 0.84, 5))
+        batches = self.poison_gammas(monkeypatch, configs[2].pump1.omega0,
+                                     scalar=False)
+        want = self.check(configs)
+        assert len(batches) == 1 and any(want)
+
+    def test_pump_terms_error_ends_the_run(self, cfg_loop, monkeypatch):
+        # the third config's pump terms raise on both paths: the configs
+        # before it keep their roots, it gets the error phasematch_roots
+        # raises, and the run ends there
+        configs = _repumped_loop(cfg_loop, np.linspace(0.68, 0.84, 5))
+        self.poison_gammas(monkeypatch, configs[2].pump1.omega0, scalar=True)
+        got = sfwm.phasematch_roots_lockstep(configs)
+        for config, roots in zip(configs[:2], got):
+            assert [r.hex() for r in roots] == [
+                r.hex() for r in phasematch_roots(config)]
+        with pytest.raises(ModeCutoffError) as want:
+            phasematch_roots(configs[2])
+        assert type(got[2]) is ModeCutoffError
+        assert str(got[2]) == str(want.value)
+        assert got[3:] == [None, None]
