@@ -8,6 +8,10 @@ peak power for 300 uW average at 80 MHz).
 """
 import math
 
+import numpy as np
+
+from .errors import ConfigError
+
 C = 299792458.0                # speed of light [m/s]
 HBAR = 1.054571817e-34         # reduced Planck constant [J s]
 TWO_PI = 2.0 * math.pi
@@ -19,7 +23,12 @@ SELLMEIER_RANGE_UM = (0.21, 3.7)   # validity window of the fused-silica fit
 
 
 def omega_from_um(wavelength_um):
-    """Angular frequency [rad/s] from vacuum wavelength [um]."""
+    """Angular frequency [rad/s] from vacuum wavelength [um].
+
+    Raises ConfigError unless every wavelength is positive.
+    """
+    if not np.all(np.greater(wavelength_um, 0)):
+        raise ConfigError(f"wavelength must be > 0 um, got {wavelength_um!r}")
     return TWO_PI * C / (wavelength_um * 1e-6)
 
 

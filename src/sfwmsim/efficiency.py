@@ -23,10 +23,10 @@ from .dispersion import (_signal_idler, beta, beta1, effective_index,
 from .errors import DivergenceError, RegimeError, WindowError
 from .numerics import (_sinc_phasor_sum, erf_ratio, integrate_1d,
                        integrate_2d, sinc)
-from .sfwm import (_BLOCK_ELEMENTS, _SEPARABLE_BLOCK_ELEMENTS, _SINC_EXTENT,
-                   PhasematchCenter, _in_row_blocks, _pump_convolution,
-                   _pump_rule, _pump_terms, h_function, nonlinear_phase,
-                   peak_power, pump_envelope, solve_phasematch_center)
+from .sfwm import (_SEPARABLE_BLOCK_ELEMENTS, _SINC_EXTENT, PhasematchCenter,
+                   _in_row_blocks, _pump_rule, _pump_terms, h_function,
+                   nonlinear_phase, peak_power, pump_envelope,
+                   solve_phasematch_center)
 
 # Convergence threshold on the relative contribution of a freshly added
 # boundary shell.  The joint intensity falls off as 1/x^2 along the
@@ -175,17 +175,16 @@ def _rotated_integrand(config):
     row is contracted over the pump nodes on its own (a stacked
     ``matmul``), so a row's values equal those of a one-row call bit for
     bit.  Algebraically identical to ``h_function * |f|^2`` with f from
-    ``_pump_convolution`` (a property the tests assert); h, and on the
-    step-index path beta_s and beta_i, come from one ``_signal_idler``
-    query per block.
+    ``_pump_convolution`` (a property the tests assert); h, beta_s and
+    beta_i come from one ``_signal_idler`` query per block, for either
+    fiber model.
 
-    On the step-index path the mismatch phase separates on a row: x_k =
-    q_k(u) - phi(v), with q_k = L/2 (beta(omega_k) + beta(u - omega_k) -
-    nl) over the pump nodes and phi = L/2 (beta_s + beta_i).  The
-    amplitudes a_k and phases q_k depend on u only; they are evaluated
-    once per distinct u, for all new rows of a block in one vectorised
-    call, and kept for the later levels.  Since sinc(x) e^{ix} =
-    (e^{2ix} - 1)/(2ix),
+    On a row the mismatch phase separates: x_k = q_k(u) - phi(v), with
+    q_k = L/2 (beta(omega_k) + beta(u - omega_k) - nl) over the pump nodes
+    and phi = L/2 (beta_s + beta_i).  The amplitudes a_k and phases q_k
+    depend on u only; they are evaluated once per distinct u, for all new
+    rows of a block in one vectorised call, and kept for the later levels.
+    Since sinc(x) e^{ix} = (e^{2ix} - 1)/(2ix),
 
         f = [e^{-2i phi} sum_k a_k e^{2i q_k} / x_k - sum_k a_k / x_k] / (2i)
 
@@ -194,11 +193,7 @@ def _rotated_integrand(config):
     place of a sin and a cos.  Where |x| < 1e-3 the two sums cancel, so
     those elements take sinc(x) e^{ix} directly.  The block holds about
     four real arrays per element, so it takes twice the elements of the
-    pair-wise one (``_SEPARABLE_BLOCK_ELEMENTS``).  The Taylor path keeps
-    the pair-wise ``_pump_convolution`` and its bits, because several
-    Taylor benchmark references report a quadrature error equal to the
-    one they are checked against, so any rounding change there fails them
-    at random.
+    pair-wise one (``_SEPARABLE_BLOCK_ELEMENTS``).
     """
     fiber = config.fiber
     L = fiber.length
@@ -207,39 +202,28 @@ def _rotated_integrand(config):
     pref2 = math.pi * p1.sigma * p2.sigma / 2.0
     pump_nodes, weights, beta_nodes, env1 = _pump_rule(config)
 
-    if fiber.taylor is not None:
-        jsa_pairs = _pump_convolution(config)
-        elements = _BLOCK_ELEMENTS
+    # u -> (amplitudes, phases) over the pump nodes: an outer node's rows
+    # recur at every level of its inner integral
+    pump_terms = {}
 
-        def block(u, v):
-            om_s, om_i = 0.5 * (u + v), 0.5 * (u - v)
-            h = _signal_idler(om_s, om_i, fiber)[2]
-            return h * np.abs(jsa_pairs(om_s, om_i)) ** 2
-    else:
-        # u -> (amplitudes, phases) over the pump nodes: an outer node's rows
-        # recur at every level of its inner integral
-        pump_terms = {}
-        elements = _SEPARABLE_BLOCK_ELEMENTS
+    def block(u, v):
+        keys = u[:, 0].tolist()
+        new = [k for k in dict.fromkeys(keys) if k not in pump_terms]
+        if new:
+            conj = np.asarray(new)[:, None] - pump_nodes
+            amp = weights * env1 * pump_envelope(p2, conj)
+            q_u = 0.5 * L * (beta_nodes + beta(conj, fiber) - nl)
+            pump_terms.update(zip(new, zip(amp, q_u)))
+        terms = [pump_terms[k] for k in keys]
+        amp = np.asarray([a for a, _ in terms])
+        q_u = np.asarray([q for _, q in terms])
 
-        def block(u, v):
-            keys = u[:, 0].tolist()
-            new = [k for k in dict.fromkeys(keys) if k not in pump_terms]
-            if new:
-                conj = np.asarray(new)[:, None] - pump_nodes
-                amp = weights * env1 * pump_envelope(p2, conj)
-                q_u = 0.5 * L * (beta_nodes + beta(conj, fiber) - nl)
-                pump_terms.update(zip(new, zip(amp, q_u)))
-            terms = [pump_terms[k] for k in keys]
-            amp = np.asarray([a for a, _ in terms])
-            q_u = np.asarray([q for _, q in terms])
-
-            beta_s, beta_i, h = _signal_idler(0.5 * (u + v), 0.5 * (u - v),
-                                              fiber)
-            F = _sinc_phasor_sum(amp, q_u, 0.5 * L * (beta_s + beta_i))
-            return h * pref2 * (F.real ** 2 + F.imag ** 2)
+        beta_s, beta_i, h = _signal_idler(0.5 * (u + v), 0.5 * (u - v), fiber)
+        F = _sinc_phasor_sum(amp, q_u, 0.5 * L * (beta_s + beta_i))
+        return h * pref2 * (F.real ** 2 + F.imag ** 2)
 
     return lambda u, v: _in_row_blocks(block, pump_nodes.size, u, v,
-                                       elements)
+                                       _SEPARABLE_BLOCK_ELEMENTS)
 
 
 def _ring_strips(inner, outer):

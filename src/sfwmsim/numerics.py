@@ -30,10 +30,10 @@ own ``find_root``.
 
 ``_sinc_phasor`` forms the phase-matching factor sinc(x) e^{ix} of the pump
 convolution element by element, at one sin and one cos each, for the joint
-spectral amplitude and the Taylor pulsed integrand.  ``_sinc_phasor_sum``
-contracts it over the pump nodes when x separates into a per-node phase
-minus a per-column phase, as on the rows of the step-index pulsed
-integrand: one reciprocal per element, with ``_sinc_phasor`` only for the
+spectral amplitude (``jsa``, ``jsa_grid``).  ``_sinc_phasor_sum`` contracts
+it over the pump nodes when x separates into a per-node phase minus a
+per-column phase, as on the rows of the pulsed integrand of either fiber
+model: one reciprocal per element, with ``_sinc_phasor`` only for the
 elements within 1e-3 of x = 0.
 """
 from __future__ import annotations
@@ -151,8 +151,8 @@ def sinc(x):
 def _sinc_phasor(x, scale=None):
     """scale * sinc(x) * e^{ix} as one complex array, from one sin and one cos.
 
-    Serves the pair-wise pump convolution (the joint spectral amplitude and
-    the Taylor pulsed integrand) and the near-zero terms of
+    Serves the pair-wise pump convolution of the joint spectral amplitude
+    (``jsa``, ``jsa_grid``) and the near-zero terms of
     ``_sinc_phasor_sum``.  Bit for bit the same product formed with NumPy's
     complex exp: that exp gives (cos x, sin x) exactly, and a real times a
     complex rounds each part once, so the real factor scale * sinc(x),

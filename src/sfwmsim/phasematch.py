@@ -17,8 +17,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .constants import omega_from_um, um_from_omega
-from .errors import (DivergenceError, NoPhasematchError, RegimeError,
-                     SfwmError)
+from .errors import (ConfigError, DivergenceError, NoPhasematchError,
+                     RegimeError, SfwmError)
 from .dispersion import beta1
 from .sfwm import phasematch_roots_lockstep
 
@@ -136,7 +136,7 @@ def contour(config, pump_wavelength_range_um, n_points):
     for lam in lams:
         try:
             configs.append(_repumped(config, omega_from_um(float(lam))))
-        except (ValueError, ArithmeticError) as exc:
+        except (ConfigError, ValueError, ArithmeticError) as exc:
             error = exc        # an invalid wavelength: raised after the ones below
             break
     # (signal, idler, pump frequency, branch) of every point, pump by pump

@@ -522,13 +522,14 @@ def _pump_rule(config):
 
 
 # Largest block (rows x pump nodes x columns) the pair-wise pump
-# convolution evaluates at once.  It bounds the working set (a dozen arrays
-# of this size, 128 KiB each when complex) while amortizing the per-call
-# cost; on the Taylor pulsed integrand 2 ** 14 ran slower and peaked about
-# 1 MB higher.  The step-index pulsed integrand's separable block holds
-# about four real arrays per element, so twice the elements keep a like
-# working set: on step-index sweep rows 2 ** 14 ran about 20% faster than
-# 2 ** 13 at the same peak RSS, and 2 ** 15 no faster than 2 ** 14.
+# convolution of jsa and jsa_grid evaluates at once.  It bounds the working
+# set (a dozen arrays of this size, 128 KiB each when complex) while
+# amortizing the per-call cost.  The pulsed integrand's separable block
+# holds about four real arrays per element, so twice the elements keep a
+# like working set: on step-index sweep rows 2 ** 14 ran about 20% faster
+# than 2 ** 13 at the same peak RSS, and 2 ** 15 no faster than 2 ** 14.
+# On Taylor sweep rows 2 ** 13 ran slower than 2 ** 14, and 2 ** 15 won
+# 15 of 20 interleaved benchmark pairs by less than their spread.
 _BLOCK_ELEMENTS = 2 ** 13
 _SEPARABLE_BLOCK_ELEMENTS = 2 * _BLOCK_ELEMENTS
 
@@ -547,6 +548,10 @@ def _in_row_blocks(fn, n_nodes, a, b, elements=_BLOCK_ELEMENTS):
 
 def _pump_convolution(config):
     """Joint spectral amplitude f(omega_s, omega_i) for paired arrays.
+
+    Serves ``jsa`` and ``jsa_grid``, whose pairs are general; the pulsed
+    efficiency contracts its rotated rows through the separable block of
+    ``efficiency._rotated_integrand`` instead.
 
     Builds the nonlinear phase and the fixed ``_pump_rule`` once; each call
     evaluates every pair in one pump integral, whose envelope product

@@ -274,6 +274,49 @@ class TestPackageErrorExitCodes:
                 "expansions") in capsys.readouterr().err
 
 
+class TestNonPositiveWavelength:
+    """A wavelength of 0 or below in a range is a config error, never a
+    traceback: a sweep row is invalid, a dispersion row is a warning and a
+    contour exits 2."""
+
+    def test_sweep_row_is_invalid(self, tmp_path, pulsed, capsys):
+        code, out = run(tmp_path, "sweep", pulsed, "--parameter",
+                        "pump-frequency", "--range", "0:0.705", "--points",
+                        "2", out="sweep.csv")
+        assert code == cli.EXIT_NUMERIC
+        assert "1/2 sweep points failed" in capsys.readouterr().err
+        invalid, valid = read_csv(out)
+        assert invalid == {"lambda_p_um": "0", "eta_numeric": "",
+                           "eta_closed": "", "pairs_per_second": "",
+                           "error": "wavelength must be > 0 um, got 0.0"}
+        assert valid["lambda_p_um"] == "0.705" and valid["error"] == ""
+        assert float(valid["eta_numeric"]) > 0
+
+    def test_dispersion_row_is_a_warning(self, tmp_path, pulsed, capsys):
+        code, out = run(tmp_path, "dispersion", pulsed, "--range=-0.8:0.8",
+                        "--points", "3", out="dispersion.csv")
+        assert code == 0
+        err = capsys.readouterr().err
+        assert "warning: -0.8000 um: wavelength must be > 0 um" in err
+        assert "warning: 0.0000 um: wavelength must be > 0 um" in err
+        rows = read_csv(out)[:3]       # then the zero-dispersion comment
+        assert [r["lambda_um"] for r in rows] == ["-0.8", "0", "0.8"]
+        assert all(r["n_eff"] == "" for r in rows[:2])
+        assert float(rows[2]["n_eff"]) > 1
+
+    @pytest.mark.parametrize("pump_range", ["0:0.8", "-0.5:0.8"])
+    def test_contour_is_a_config_error(self, tmp_path, pulsed, capsys,
+                                       pump_range):
+        code, out = run(tmp_path, "contour", pulsed,
+                        f"--pump-range={pump_range}", "--points", "3",
+                        out="contour.csv")
+        assert code == cli.EXIT_CONFIG
+        lo = float(pump_range.split(":")[0])
+        assert (f"config error: wavelength must be > 0 um, got {lo!r}"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "contour.csv").exists()
+
+
 def fmt(value):
     return f"{value:.12g}"
 

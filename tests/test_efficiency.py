@@ -13,7 +13,7 @@ from sfwmsim.efficiency import (_rotated_integrand, _rotated_window,
                                 operating_point, photons_per_pulse,
                                 pump_photon_rate, sigma_max)
 from sfwmsim.errors import DivergenceError, RegimeError, WindowError
-from sfwmsim.sfwm import (_BLOCK_ELEMENTS, PumpSpec, SourceConfig,
+from sfwmsim.sfwm import (_SEPARABLE_BLOCK_ELEMENTS, PumpSpec, SourceConfig,
                           _pump_convolution, _pump_rule, h_function, jsa,
                           nonlinear_phase, solve_phasematch_center)
 
@@ -232,14 +232,27 @@ class TestNumericEfficiency:
         assert c.diagnostics["erf_argument"] == d.diagnostics["erf_argument"]
 
 
+def as_taylor(cfg):
+    """``cfg`` on the degree-2 Taylor fit of its fiber at half the pump sum."""
+    om = 0.5 * cfg.omega_total
+    return replace(cfg, fiber=taylor_fiber(
+        om, (beta(om, cfg.fiber), beta1(om, cfg.fiber), beta2(om, cfg.fiber))))
+
+
 class TestRotatedIntegrand:
-    @pytest.mark.parametrize("name", ["cfg_dp", "cfg_ndp"])
-    def test_matches_h_times_jsa_intensity(self, name, request):
+    @pytest.mark.parametrize("name, taylor", [
+        pytest.param("cfg_dp", False, id="cfg_dp"),
+        pytest.param("cfg_ndp", False, id="cfg_ndp"),
+        pytest.param("cfg_dp", True, id="cfg_dp-taylor"),
+        pytest.param("cfg_ndp", True, id="cfg_ndp-taylor")])
+    def test_matches_h_times_jsa_intensity(self, name, taylor, request):
         # the pulsed integrand factors the pump convolution over the
         # frequency sum u; slice by slice it is h |f|^2 of the joint spectrum
         cfg = request.getfixturevalue(name)
         op = operating_point(cfg)
         _, _, v_lo, v_hi = _rotated_window(cfg, op)
+        if taylor:
+            cfg = as_taylor(cfg)
         v = np.linspace(v_lo, v_hi, 101)
         rows = _rotated_integrand(cfg)
         jsa_pairs = _pump_convolution(cfg)
@@ -259,12 +272,9 @@ class TestRotatedIntegrand:
         cfg = request.getfixturevalue(name)
         u_lo, u_hi, v_lo, v_hi = _rotated_window(cfg, operating_point(cfg))
         if taylor:
-            om = 0.5 * cfg.omega_total
-            cfg = replace(cfg, fiber=taylor_fiber(
-                om, (beta(om, cfg.fiber), beta1(om, cfg.fiber),
-                     beta2(om, cfg.fiber))))
+            cfg = as_taylor(cfg)
         n = 15
-        per_block = _BLOCK_ELEMENTS // (_pump_rule(cfg)[0].size * n)
+        per_block = _SEPARABLE_BLOCK_ELEMENTS // (_pump_rule(cfg)[0].size * n)
         p = 3 * per_block + 2
         u = np.linspace(u_lo, u_hi, p)[:, None]
         v = np.linspace(v_lo, v_hi, p * n).reshape(p, n)
@@ -327,26 +337,29 @@ class TestWindowError:
 
 
 class TestPairwiseConvolutionBits:
-    """The pair-wise pump convolution (Taylor integrand, jsa) keeps its bits.
+    """Pinned bits of the pump convolution in both its forms.
 
-    Several Taylor benchmark references report a quadrature error equal to
-    the one they are checked against, so any rounding change on this path
-    fails them at random; these values pin it until the error estimate is
-    honest.
+    ``jsa`` and ``jsa_grid`` take the pair-wise ``_pump_convolution``; a
+    pulsed eta, here on a Taylor fiber, takes the separable block of the
+    rotated integrand.
     """
 
     def test_taylor_pulsed_eta(self):
-        # fiber A's Taylor fit at 708 nm, truncated at beta4, L = 0.3 m
+        # fiber A's Taylor fit at 708 nm, truncated at beta4, L = 0.3 m.
+        # Pinned at the separable block's bits; the pair-wise block it
+        # replaced gave eta 0x1.5f1ce41e5a25bp-24, about 1e-11 relative off
         fiber = taylor_fiber(omega_from_um(0.708), (
             12709608.91856346, 4.972458401064144e-09, 1.7257388265561942e-27,
             6.591119073571425e-41, -5.586155955194142e-56), length=0.3)
         pump = PumpSpec.from_units(0.708, 3.0, 0.3, 80.0)
         res = eta_pulsed_numeric(SourceConfig(fiber=fiber, pump1=pump,
                                               pump2=pump))
-        assert res.eta.hex() == "0x1.5f1ce41e5a25bp-24"
+        pairwise = float.fromhex("0x1.5f1ce41e5a25bp-24")
+        assert abs(res.eta - pairwise) <= 1e-10 * pairwise
+        assert res.eta.hex() == "0x1.5f1ce41e4bbb5p-24"
         assert (res.diagnostics["quadrature_error"].hex()
-                == "0x1.4072b07a6dd0ap+204")
-        assert res.diagnostics["shell"].hex() == "0x1.3c8ab78d488b5p-12"
+                == "0x1.4072b8defc137p+204")
+        assert res.diagnostics["shell"].hex() == "0x1.3c8ab78d99978p-12"
 
     def test_jsa_value(self, cfg_ndp):
         center = solve_phasematch_center(cfg_ndp)

@@ -79,14 +79,14 @@ def test_quadrature_margin_is_left_of_the_larger_allowance(tool):
     answers = {"numeric": _column(3e-3), "cw": _column(1.8e-6),
                "closed": {"eta": 1.0}}
     ref = {"numeric": _column(6e-3), "cw": _column(1e-6)}
-    margin, column = tool.quadrature_margin(answers, ref)
-    assert column == "cw" and margin == pytest.approx(0.1)
+    assert tool.quadrature_margins(answers, ref) == pytest.approx(
+        {"numeric": 0.5, "cw": 0.1})
     # a column that raised on either side has no check
     ref["cw"] = {"error": "WindowError"}
-    margin, column = tool.quadrature_margin(answers, ref)
-    assert column == "numeric" and margin == pytest.approx(0.5)
+    assert tool.quadrature_margins(answers, ref) == pytest.approx(
+        {"numeric": 0.5})
     # an entry with no such column (contour) has no margin
-    assert tool.quadrature_margin({"points": 3}, {"points": 3}) is None
+    assert tool.quadrature_margins({"points": 3}, {"points": 3}) == {}
 
 
 def test_smallest_margins_per_workload(tool):
@@ -99,27 +99,49 @@ def test_smallest_margins_per_workload(tool):
     # a reference whose error equals the allowance has margin exactly 0,
     # and a failing entry a negative one
     assert tool.smallest_margins(rows) == {
-        "sweep_pcf": (0.0, "sweep_pcf/0", "numeric"),
-        "sweep_taylor": (-1.5, "sweep_taylor/4", "numeric")}
+        "sweep_pcf": {"numeric": (0.0, "sweep_pcf/0")},
+        "sweep_taylor": {"numeric": (-1.5, "sweep_taylor/4")},
+        "contour_cli": {}}
+
+
+def test_smallest_margin_of_each_column(tool):
+    # the cw column at margin 0 does not hide the numeric margin above it
+    ref = {"numeric": _column(2e-3), "cw": _column(1e-6)}
+    rows = [("sweep_taylor", "sweep_taylor/18",
+             {"numeric": _column(1e-3), "cw": _column(2e-6)}, ref),
+            ("sweep_taylor", "sweep_taylor/36",
+             {"numeric": _column(1.5e-3), "cw": _column(1e-6)}, ref)]
+    assert tool.smallest_margins(rows) == {"sweep_taylor": {
+        "numeric": (0.25, "sweep_taylor/36"), "cw": (0.0, "sweep_taylor/18")}}
 
 
 def test_summary_prints_margin_and_cpu_per_workload(tool):
-    margins = {"sweep_pcf": (5.52e-7, "sweep_pcf/0", "numeric")}
-    cpu = {"sweep_pcf": 12.345, "contour_cli": 7.0}
+    margins = {"sweep_pcf": {"numeric": (5.52e-7, "sweep_pcf/0")},
+               "sweep_taylor": {"cw": (0.0, "sweep_taylor/18"),
+                                "numeric": (4.2e-7, "sweep_taylor/36")}}
+    cpu = {"sweep_pcf": 12.345, "sweep_taylor": 6.0, "contour_cli": 7.0}
     assert tool.summary(margins, cpu) == [
-        "sweep_pcf: smallest quadrature_error margin 5.52e-07 "
-        "(sweep_pcf/0 numeric); in-process CPU 12.35 s (not BENCH evidence)",
+        "sweep_pcf: smallest quadrature_error margin numeric 5.52e-07 "
+        "(sweep_pcf/0); in-process CPU 12.35 s (not BENCH evidence)",
+        "sweep_taylor: smallest quadrature_error margin numeric 4.2e-07 "
+        "(sweep_taylor/36), cw 0 (sweep_taylor/18); in-process CPU 6.00 s "
+        "(not BENCH evidence)",
         "contour_cli: no quadrature_error check; in-process CPU 7.00 s "
         "(not BENCH evidence)"]
 
 
 def _fake_workloads(tool, calls):
     """A stand-in for perfbench's workloads module: two pools of two entries,
-    whose operation records the workload and input it runs."""
+    whose operation records the workload and input it runs and, as the
+    contour CLI does, prints a summary to standard error."""
     pools = {"sweep_pcf": [(0, 1.5), (1, 2.5)], "contour_cli": [(3, 4.0), (4, 5.0)]}
 
     def make_op(workload, sfwm, work, tag):
-        return lambda inp: calls.append((workload, inp)) or {"eta": inp}
+        def op(inp):
+            print(f"summary of {workload} {inp}", file=sys.stderr)
+            calls.append((workload, inp))
+            return {"eta": inp}
+        return op
 
     return SimpleNamespace(
         WORKLOADS=tuple(pools), _achieved=tool.wl._achieved,
@@ -140,8 +162,10 @@ def test_workload_filter_runs_only_its_pool(tool, tmp_path, monkeypatch, capsys)
     assert calls == [("contour_cli", 4.0), ("contour_cli", 5.0)]
     assert sorted(json.loads(Path(a).read_text())) == ["contour_cli/3",
                                                        "contour_cli/4"]
-    out = capsys.readouterr().out
+    out, err = capsys.readouterr()
     assert out.startswith("contour_cli: ") and "sweep_pcf" not in out
+    # what the operations print to standard error is not shown
+    assert "summary of" not in out + err
     # two files filtered the same way compare as any two files do
     tool.run_pool(root, b, ["contour_cli"])
     assert tool.main(["--compare", a, b]) == 0
