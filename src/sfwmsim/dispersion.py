@@ -256,8 +256,11 @@ def _neff_table(core_radius, fill):
     by 9e-12 relative instead of 2e-12).  The fit is stored in the power
     basis of the panel coordinate t in [-1, 1], together with its first two
     x derivatives.  Returns (omega_lo, panels per unit x, coeffs) with
-    coeffs[d, k] the coefficients of d^d n_eff / dx^d on panel k.  A panel
-    holding a failed solve holds NaN and fails the guidance check on query.
+    coeffs[d, j, k] the coefficient of t^j in d^d n_eff / dx^d on panel k:
+    the power index comes before the panel index, so ``_table_eval``
+    gathers one power's coefficients for all its points with one ``take``.
+    A panel holding a failed solve holds NaN and fails the guidance check
+    on query.
     """
     from numpy.polynomial import chebyshev, polynomial
     om_lo = omega_from_um(SELLMEIER_RANGE_UM[1])
@@ -280,6 +283,7 @@ def _neff_table(core_radius, fill):
     for d in (1, 2):
         coeffs[d, :, :-1] = polynomial.polyder(coeffs[d - 1], scl=2.0 / width,
                                                axis=1)
+    coeffs = np.ascontiguousarray(coeffs.transpose(0, 2, 1))
     coeffs.setflags(write=False)
     return om_lo, 1.0 / width, coeffs
 
@@ -289,16 +293,46 @@ def _table_eval(om, fiber, order):
 
     ``om`` is a checked flat array.  Each point is evaluated on its own, so
     a value does not depend on the other points of the query.
+
+    The sum over the powers t^j runs column by column: per term, one
+    gathered coefficient per point times one power of t, so temporaries
+    are O(n).  It has the bits of the row-wise sum, each point's row of
+    panel coefficients times ``np.vander(t, 12, increasing=True)`` summed
+    by ``np.sum`` (a test pins this): the powers are the same running
+    product, and the terms are added in the order of NumPy's pairwise sum
+    over 8 to 15 elements, the first eight as
+    ((t0 + t1) + (t2 + t3)) + ((t4 + t5) + (t6 + t7)), the rest one by one.
     """
     om_lo, per_x, coeffs = _neff_table(fiber.core_radius,
                                        fiber.air_fill_fraction)
     s = np.log(om / om_lo) * per_x
     k = np.minimum(s.astype(np.intp), _TABLE_PANELS - 1)
-    powers = np.vander(2.0 * (s - k) - 1.0, _TABLE_DEGREE + 1,
-                       increasing=True)
-    terms = coeffs[:order + 1, k]
-    terms *= powers
-    out = terms.sum(axis=-1)
+    t = 2.0 * (s - k) - 1.0
+    coeffs = coeffs[:order + 1]
+
+    def terms():
+        yield coeffs[:, 0].take(k, axis=1)       # times t^0 = 1
+        power = t
+        for j in range(1, _TABLE_DEGREE + 1):
+            if j > 1:
+                power = power * t
+            term = coeffs[:, j].take(k, axis=1)
+            term *= power
+            yield term
+
+    def pair(ts):
+        first = next(ts)
+        first += next(ts)
+        return first
+
+    ts = terms()
+    out = pair(ts)
+    out += pair(ts)
+    high = pair(ts)
+    high += pair(ts)
+    out += high
+    for term in ts:
+        out += term
     _require_guided(out[0], om)
     return out
 
@@ -401,7 +435,8 @@ def find_zero_dispersion(fiber, wavelength_range_um=(0.4, 1.6), points=240):
     """All zero crossings of beta2 in the range, ascending in wavelength [um].
 
     Sign-scan on an even wavelength grid followed by bracketed root
-    refinement in omega.  An empty list means no zero-dispersion point.
+    refinement in omega; grid points at 0 um or below are skipped.  An
+    empty list means no zero-dispersion point.
     """
     lo_um, hi_um = wavelength_range_um
     if fiber.taylor is None:
@@ -416,6 +451,10 @@ def find_zero_dispersion(fiber, wavelength_range_um=(0.4, 1.6), points=240):
     zdws = []
     f = lambda om: float(beta2(float(om), fiber))
     for i in range(points - 1):
+        if lams[i] <= 0:
+            # no wavelength of 0 or below has a dispersion; a Taylor beta2
+            # of odd degree changes sign across the pole at lambda = 0
+            continue
         lo, hi = oms[i + 1], oms[i]          # omega decreasing with lambda
         if b2[i] == 0.0:
             zdws.append(lams[i])

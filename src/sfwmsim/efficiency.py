@@ -22,10 +22,10 @@ from .dispersion import (_signal_idler, beta, beta1, effective_index,
                          gamma_sfwm)
 from .errors import DivergenceError, RegimeError, WindowError
 from .numerics import (_sinc_phasor_sum, erf_ratio, integrate_1d,
-                       integrate_2d, sinc)
-from .sfwm import (_SEPARABLE_BLOCK_ELEMENTS, _SINC_EXTENT, PhasematchCenter,
-                   _in_row_blocks, _pump_rule, _pump_terms, h_function,
-                   nonlinear_phase, peak_power, pump_envelope,
+                       integrate_2d, integrate_2d_windows, sinc)
+from .sfwm import (_BLOCK_ELEMENTS, _SEPARABLE_BLOCK_ELEMENTS, _SINC_EXTENT,
+                   PhasematchCenter, _in_row_blocks, _pump_rule, _pump_terms,
+                   h_function, nonlinear_phase, peak_power, pump_envelope,
                    solve_phasematch_center)
 
 # Convergence threshold on the relative contribution of a freshly added
@@ -170,14 +170,18 @@ def _rotated_integrand(config):
 
     Returns ``rows(u, v)``, the integrand ``integrate_2d`` calls: ``u`` of
     shape (P, 1) holds the frequency sum of each row and ``v`` of shape
-    (P, n) its frequency differences; the values have v's shape.  Rows are
-    evaluated ``_in_row_blocks``, which bounds the working set, and each
-    row is contracted over the pump nodes on its own (a stacked
-    ``matmul``), so a row's values equal those of a one-row call bit for
-    bit.  Algebraically identical to ``h_function * |f|^2`` with f from
-    ``_pump_convolution`` (a property the tests assert); h, beta_s and
-    beta_i come from one ``_signal_idler`` query per block, for either
-    fiber model.
+    (P, n) its frequency differences; the values have v's shape.  Rows go
+    ``_in_row_blocks`` in two sizes.  A chunk of rows holding at most
+    ``_BLOCK_ELEMENTS`` signal and idler points makes one ``_signal_idler``
+    query for h, beta_s and beta_i, for either fiber model; a dispersion
+    query pays a fixed cost per call, and the chunk, not the whole level,
+    bounds the memory it reads.  Inside a chunk the pump sum runs in kernel
+    blocks of ``_SEPARABLE_BLOCK_ELEMENTS`` (row, pump node, v) elements.
+    The query is pointwise and each row is contracted over the pump nodes
+    on its own (a stacked ``matmul``), so a row's values equal those of a
+    one-row call bit for bit, whatever the chunks and blocks.
+    Algebraically identical to ``h_function * |f|^2`` with f from
+    ``_pump_convolution`` (a property the tests assert).
 
     On a row the mismatch phase separates: x_k = q_k(u) - phi(v), with
     q_k = L/2 (beta(omega_k) + beta(u - omega_k) - nl) over the pump nodes
@@ -191,9 +195,9 @@ def _rotated_integrand(config):
     (``_sinc_phasor_sum``): the exponentials are per (row, k) and per
     (row, v), and each (pump node, v) element costs one reciprocal in
     place of a sin and a cos.  Where |x| < 1e-3 the two sums cancel, so
-    those elements take sinc(x) e^{ix} directly.  The block holds about
-    four real arrays per element, so it takes twice the elements of the
-    pair-wise one (``_SEPARABLE_BLOCK_ELEMENTS``).
+    those elements take sinc(x) e^{ix} directly.  The kernel block holds
+    about four real arrays per element, so it takes twice the elements of
+    the pair-wise one.
     """
     fiber = config.fiber
     L = fiber.length
@@ -206,7 +210,8 @@ def _rotated_integrand(config):
     # recur at every level of its inner integral
     pump_terms = {}
 
-    def block(u, v):
+    def kernel(u, phi):
+        """|f|^2 / pref2 of a block of rows, from their phases phi."""
         keys = u[:, 0].tolist()
         new = [k for k in dict.fromkeys(keys) if k not in pump_terms]
         if new:
@@ -217,13 +222,17 @@ def _rotated_integrand(config):
         terms = [pump_terms[k] for k in keys]
         amp = np.asarray([a for a, _ in terms])
         q_u = np.asarray([q for _, q in terms])
+        F = _sinc_phasor_sum(amp, q_u, phi)
+        return F.real ** 2 + F.imag ** 2
 
+    def chunk(u, v):
         beta_s, beta_i, h = _signal_idler(0.5 * (u + v), 0.5 * (u - v), fiber)
-        F = _sinc_phasor_sum(amp, q_u, 0.5 * L * (beta_s + beta_i))
-        return h * pref2 * (F.real ** 2 + F.imag ** 2)
+        phi = 0.5 * L * (beta_s + beta_i)
+        return h * pref2 * _in_row_blocks(kernel, pump_nodes.size, u, phi,
+                                          _SEPARABLE_BLOCK_ELEMENTS)
 
-    return lambda u, v: _in_row_blocks(block, pump_nodes.size, u, v,
-                                       _SEPARABLE_BLOCK_ELEMENTS)
+    # a chunk's query holds two points (signal, idler) per element of v
+    return lambda u, v: _in_row_blocks(chunk, 2, u, v, _BLOCK_ELEMENTS)
 
 
 def _ring_strips(inner, outer):
@@ -281,8 +290,9 @@ def eta_pulsed_numeric(config):
     contributes under SHELL_TOL of the running total (at most
     MAX_EXPANSIONS doublings, else WindowError carrying the last two
     values).  Shells are integrated incrementally as rings, so the interior
-    is never recomputed.  h is evaluated pointwise, not frozen at the
-    center.
+    is never recomputed; the strips of one ring are one lockstep
+    ``integrate_2d_windows`` call, and their values and errors add in strip
+    order.  h is evaluated pointwise, not frozen at the center.
     """
     _require_pulsed(config, "eta_pulsed_numeric")
     op = operating_point(config)
@@ -338,9 +348,8 @@ def eta_pulsed_numeric(config):
                              abs_tol=max(outer_spec.abs_tol,
                                          1e-3 * SHELL_TOL * abs(total)))
         ring = 0.0
-        for strip in strips:
-            sres = integrate_2d(integrand, strip, strip_spec,
-                                inner_spec=inner_spec)
+        for sres in integrate_2d_windows(integrand, strips, strip_spec,
+                                         inner_spec=inner_spec):
             ring += sres.value
             quad_err += sres.error_estimate
         new_total = total + ring

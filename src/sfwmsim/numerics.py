@@ -13,10 +13,14 @@ arrays, so a level is one integrand call, one stacked Gauss sum and one
 accept/split mask.  ``integrate_1d`` runs one integral and calls ``f`` with
 the flat nodes of every panel of a level (values of shape ``(n, *k)``;
 array-valued integrands share one refinement, driven by the max-norm).
-``integrate_2d`` runs the inner integrals of all the nodes of one outer
-level together, calling ``f(x, y)`` with one panel per row (``x`` of shape
-(panels, 1), ``y`` of shape (panels, order)).  Batching moves no bits: each
-panel sum and running sum rounds as for one integral on its own.
+``integrate_2d_windows`` runs the outer integrals of several windows as one
+``_levels`` run, and the inner integrals of all the (window, outer node)
+pairs of one outer level together, calling ``f(x, y)`` with one panel per
+row (``x`` of shape (panels, 1), ``y`` of shape (panels, order));
+``integrate_2d`` is its one-window case.  Batching moves no bits: each
+panel sum and running sum rounds as for one integral on its own.  When an
+integral of several windows fails to converge, the windows are redone one
+at a time, so the error raised is the one a sequential run meets first.
 
 ``_levels`` takes one interval per integral, so integrals over different
 ranges (the mode-profile normalisations and overlaps of many carriers)
@@ -395,53 +399,82 @@ def integrate_1d(f, a, b, spec=DEFAULT_QUADRATURE):
 def integrate_2d(f, window, spec=DEFAULT_QUADRATURE, *, inner_spec=None):
     """Iterated integral of f(x, y) over a rectangle.
 
-    ``window`` is (x_lo, x_hi, y_lo, y_hi).  The outer (x) integral is an
-    ``integrate_1d`` whose integrand runs the inner (y) integrals of all
-    the outer nodes of one outer level together (``_levels``): ``f`` is
-    called once per inner refinement level as ``f(x, y)``, with ``x`` of
-    shape (panels, 1) and ``y`` of shape (panels, order), one panel of one
-    outer node per row, and returns one value per node, shape
-    (panels, order).  Every inner integral refines exactly as it would on
-    its own, so the result equals nested ``integrate_1d`` calls bit for
-    bit.  Convergence is controlled independently per axis; ``inner_spec``
-    lets the inner axis run tighter than the outer (useful when inner
-    results feed the outer integrand with their own error floor).
+    ``window`` is (x_lo, x_hi, y_lo, y_hi).  The one-window case of
+    ``integrate_2d_windows``, which says how ``f`` is called.  Convergence
+    is controlled independently per axis; ``inner_spec`` lets the inner
+    axis run tighter than the outer (useful when inner results feed the
+    outer integrand with their own error floor).  Every inner integral
+    refines exactly as it would on its own, so the result equals nested
+    ``integrate_1d`` calls bit for bit.
 
     Inner non-convergence raises the error of the first failing outer node
     in node order (its own best estimate, error and subdivisions), with
-    ``axis='y'``; outer non-convergence is re-raised with ``axis='x'``.
+    ``axis='y'``; outer non-convergence raises the outer error with
+    ``axis='x'``.
     """
-    x_lo, x_hi, y_lo, y_hi = window
-    if not (x_lo < x_hi and y_lo < y_hi):
-        raise ValueError(f"window must have positive area, got {window}")
+    return integrate_2d_windows(f, [window], spec, inner_spec=inner_spec)[0]
+
+
+def integrate_2d_windows(f, windows, spec=DEFAULT_QUADRATURE, *, inner_spec=None):
+    """``integrate_2d`` over several windows in lockstep, one result each.
+
+    The outer (x) integrals of all the windows are one ``_levels`` run, and
+    the inner (y) integrals of every (window, outer node) of one outer
+    level run together in another: ``f`` is called once per inner
+    refinement level as ``f(x, y)``, with ``x`` of shape (panels, 1) and
+    ``y`` of shape (panels, order), one panel of one outer node per row,
+    and returns one value per node, shape (panels, order).  Each integral
+    rounds as it would on its own, so window w's result is that of
+    ``integrate_2d(f, windows[w])`` bit for bit, value, error estimate and
+    subdivisions alike.
+
+    Errors are those of a sequential run over the windows: when any
+    integral fails to converge, the windows are redone one at a time, and
+    the first error met is raised.
+    """
+    windows = [tuple(window) for window in windows]
+    for window in windows:
+        x_lo, x_hi, y_lo, y_hi = window
+        if not (x_lo < x_hi and y_lo < y_hi):
+            raise ValueError(f"window must have positive area, got {window}")
+    x_lo, x_hi, y_lo, y_hi = np.array(windows, dtype=float).T
+    count = len(windows)
     spec_y = inner_spec if inner_spec is not None else spec
 
-    inner_err = [0.0]
-    inner_sub = [0]
+    inner_err = np.zeros(count)
+    inner_sub = np.zeros(count, dtype=int)
 
-    def inner(xs):
+    def inner(owner, nodes):
+        xs = nodes.ravel()
+        win = np.repeat(owner, nodes.shape[1])
         try:
             value, error, subdivisions = _levels(
-                lambda owner, y: f(xs[owner, None], y), len(xs), y_lo, y_hi, spec_y)
+                lambda node, y: f(xs[node, None], y), xs.size,
+                y_lo[win], y_hi[win], spec_y)
         except NonConvergenceError as exc:
             raise NonConvergenceError(str(exc), best=exc.best,
                                       error_estimate=exc.error_estimate,
                                       subdivisions=exc.subdivisions, axis="y") from exc
-        inner_err[0] = max(inner_err[0], *error.tolist())
-        inner_sub[0] += int(subdivisions.sum())
-        return value
+        np.maximum.at(inner_err, win, error)
+        np.add.at(inner_sub, win, subdivisions)
+        return value.reshape(nodes.shape)
 
     try:
-        outer = integrate_1d(inner, x_lo, x_hi, spec)
+        value, error, subdivisions = _levels(inner, count, x_lo, x_hi, spec)
     except NonConvergenceError as exc:
+        if count > 1:
+            # a sequential run raises the error of the first failing window
+            return [integrate_2d(f, window, spec, inner_spec=spec_y)
+                    for window in windows]
         if exc.axis is None:
             raise NonConvergenceError(str(exc), best=exc.best,
                                       error_estimate=exc.error_estimate,
                                       subdivisions=exc.subdivisions, axis="x") from exc
         raise
-    err = outer.error_estimate + inner_err[0] * (x_hi - x_lo)
-    return QuadratureResult(value=outer.value, error_estimate=float(err),
-                            subdivisions=outer.subdivisions + inner_sub[0])
+    err = error + inner_err * (x_hi - x_lo)
+    return [QuadratureResult(value=value[w], error_estimate=float(err[w]),
+                             subdivisions=int(subdivisions[w] + inner_sub[w]))
+            for w in range(count)]
 
 
 def _brent(bracket, tol):

@@ -524,7 +524,10 @@ def _pump_rule(config):
 # Largest block (rows x pump nodes x columns) the pair-wise pump
 # convolution of jsa and jsa_grid evaluates at once.  It bounds the working
 # set (a dozen arrays of this size, 128 KiB each when complex) while
-# amortizing the per-call cost.  The pulsed integrand's separable block
+# amortizing the per-call cost.  It also bounds the pulsed integrand's
+# dispersion query, made once per chunk of rows with at most this many
+# signal and idler points (273 rows of 15 nodes), so that the chunk rather
+# than the size of a refinement level sets its memory.  The separable block
 # holds about four real arrays per element, so twice the elements keep a
 # like working set: on step-index sweep rows 2 ** 14 ran about 20% faster
 # than 2 ** 13 at the same peak RSS, and 2 ** 15 no faster than 2 ** 14.
@@ -538,8 +541,9 @@ def _in_row_blocks(fn, n_nodes, a, b, elements=_BLOCK_ELEMENTS):
     """``fn(a, b)`` over the rows of ``a`` and ``b`` (shape (P, n)) in blocks.
 
     A block holds as many whole rows as fit in ``elements`` with
-    ``n_nodes`` pump nodes per element of ``b``; the results are joined in
-    row order.
+    ``n_nodes`` values per element of ``b`` (pump nodes, or the signal and
+    idler points of a dispersion query); the results are joined in row
+    order.
     """
     step = max(1, elements // (n_nodes * b.shape[1]))
     return np.concatenate([fn(a[r:r + step], b[r:r + step])

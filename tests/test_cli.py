@@ -16,6 +16,13 @@ FIBER_A = {"core_radius_um": 0.97, "air_fill_fraction": 0.91, "length_m": 0.5}
 PULSED_708 = {"wavelength_um": 0.708, "sigma_THz": 3.0, "avg_power_mW": 0.3,
               "rep_rate_MHz": 80.0}
 CW_708 = {"wavelength_um": 0.708, "sigma_THz": 0.0, "avg_power_mW": 0.3}
+# beta_n [s^n/m] of a degree-8 fit of fiber A's beta around 708 nm
+TAYLOR_A = {"lambda_ref_um": 0.708,
+            "beta": [12709608.91856346, 4.972458401064144e-09,
+                     1.7257388265561942e-27, 6.591119073571425e-41,
+                     -5.586155955194142e-56, 9.39673010226559e-71,
+                     -1.7057484072930343e-85, 3.578548420376906e-100,
+                     -6.356628143533568e-115]}
 
 MANIFEST_KEYS = {"backend", "command", "config_sha256", "timestamp", "tool",
                  "version"}
@@ -303,6 +310,26 @@ class TestNonPositiveWavelength:
         assert [r["lambda_um"] for r in rows] == ["-0.8", "0", "0.8"]
         assert all(r["n_eff"] == "" for r in rows[:2])
         assert float(rows[2]["n_eff"]) > 1
+
+    @pytest.mark.parametrize("terms, want", [
+        (9, [0.3533, 0.7150]),
+        # beta2 of odd degree changes sign across the pole at 0 um
+        (4, [0.7150]),
+    ])
+    def test_taylor_zero_dispersion_through_zero(self, tmp_path, pulsed,
+                                                 capsys, terms, want):
+        # the range's non-positive wavelengths are warned about and left
+        # out of the scan; every zero-dispersion wavelength above 0 remains
+        taylor = dict(TAYLOR_A, beta=TAYLOR_A["beta"][:terms])
+        data = dict(pulsed, fiber=dict(FIBER_A, taylor=taylor))
+        code, out = run(tmp_path, "dispersion", data, "--range=-0.8:0.8",
+                        out="dispersion.csv")
+        assert code == 0
+        assert "wavelength must be > 0 um" in capsys.readouterr().err
+        zdws = [r for r in read_csv(out)
+                if r["lambda_um"] == "# zero_dispersion_um"]
+        assert [float(r["n_eff"]) for r in zdws] == pytest.approx(want,
+                                                                   abs=1e-4)
 
     @pytest.mark.parametrize("pump_range", ["0:0.8", "-0.5:0.8"])
     def test_contour_is_a_config_error(self, tmp_path, pulsed, capsys,

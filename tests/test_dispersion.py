@@ -1,16 +1,18 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from conftest import taylor_fiber
-from sfwmsim import _kernels_py
+from sfwmsim import _kernels_py, dispersion
 from sfwmsim import _kernels_py as kernels
 from sfwmsim.constants import (C, SELLMEIER_RANGE_UM, omega_from_um,
                                um_from_omega)
-from sfwmsim.dispersion import (FiberSpec, TaylorDispersion, _amplitude,
-                                _beta_exact, _effective_areas, _mode_profiles,
+from sfwmsim.dispersion import (_TABLE_PANELS, FiberSpec, TaylorDispersion,
+                                _amplitude, _beta_exact, _effective_areas,
+                                _mode_profiles, _neff_table, _table_eval,
                                 beta, beta1, beta2, effective_area,
                                 effective_index, find_zero_dispersion,
                                 gamma_pump, gamma_pumps, gamma_sfwm,
@@ -253,6 +255,58 @@ class TestNeffTable:
         after = _neff_table(fiber_a.core_radius, fiber_a.air_fill_fraction)
         assert after[:2] == before[:2]
         assert np.array_equal(after[2], before[2])
+
+
+class TestColumnWiseTable:
+    """The column-wise table sum has the bits of the row-wise one.
+
+    The reference is the literal row-wise formula: gather each point's row
+    of coefficients, times the Vandermonde row of its panel coordinate,
+    summed by ``np.sum``.  A NumPy whose pairwise sum adds in another order
+    fails here first.
+    """
+
+    @staticmethod
+    def row_wise(om, fiber, order):
+        om_lo, per_x, coeffs = _neff_table(fiber.core_radius,
+                                           fiber.air_fill_fraction)
+        rows = coeffs.transpose(0, 2, 1)          # [derivative, panel, power]
+        s = np.log(om / om_lo) * per_x
+        k = np.minimum(s.astype(np.intp), _TABLE_PANELS - 1)
+        y = 2.0 * (s - k) - 1.0
+        return (rows[:order + 1, k] * np.vander(y, 12, increasing=True)).sum(-1)
+
+    @staticmethod
+    def points(fiber, n):
+        """The two window edges, then every panel edge, then random points."""
+        om_lo, per_x, _ = _neff_table(fiber.core_radius,
+                                      fiber.air_fill_fraction)
+        window = omega_from_um(np.array(SELLMEIER_RANGE_UM[::-1]))
+        edges = om_lo * np.exp(np.arange(1, _TABLE_PANELS) / per_x)
+        fill = np.random.default_rng(n).uniform(window[0], window[1], n)
+        return np.concatenate([window, edges, fill])[:n]
+
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    @pytest.mark.parametrize("n", [1, 3, 4, 990, 5000])
+    def test_bits_of_the_row_wise_sum(self, fiber_a, n, order):
+        om = self.points(fiber_a, n)
+        got = _table_eval(om, fiber_a, order)
+        want = self.row_wise(om, fiber_a, order)
+        assert got.shape == want.shape == (order + 1, n)
+        assert got.tobytes() == want.tobytes()
+
+    def test_nan_panel_is_a_cutoff(self, fiber_a, monkeypatch):
+        om_lo, per_x, coeffs = _neff_table(fiber_a.core_radius,
+                                           fiber_a.air_fill_fraction)
+        broken = coeffs.copy()
+        broken[:, :, 5] = np.nan
+        monkeypatch.setattr(dispersion, "_neff_table",
+                            lambda *geometry: (om_lo, per_x, broken))
+        om = om_lo * np.exp(np.array([2.5, 5.5, 7.5]) / per_x)
+        assert np.isfinite(_table_eval(om[[0, 2]], fiber_a, 1)).all()
+        with pytest.raises(ModeCutoffError,
+                           match=re.escape(f"omega={om[1]:.6e}")):
+            _table_eval(om, fiber_a, 1)
 
 
 class TestZeroDispersion:

@@ -13,9 +13,10 @@ from sfwmsim.efficiency import (_rotated_integrand, _rotated_window,
                                 operating_point, photons_per_pulse,
                                 pump_photon_rate, sigma_max)
 from sfwmsim.errors import DivergenceError, RegimeError, WindowError
-from sfwmsim.sfwm import (_SEPARABLE_BLOCK_ELEMENTS, PumpSpec, SourceConfig,
-                          _pump_convolution, _pump_rule, h_function, jsa,
-                          nonlinear_phase, solve_phasematch_center)
+from sfwmsim.sfwm import (_BLOCK_ELEMENTS, _SEPARABLE_BLOCK_ELEMENTS, PumpSpec,
+                          SourceConfig, _pump_convolution, _pump_rule,
+                          h_function, jsa, nonlinear_phase,
+                          solve_phasematch_center)
 
 PHOTONS_PER_PULSE_REF = 13365579.49501524   # sqrt(2 pi) P / (hbar w0 sigma)
 
@@ -268,14 +269,16 @@ class TestRotatedIntegrand:
     @pytest.mark.parametrize("name", ["cfg_dp", "cfg_ndp"])
     def test_block_of_rows_equals_one_row_calls(self, name, taylor, request):
         # integrate_2d hands the integrand many panel rows at once; each row
-        # must come out exactly as it would alone, across the memory blocks
+        # must come out exactly as it would alone, across at least three
+        # dispersion chunks and three kernel blocks
         cfg = request.getfixturevalue(name)
         u_lo, u_hi, v_lo, v_hi = _rotated_window(cfg, operating_point(cfg))
         if taylor:
             cfg = as_taylor(cfg)
         n = 15
+        per_chunk = _BLOCK_ELEMENTS // (2 * n)
         per_block = _SEPARABLE_BLOCK_ELEMENTS // (_pump_rule(cfg)[0].size * n)
-        p = 3 * per_block + 2
+        p = 3 * max(per_chunk, per_block) + 2
         u = np.linspace(u_lo, u_hi, p)[:, None]
         v = np.linspace(v_lo, v_hi, p * n).reshape(p, n)
         rows = _rotated_integrand(cfg)

@@ -10,7 +10,7 @@ from sfwmsim.numerics import (QuadratureSpec, RootBracket, _gauss_nodes,
                               _levels, _panel_sums, _sinc_phasor,
                               _sinc_phasor_sum, bracket_root, erf_ratio,
                               find_root, find_roots, integrate_1d,
-                              integrate_2d, sinc)
+                              integrate_2d, integrate_2d_windows, sinc)
 
 # frozen oracle values (brute-force trapezoid / long bisection, see comments)
 SINC2_0_40 = 1.5584510463645005          # 1e7-point trapezoid of sinc^2
@@ -171,6 +171,76 @@ class TestIntegrate2D:
         assert err.value.best == refs[x3].best
         assert err.value.error_estimate == refs[x3].error_estimate
         assert err.value.subdivisions == refs[x3].subdivisions
+
+
+class TestIntegrate2DWindows:
+    """Several windows in lockstep: each gets its own integrate_2d bits."""
+
+    WINDOWS = [(-2, 2, -3, 3), (0, 1, 0, 2), (2, 5, -1, 1)]
+    SPEC = QuadratureSpec(rel_tol=1e-6)
+    INNER = QuadratureSpec(rel_tol=1e-9)
+
+    def test_each_window_has_its_own_bits(self):
+        calls = []
+
+        def f(x, y):
+            calls.append(0)
+            return _kink(x, y)
+
+        got = integrate_2d_windows(f, self.WINDOWS, self.SPEC,
+                                   inner_spec=self.INNER)
+        lockstep_calls = len(calls)
+        assert len(got) == len(self.WINDOWS)
+        for res, window in zip(got, self.WINDOWS):
+            want = integrate_2d(f, window, self.SPEC, inner_spec=self.INNER)
+            assert _hex(res.value) == _hex(want.value)
+            assert res.error_estimate == want.error_estimate
+            assert res.subdivisions == want.subdivisions
+        # one call per inner level serves every window
+        assert lockstep_calls < len(calls) - lockstep_calls
+        # the first window is the golden one-window integral
+        _, value, error, subdivisions = GOLDEN["2d"]
+        assert _hex(got[0].value) == value
+        assert float(got[0].error_estimate).hex() == error
+        assert got[0].subdivisions == subdivisions
+
+    def test_bad_window(self):
+        with pytest.raises(ValueError):
+            integrate_2d_windows(lambda x, y: np.ones_like(y),
+                                 [(0, 1, 0, 1), (0, 1, 1, 1)])
+
+    def test_error_is_the_sequential_one(self):
+        # window 0 fails on its outer axis (a kink in x), window 1 on its
+        # inner axis (oscillation in y) at its first outer level, so window
+        # 1 reaches the cap first; a sequential run raises window 0's error
+        spec = QuadratureSpec(rel_tol=1e-15, abs_tol=0.0, max_subdivisions=10)
+        inner_spec = QuadratureSpec(rel_tol=1e-10, abs_tol=0.0,
+                                    max_subdivisions=10)
+        windows = [(0, 1, 0, 1), (20, 21, 0, 2)]
+
+        def f(x, y):
+            return np.where(x < 10, np.sqrt(np.abs(x - 0.3)) * np.exp(-y),
+                            np.sin(50 * y * y))
+
+        refs, calls_to_fail = [], []
+        for window in windows:
+            calls = []
+            with pytest.raises(NonConvergenceError) as ref:
+                integrate_2d(lambda x, y: calls.append(0) or f(x, y), window,
+                             spec, inner_spec=inner_spec)
+            refs.append(ref.value)
+            calls_to_fail.append(len(calls))
+        assert [r.axis for r in refs] == ["x", "y"]
+        assert calls_to_fail[1] < calls_to_fail[0]
+        for order in ([0, 1], [1, 0]):
+            with pytest.raises(NonConvergenceError) as err:
+                integrate_2d_windows(f, [windows[w] for w in order], spec,
+                                     inner_spec=inner_spec)
+            want = refs[order[0]]
+            assert err.value.axis == want.axis
+            assert _hex(err.value.best) == _hex(want.best)
+            assert err.value.error_estimate == want.error_estimate
+            assert err.value.subdivisions == want.subdivisions
 
 
 def _hex(v):
