@@ -69,10 +69,10 @@ def _write_manifest(out_path, args):
 
 
 def _echo_summary(config):
-    dispersion = "step-index" if config.fiber.taylor is None else "taylor"
     lines = [f"fiber: r={config.fiber.core_radius*1e6:.4g} um, "
              f"f={config.fiber.air_fill_fraction:.4g}, "
-             f"L={config.fiber.length:.4g} m, dispersion={dispersion}"]
+             f"L={config.fiber.length:.4g} m, "
+             f"dispersion={config.fiber.dispersion.label}"]
     for name, pump in (("pump1", config.pump1), ("pump2", config.pump2)):
         if pump.is_cw:
             lines.append(f"{name}: {pump.wavelength_um:.4f} um, CW, "

@@ -7,37 +7,7 @@ The propagation constant comes from the exact vectorial characteristic
 equation of the fundamental mode (see ``_kernels_py``), which reproduces the
 regression anchors of both reference fibers; the scalar weak-guidance
 approximation is badly off at this index contrast and is not used.
-
-Which path serves which step-index query:
-
-* n_eff and beta at a scalar frequency, or at an array of fewer than
-  _TABLE_MIN_POINTS frequencies, come from the exact solve,
-  ``kernels.he11_solve``, which runs such short queries in Python floats
-  with the bits of its array ladder.  A scalar is the one-point case of
-  that query, with its range and guidance checks, and is not cached.
-* n_eff and beta at larger arrays come from a per-geometry table: a
-  piecewise-Chebyshev fit of n_eff in x = ln omega over the whole
-  Sellmeier window, sampled from the exact solve (``_neff_table``).  It is
-  keyed on (core_radius, air_fill_fraction), because length and n2 do not
-  enter the dispersion, built on first use, and agrees with the exact solve
-  to a few 1e-14 absolute.
-* ``_beta_exact`` gives beta at every point of an array with the bits of
-  the scalar query: one exact solve of the whole array (never the table).
-  The lockstep root finding of the phase-matching contour evaluates each
-  of its Brent steps, over all its brackets, this way.
-* beta1 = (n + n_x) / c and beta2 = (n_x + n_xx) / (c omega), with n_x and
-  n_xx the x-derivatives of n_eff, come from the table's analytic
-  derivatives for every input, scalars included.
-* The efficiency integrands take beta and the weight h at paired signal
-  and idler arrays from one query, ``_signal_idler``: one table evaluation
-  of n and n_x for both arrays, whatever their size.
-* Mode profiles take (u, w) from the exact solve.  Their normalisation
-  integrals and the overlap integrals of the effective area share one
-  integrand (``_overlap_integrals``, amplitudes from ``_amplitude``) and
-  run many carriers in one lockstep quadrature: ``gamma_pumps`` batches
-  the pump carriers of a contour without caching them, and the scalar
-  ``mode_profile`` and effective-area queries are the one-carrier case,
-  cached per geometry.
+``StepIndexDispersion`` lists which path serves which step-index query.
 
 Scalars stay exact because they feed root finding, where the answers sit
 at the solver's rounding floor: the phasematched frequencies and contour
@@ -55,15 +25,17 @@ are treated as frequency-independent within each carrier's bandwidth.
 A fiber that carries ``taylor`` data takes k(omega) from that Taylor
 polynomial around a reference frequency instead (coefficients beta_n in
 s^n/m, factorial convention); a fiber without it is the step-index model
-above.  The polynomial decouples tests from the mode solver and allows
-engineered dispersion.  Geometry-derived quantities (profiles, effective
-area, gamma) still use the step-index machinery.
+above.  Both models answer the same queries (``FiberSpec.dispersion``).
+The polynomial decouples tests from the mode solver and allows engineered
+dispersion.  Geometry-derived quantities (profiles, effective area, gamma)
+still use the step-index machinery.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from operator import iadd, imul
 
 import numpy as np
 
@@ -71,7 +43,8 @@ from . import _kernels_py as kernels
 from .constants import (C, SELLMEIER_RANGE_UM, N2_SILICA_DEFAULT,
                         omega_from_um, um_from_omega)
 from .errors import ModeCutoffError, OverlapError, WavelengthRangeError
-from .numerics import DEFAULT_QUADRATURE, _levels, bracket_root, find_root
+from .numerics import (DEFAULT_QUADRATURE, _as_result, _levels, bracket_root,
+                       find_root)
 
 # n_eff table: equal panels in ln(omega) over the Sellmeier window, Chebyshev
 # nodes and fitted polynomial degree per panel, and the smallest array query
@@ -80,6 +53,8 @@ _TABLE_PANELS = 32
 _TABLE_NODES = 16
 _TABLE_DEGREE = 11
 _TABLE_MIN_POINTS = 4
+# entries each per-geometry memo (mode profiles, effective areas) keeps
+_MEMO_SIZE = 4096
 
 
 @dataclass(frozen=True)
@@ -92,6 +67,9 @@ class TaylorDispersion:
     # highest m first; derived data, so not part of equality or hashing
     _horner: tuple = field(init=False, repr=False, compare=False)
 
+    label = "taylor"
+    band_um = (-math.inf, math.inf)       # no window of its own
+
     def __post_init__(self):
         b = tuple(float(v) for v in self.beta_coefficients)
         object.__setattr__(self, "beta_coefficients", b)
@@ -99,7 +77,8 @@ class TaylorDispersion:
             raise ValueError("need at least beta0 and beta1")
         if not all(math.isfinite(v) for v in b):
             raise ValueError("beta coefficients must be finite")
-        if not self.reference_frequency > 0:
+        if not (self.reference_frequency > 0
+                and math.isfinite(self.reference_frequency)):
             raise ValueError("reference frequency must be positive")
         object.__setattr__(self, "_horner", tuple(
             tuple(b[m + d] / math.factorial(m)
@@ -112,23 +91,31 @@ class TaylorDispersion:
             raise ValueError("deriv must be >= 0")
         d = np.asarray(omega, dtype=float) - self.reference_frequency
         if deriv >= len(self._horner):
-            return float(d * 0.0) if d.ndim == 0 else d * 0.0
+            return _as_result(d * 0.0)
         out = np.zeros_like(d)
         for c in self._horner[deriv]:
             out *= d
             out += c
-        if out.ndim == 0:
-            return float(out)
-        return out
+        return _as_result(out)
+
+    beta_exact = k                        # the polynomial has no second path
+
+    def effective_index(self, omega):
+        """k c / omega (scalar or array omega)."""
+        return _as_result(self.k(omega) * C / np.asarray(omega, dtype=float))
+
+    def n_k_beta1(self, om):
+        """(n, beta, beta1) at a flat array."""
+        k = self.k(om)
+        return k * C / om, k, self.k(om, 1)
 
 
 @dataclass(frozen=True)
 class FiberSpec:
     """Fiber geometry and nonlinearity; all lengths in SI meters.
 
-    Giving ``taylor`` data replaces k(omega), and with it n_eff, beta1 and
-    beta2, by that polynomial; without it the dispersion comes from the
-    step-index model of the geometry.
+    ``dispersion`` is the fiber's one k(omega) model: the ``taylor``
+    polynomial if given, else the ``StepIndexDispersion`` of the geometry.
     """
 
     core_radius: float                    # m
@@ -138,14 +125,19 @@ class FiberSpec:
     taylor: TaylorDispersion | None = None
 
     def __post_init__(self):
-        if not self.core_radius > 0:
+        if not (self.core_radius > 0 and math.isfinite(self.core_radius)):
             raise ValueError("core_radius must be > 0")
         if not 0 < self.air_fill_fraction < 1:
             raise ValueError("air_fill_fraction must be in (0, 1)")
-        if not self.length > 0:
+        if not (self.length > 0 and math.isfinite(self.length)):
             raise ValueError("length must be > 0")
-        if not self.n2_kerr > 0:
+        if not (self.n2_kerr > 0 and math.isfinite(self.n2_kerr)):
             raise ValueError("n2_kerr must be > 0")
+
+    @property
+    def dispersion(self):
+        """The ``taylor`` model, or the step-index model of the geometry."""
+        return self.taylor if self.taylor is not None else _geometry(self)
 
 
 @dataclass(frozen=True)
@@ -165,11 +157,9 @@ class ModeProfile:
 
     def amplitude(self, rho):
         """Exact normalized amplitude at radius rho [m] (scalar or array)."""
-        arr = np.atleast_1d(np.asarray(rho, dtype=float))
-        out = _amplitude(arr, self.core_radius, self.u, self.w, self.norm)
-        if np.asarray(rho).ndim == 0:
-            return float(out[0])
-        return out
+        arr = np.asarray(rho, dtype=float)
+        return _as_result(_amplitude(np.atleast_1d(arr), self.core_radius, self.u,
+                                     self.w, self.norm).reshape(arr.shape))
 
     @property
     def outer_extent(self):
@@ -210,28 +200,21 @@ def _amplitude(rho, r, u, w, norm):
 
 def silica_index(omega):
     """Fused-silica refractive index at angular frequency omega [rad/s]."""
-    lam_um = um_from_omega(np.asarray(omega, dtype=float))
-    _check_sellmeier_range(lam_um)
-    n = kernels.sellmeier_n(lam_um)
-    if n.ndim == 0:
-        return float(n)
-    return n
-
-
-def _check_sellmeier_range(lam_um):
-    lo, hi = SELLMEIER_RANGE_UM
-    bad = (lam_um < lo) | (lam_um > hi)
-    if np.any(bad):
-        lam = np.atleast_1d(lam_um)[np.atleast_1d(bad)][0]
-        raise WavelengthRangeError(
-            f"wavelength {lam:.4f} um outside Sellmeier validity "
-            f"[{lo}, {hi}] um")
+    om = np.asarray(omega, dtype=float)
+    lam_um = um_from_omega(_checked_omega(om)).reshape(om.shape)
+    return _as_result(kernels.sellmeier_n(lam_um))
 
 
 def _checked_omega(omega):
     """Frequencies as a flat array, after the Sellmeier range check."""
     om = np.ravel(np.asarray(omega, dtype=float))
-    _check_sellmeier_range(um_from_omega(om))
+    lam_um = um_from_omega(om)
+    lo, hi = SELLMEIER_RANGE_UM
+    bad = (lam_um < lo) | (lam_um > hi)
+    if np.any(bad):
+        raise WavelengthRangeError(
+            f"wavelength {lam_um[bad][0]:.4f} um outside Sellmeier validity "
+            f"[{lo}, {hi}] um")
     return om
 
 
@@ -243,136 +226,206 @@ def _require_guided(neff, om):
             f"(lambda={um_from_omega(omega):.4f} um)")
 
 
+def _memo(memo, key, compute):
+    """memo[key], else compute(key); past _MEMO_SIZE, the least recent goes."""
+    memo[key] = memo.pop(key) if key in memo else compute(key)
+    if len(memo) > _MEMO_SIZE:
+        del memo[next(iter(memo))]
+    return memo[key]
+
+
+class StepIndexDispersion:
+    """k(omega) of the step-index model of one geometry, and its state.
+
+    One object per (core_radius, air_fill_fraction) (``_step_index``)
+    builds the n_eff table on first use and memoises up to _MEMO_SIZE mode
+    profiles and as many effective areas for every fiber of the geometry.
+
+    Which path serves which query:
+
+    * n_eff and beta at a scalar frequency, or at an array of fewer than
+      _TABLE_MIN_POINTS frequencies, come from the exact solve,
+      ``kernels.he11_solve``, which runs such short queries in Python floats
+      with the bits of its array ladder.  A scalar is the one-point case of
+      that query, with its range and guidance checks, and is not cached.
+    * n_eff and beta at larger arrays come from the table: a
+      piecewise-Chebyshev fit of n_eff in x = ln omega over the whole
+      Sellmeier window, sampled from the exact solve (``table``).  It
+      agrees with the exact solve to a few 1e-14 absolute.
+    * ``beta_exact`` gives beta at every point of an array with the bits of
+      the scalar query: one exact solve of the whole array (never the table).
+      The lockstep root finding of the phase-matching contour evaluates each
+      of its Brent steps, over all its brackets, this way.
+    * beta1 = (n + n_x) / c and beta2 = (n_x + n_xx) / (c omega), with n_x and
+      n_xx the x-derivatives of n_eff, come from the table's analytic
+      derivatives for every input, scalars included.
+    * The efficiency integrands take beta and the weight h at paired signal
+      and idler arrays from one query, ``_signal_idler``: one table evaluation
+      of n and n_x for both arrays (``n_k_beta1``), whatever their size.
+    * Mode profiles take (u, w) from the exact solve.  Their normalisation
+      integrals and the overlap integrals of the effective area share one
+      integrand (``_overlap_integrals``, amplitudes from ``_amplitude``) and
+      run many carriers in one lockstep quadrature: ``gamma_pumps`` batches
+      the pump carriers of a contour without memoising them, and
+      ``mode_profile`` and ``area`` are the one-carrier case, memoised here.
+    """
+
+    label = "step-index"
+    # a rounding step inside the window, where lambda -> omega -> lambda
+    # does not round-trip exactly
+    band_um = (SELLMEIER_RANGE_UM[0] * (1 + 1e-12),
+               SELLMEIER_RANGE_UM[1] * (1 - 1e-12))
+
+    def __init__(self, core_radius, fill):
+        self.core_radius, self.fill = core_radius, fill
+        self.profiles, self.areas = {}, {}    # keyed on carriers [rad/s]
+
+    @cached_property
+    def table(self):
+        """Piecewise-Chebyshev table of n_eff(x), x = ln omega.
+
+        The Sellmeier window is cut into _TABLE_PANELS equal panels in x; on
+        each, the exact ``he11_solve`` is sampled at _TABLE_NODES Chebyshev
+        points of the first kind, and the truncated discrete cosine transform
+        gives the least-squares Chebyshev fit of degree _TABLE_DEGREE.  The
+        coefficients the fit drops are at the solver's rounding level (about
+        1e-15); kept, they are amplified by differentiation (beta1 then errs
+        by 9e-12 relative instead of 2e-12).  The fit is stored in the power
+        basis of the panel coordinate t in [-1, 1], together with its first
+        two x derivatives.  It is (omega_lo, panels per unit x, coeffs) with
+        coeffs[d, j, k] the coefficient of t^j in d^d n_eff / dx^d on panel
+        k: the power index comes before the panel index, so ``_table_eval``
+        gathers one power's coefficients for all its points with one
+        ``take``.  A panel holding a failed solve holds NaN and fails the
+        guidance check on query.
+        """
+        from numpy.polynomial import chebyshev, polynomial
+        om_lo = omega_from_um(SELLMEIER_RANGE_UM[1])
+        om_hi = omega_from_um(SELLMEIER_RANGE_UM[0])
+        width = math.log(om_hi / om_lo) / _TABLE_PANELS
+        theta = math.pi * (np.arange(_TABLE_NODES) + 0.5) / _TABLE_NODES
+        x = width * (np.arange(_TABLE_PANELS)[:, None]
+                     + 0.5 * (np.cos(theta) + 1.0))
+        neff = kernels.he11_solve((om_lo * np.exp(x)).ravel(), self.core_radius,
+                                  self.fill)[0].reshape(x.shape)
+        # discrete cosine transform as a plain sum (no BLAS), so the table
+        # does not depend on the linear-algebra library or its threading
+        cos_kj = np.cos(np.outer(theta, np.arange(_TABLE_DEGREE + 1)))
+        cheb = (neff[:, :, None] * cos_kj).sum(axis=1) * (2.0 / _TABLE_NODES)
+        cheb[:, 0] *= 0.5
+        coeffs = np.zeros((3, _TABLE_PANELS, _TABLE_DEGREE + 1))
+        for k, c in enumerate(cheb):
+            power = chebyshev.cheb2poly(c)          # trailing zeros come trimmed
+            coeffs[0, k, :power.size] = power
+        for d in (1, 2):
+            coeffs[d, :, :-1] = polynomial.polyder(coeffs[d - 1],
+                                                   scl=2.0 / width, axis=1)
+        coeffs = np.ascontiguousarray(coeffs.transpose(0, 2, 1))
+        coeffs.setflags(write=False)
+        return om_lo, 1.0 / width, coeffs
+
+    def _table_eval(self, om, order):
+        """n_eff and its first ``order`` x-derivatives, shape (order + 1, n).
+
+        ``om`` is a checked flat array.  Each point is evaluated on its own,
+        so a value does not depend on the other points of the query.
+
+        The sum over the powers t^j runs column by column: per term, one
+        gathered coefficient per point times one power of t, so temporaries
+        are O(n).  It has the bits of the row-wise sum, each point's row of
+        panel coefficients times ``np.vander(t, 12, increasing=True)`` summed
+        by ``np.sum`` (a test pins this): the powers are the same running
+        product, and the terms are added in the order of NumPy's pairwise
+        sum over 8 to 15 elements, the first eight as
+        ((t0 + t1) + (t2 + t3)) + ((t4 + t5) + (t6 + t7)), the rest one by
+        one.
+        """
+        om_lo, per_x, coeffs = self.table
+        s = np.log(om / om_lo) * per_x
+        k = np.minimum(s.astype(np.intp), _TABLE_PANELS - 1)
+        t = 2.0 * (s - k) - 1.0
+        coeffs = coeffs[:order + 1]
+
+        # terms and partial sums are formed in place: one new array per term
+        def terms():
+            yield coeffs[:, 0].take(k, axis=1)       # times t^0 = 1
+            power = t
+            for j in range(1, _TABLE_DEGREE + 1):
+                if j > 1:
+                    power = power * t
+                yield imul(coeffs[:, j].take(k, axis=1), power)
+
+        ts = terms()
+        pair = lambda: iadd(next(ts), next(ts))
+        out = iadd(pair(), pair())
+        out += iadd(pair(), pair())
+        for term in ts:
+            out += term
+        _require_guided(out[0], om)
+        return out
+
+    def exact(self, omega):
+        """Exact (neff, u, w) flat arrays, after the range and guidance checks."""
+        om = _checked_omega(omega)
+        neff, u, w = kernels.he11_solve(om, self.core_radius, self.fill)
+        _require_guided(neff, om)
+        return neff, u, w
+
+    def effective_index(self, omega):
+        """n_eff shaped like omega, from the table at _TABLE_MIN_POINTS up."""
+        om = np.asarray(omega, dtype=float)
+        n = (self._table_eval(_checked_omega(om), 0)[0]
+             if om.size >= _TABLE_MIN_POINTS else self.exact(om)[0])
+        return _as_result(n.reshape(om.shape))
+
+    def k(self, omega, deriv=0):
+        """Derivative ``deriv`` of k at omega: beta, then beta1 = (n + n_x) / c
+        and beta2 = (n_x + n_xx) / (c omega) from the table."""
+        om = np.asarray(omega, dtype=float)
+        if deriv == 0:
+            return _as_result(self.effective_index(om) * om / C)
+        if deriv not in (1, 2):
+            raise ValueError("deriv must be 0, 1 or 2")
+        flat = _checked_omega(om)
+        low, high = self._table_eval(flat, deriv)[-2:]
+        scale = C * flat if deriv == 2 else C
+        return _as_result(((low + high) / scale).reshape(om.shape))
+
+    def beta_exact(self, omega):
+        """beta of a flat array from one exact solve, with the scalar bits."""
+        om = np.asarray(omega, dtype=float)
+        return self.exact(om)[0] * om / C
+
+    def n_k_beta1(self, om):
+        """(n, beta, beta1) at a flat array, from one table evaluation."""
+        n, n_x = self._table_eval(_checked_omega(om), 1)
+        return n, n * om / C, (n + n_x) / C
+
+    def mode_profile(self, omega):
+        """Normalized fundamental-mode profile at one carrier [rad/s]."""
+        return _memo(self.profiles, float(omega), lambda om: _mode_profiles(
+            [om], self.core_radius, self.fill)[0])
+
+    def area(self, carriers):
+        """Effective area of four carriers [rad/s]."""
+        return _memo(self.areas, tuple(map(float, carriers)), lambda key:
+                     effective_area([self.mode_profile(om) for om in key]))
+
+
 @lru_cache(maxsize=64)
-def _neff_table(core_radius, fill):
-    """Piecewise-Chebyshev table of n_eff(x), x = ln omega (one per geometry).
-
-    The Sellmeier window is cut into _TABLE_PANELS equal panels in x; on
-    each, the exact ``he11_solve`` is sampled at _TABLE_NODES Chebyshev
-    points of the first kind, and the truncated discrete cosine transform
-    gives the least-squares Chebyshev fit of degree _TABLE_DEGREE.  The
-    coefficients the fit drops are at the solver's rounding level (about
-    1e-15); kept, they are amplified by differentiation (beta1 then errs
-    by 9e-12 relative instead of 2e-12).  The fit is stored in the power
-    basis of the panel coordinate t in [-1, 1], together with its first two
-    x derivatives.  Returns (omega_lo, panels per unit x, coeffs) with
-    coeffs[d, j, k] the coefficient of t^j in d^d n_eff / dx^d on panel k:
-    the power index comes before the panel index, so ``_table_eval``
-    gathers one power's coefficients for all its points with one ``take``.
-    A panel holding a failed solve holds NaN and fails the guidance check
-    on query.
-    """
-    from numpy.polynomial import chebyshev, polynomial
-    om_lo = omega_from_um(SELLMEIER_RANGE_UM[1])
-    om_hi = omega_from_um(SELLMEIER_RANGE_UM[0])
-    width = math.log(om_hi / om_lo) / _TABLE_PANELS
-    theta = math.pi * (np.arange(_TABLE_NODES) + 0.5) / _TABLE_NODES
-    x = width * (np.arange(_TABLE_PANELS)[:, None]
-                 + 0.5 * (np.cos(theta) + 1.0))
-    neff = kernels.he11_solve((om_lo * np.exp(x)).ravel(), core_radius,
-                              fill)[0].reshape(x.shape)
-    # discrete cosine transform as a plain sum (no BLAS), so the table does
-    # not depend on the linear-algebra library or its threading
-    cos_kj = np.cos(np.outer(theta, np.arange(_TABLE_DEGREE + 1)))
-    cheb = (neff[:, :, None] * cos_kj).sum(axis=1) * (2.0 / _TABLE_NODES)
-    cheb[:, 0] *= 0.5
-    coeffs = np.zeros((3, _TABLE_PANELS, _TABLE_DEGREE + 1))
-    for k, c in enumerate(cheb):
-        power = chebyshev.cheb2poly(c)          # trailing zeros come trimmed
-        coeffs[0, k, :power.size] = power
-    for d in (1, 2):
-        coeffs[d, :, :-1] = polynomial.polyder(coeffs[d - 1], scl=2.0 / width,
-                                               axis=1)
-    coeffs = np.ascontiguousarray(coeffs.transpose(0, 2, 1))
-    coeffs.setflags(write=False)
-    return om_lo, 1.0 / width, coeffs
+def _step_index(core_radius, fill):
+    """The one ``StepIndexDispersion`` of a geometry (the geometry registry)."""
+    return StepIndexDispersion(core_radius, fill)
 
 
-def _table_eval(om, fiber, order):
-    """n_eff and its first ``order`` x-derivatives, shape (order + 1, n).
-
-    ``om`` is a checked flat array.  Each point is evaluated on its own, so
-    a value does not depend on the other points of the query.
-
-    The sum over the powers t^j runs column by column: per term, one
-    gathered coefficient per point times one power of t, so temporaries
-    are O(n).  It has the bits of the row-wise sum, each point's row of
-    panel coefficients times ``np.vander(t, 12, increasing=True)`` summed
-    by ``np.sum`` (a test pins this): the powers are the same running
-    product, and the terms are added in the order of NumPy's pairwise sum
-    over 8 to 15 elements, the first eight as
-    ((t0 + t1) + (t2 + t3)) + ((t4 + t5) + (t6 + t7)), the rest one by one.
-    """
-    om_lo, per_x, coeffs = _neff_table(fiber.core_radius,
-                                       fiber.air_fill_fraction)
-    s = np.log(om / om_lo) * per_x
-    k = np.minimum(s.astype(np.intp), _TABLE_PANELS - 1)
-    t = 2.0 * (s - k) - 1.0
-    coeffs = coeffs[:order + 1]
-
-    def terms():
-        yield coeffs[:, 0].take(k, axis=1)       # times t^0 = 1
-        power = t
-        for j in range(1, _TABLE_DEGREE + 1):
-            if j > 1:
-                power = power * t
-            term = coeffs[:, j].take(k, axis=1)
-            term *= power
-            yield term
-
-    def pair(ts):
-        first = next(ts)
-        first += next(ts)
-        return first
-
-    ts = terms()
-    out = pair(ts)
-    out += pair(ts)
-    high = pair(ts)
-    high += pair(ts)
-    out += high
-    for term in ts:
-        out += term
-    _require_guided(out[0], om)
-    return out
-
-
-def _exact_solve(omega, core_radius, fill):
-    """Exact (neff, u, w) flat arrays, after the range and guidance checks."""
-    om = _checked_omega(omega)
-    neff, u, w = kernels.he11_solve(om, core_radius, fill)
-    _require_guided(neff, om)
-    return neff, u, w
-
-
-def _beta_exact(omega, fiber):
-    """beta at every point of a flat array, each as the scalar ``beta`` gives it.
-
-    The Taylor polynomial, or the exact solve of the whole array (never the
-    table) with the range and guidance checks.
-    """
-    if fiber.taylor is not None:
-        return fiber.taylor.k(omega)
-    om = np.asarray(omega, dtype=float)
-    return _exact_solve(om, fiber.core_radius, fiber.air_fill_fraction)[0] * om / C
+def _geometry(fiber):
+    """Step-index model of the fiber's geometry, whatever its dispersion."""
+    return _step_index(fiber.core_radius, fiber.air_fill_fraction)
 
 
 def _solve_step_index(omega, fiber):
-    """Flat n_eff array of the step-index model, with range checks.
-
-    Queries of _TABLE_MIN_POINTS or more points read the per-geometry
-    table; smaller ones take the exact solve.
-    """
-    if np.size(omega) >= _TABLE_MIN_POINTS:
-        return _table_eval(_checked_omega(omega), fiber, 0)[0]
-    return _exact_solve(omega, fiber.core_radius, fiber.air_fill_fraction)[0]
-
-
-def _table_derivatives(omega, fiber, order):
-    """Table n_eff and x-derivatives, each shaped like omega."""
-    om = np.asarray(omega, dtype=float)
-    out = _table_eval(_checked_omega(om), fiber, order)
-    return out.reshape((order + 1,) + om.shape)
+    """Flat n_eff array of the fiber's step-index geometry, with range checks."""
+    return np.ravel(_geometry(fiber).effective_index(omega))
 
 
 def _signal_idler(om_s, om_i, fiber):
@@ -384,72 +437,47 @@ def _signal_idler(om_s, om_i, fiber):
     """
     shape = np.shape(om_s)
     om = np.concatenate([np.ravel(om_s), np.ravel(om_i)])
-    if fiber.taylor is not None:
-        k = fiber.taylor.k(om)
-        n, b1 = k * C / om, fiber.taylor.k(om, deriv=1)
-    else:
-        n, n_x = _table_eval(_checked_omega(om), fiber, 1)
-        k, b1 = n * om / C, (n + n_x) / C
+    n, k, b1 = fiber.dispersion.n_k_beta1(om)
     m = om.size // 2
     h = om[:m] * om[m:] * b1[:m] * b1[m:] / (n[:m] ** 2 * n[m:] ** 2)
     return k[:m].reshape(shape), k[m:].reshape(shape), h.reshape(shape)
 
 
-def _as_result(x):
-    return float(x) if np.ndim(x) == 0 else x
-
-
 def effective_index(omega, fiber):
     """Effective index of the fundamental mode (scalar or array omega)."""
-    if fiber.taylor is not None:
-        k = fiber.taylor.k(omega)
-        return k * C / omega
-    om = np.asarray(omega, dtype=float)
-    return _as_result(_solve_step_index(om, fiber).reshape(om.shape))
+    return fiber.dispersion.effective_index(omega)
 
 
 def beta(omega, fiber):
     """Propagation constant k(omega) [1/m]."""
-    if fiber.taylor is not None:
-        return fiber.taylor.k(omega)
-    return effective_index(omega, fiber) * np.asarray(omega, dtype=float) / C
+    return fiber.dispersion.k(omega)
 
 
 def beta1(omega, fiber):
     """First frequency derivative of k [s/m]: (n + dn/dx) / c, x = ln omega."""
-    if fiber.taylor is not None:
-        return fiber.taylor.k(omega, deriv=1)
-    n, n_x = _table_derivatives(omega, fiber, 1)
-    return _as_result((n + n_x) / C)
+    return fiber.dispersion.k(omega, 1)
 
 
 def beta2(omega, fiber):
     """Second frequency derivative of k [s^2/m]: (n_x + n_xx) / (c omega)."""
-    if fiber.taylor is not None:
-        return fiber.taylor.k(omega, deriv=2)
-    _n, n_x, n_xx = _table_derivatives(omega, fiber, 2)
-    return _as_result((n_x + n_xx) / (C * np.asarray(omega, dtype=float)))
+    return fiber.dispersion.k(omega, 2)
 
 
 def find_zero_dispersion(fiber, wavelength_range_um=(0.4, 1.6), points=240):
     """All zero crossings of beta2 in the range, ascending in wavelength [um].
 
-    Sign-scan on an even wavelength grid followed by bracketed root
-    refinement in omega; grid points at 0 um or below are skipped.  An
-    empty list means no zero-dispersion point.
+    Sign-scan on an even wavelength grid, inside the model's ``band_um``,
+    followed by bracketed root refinement in omega; grid points at 0 um or
+    below are skipped.  An empty list means no zero-dispersion point.
     """
     lo_um, hi_um = wavelength_range_um
-    if fiber.taylor is None:
-        # a rounding step inside the window, where lambda -> omega -> lambda
-        # does not round-trip exactly
-        lo_um = max(lo_um, SELLMEIER_RANGE_UM[0] * (1 + 1e-12))
-        hi_um = min(hi_um, SELLMEIER_RANGE_UM[1] * (1 - 1e-12))
-    lams = np.linspace(lo_um, hi_um, points)
+    band_lo, band_hi = fiber.dispersion.band_um
+    lams = np.linspace(max(lo_um, band_lo), min(hi_um, band_hi), points)
     oms = 2e6 * np.pi * C / lams
     b2 = beta2(oms, fiber)
 
     zdws = []
-    f = lambda om: float(beta2(float(om), fiber))
+    f = lambda om: beta2(om, fiber)
     for i in range(points - 1):
         if lams[i] <= 0:
             # no wavelength of 0 or below has a dispersion; a Taylor beta2
@@ -465,19 +493,13 @@ def find_zero_dispersion(fiber, wavelength_range_um=(0.4, 1.6), points=240):
 
 
 def mode_profile(omega, fiber):
-    """Normalized fundamental-mode profile at the carrier (cached per geometry).
+    """Normalized fundamental-mode profile at the carrier (memoised per geometry).
 
     The transverse structure always comes from the step-index geometry, also
     for a fiber with Taylor dispersion, so fibers that differ only in length,
     n2 or Taylor data share one profile object.
     """
-    return _mode_profile(float(omega), fiber.core_radius,
-                         fiber.air_fill_fraction)
-
-
-@lru_cache(maxsize=4096)
-def _mode_profile(omega, core_radius, fill):
-    return _mode_profiles([omega], core_radius, fill)[0]
+    return _geometry(fiber).mode_profile(omega)
 
 
 def _mode_profiles(omegas, core_radius, fill):
@@ -487,7 +509,7 @@ def _mode_profiles(omegas, core_radius, fill):
     ``_overlap_integrals`` as pairs, so the two normalisation integrals of
     every carrier run in one lockstep call.
     """
-    _neff, u, w = _exact_solve(omegas, core_radius, fill)
+    _neff, u, w = _step_index(core_radius, fill).exact(omegas)
     raw = [ModeProfile(carrier_frequency=float(om), core_radius=core_radius,
                        u=uk, w=wk, norm=1.0)
            for om, uk, wk in zip(np.ravel(omegas), u.tolist(), w.tolist())]
@@ -558,21 +580,9 @@ def _effective_areas(sets):
     return areas
 
 
-def _a_eff(fiber, *carriers):
-    """Effective area of four carriers [rad/s], cached per geometry."""
-    return _a_eff_cached(tuple(float(om) for om in carriers),
-                         fiber.core_radius, fiber.air_fill_fraction)
-
-
-@lru_cache(maxsize=4096)
-def _a_eff_cached(carriers, core_radius, fill):
-    return effective_area([_mode_profile(om, core_radius, fill)
-                           for om in carriers])
-
-
 def gamma_pump(fiber, omega):
     """Self/cross-phase nonlinear coefficient of one pump [1/(W m)]."""
-    a = _a_eff(fiber, omega, omega, omega, omega)
+    a = _geometry(fiber).area((omega,) * 4)
     return fiber.n2_kerr * float(omega) / (C * a)
 
 
@@ -580,7 +590,7 @@ def gamma_pumps(fiber, omegas):
     """``gamma_pump`` at many pump carriers [rad/s], bit for bit, in one batch.
 
     One ``_mode_profiles`` and one ``_effective_areas`` call serve every
-    carrier, without the per-carrier caches.
+    carrier, without the per-geometry memos.
     """
     profiles = _mode_profiles(omegas, fiber.core_radius,
                               fiber.air_fill_fraction)
@@ -591,15 +601,14 @@ def gamma_pumps(fiber, omegas):
 
 def gamma_sfwm(fiber, omega_p1, omega_p2, omega_s, omega_i):
     """Four-wave-mixing nonlinear coefficient [1/(W m)] (pairwise carriers)."""
-    a = _a_eff(fiber, omega_p1, omega_p2, omega_s, omega_i)
+    a = _geometry(fiber).area((omega_p1, omega_p2, omega_s, omega_i))
     return fiber.n2_kerr * math.sqrt(float(omega_p1) * float(omega_p2)) / (C * a)
 
 
 def nonlinear_parameters(fiber, omega_p1, omega_p2, omega_s, omega_i):
     """Bundle of gamma coefficients and the four-field effective area."""
-    a = _a_eff(fiber, omega_p1, omega_p2, omega_s, omega_i)
     return NonlinearParameters(
-        gamma_sfwm=fiber.n2_kerr * math.sqrt(omega_p1 * omega_p2) / (C * a),
+        gamma_sfwm=gamma_sfwm(fiber, omega_p1, omega_p2, omega_s, omega_i),
         gamma_pump_1=gamma_pump(fiber, omega_p1),
         gamma_pump_2=gamma_pump(fiber, omega_p2),
-        a_eff=a)
+        a_eff=_geometry(fiber).area((omega_p1, omega_p2, omega_s, omega_i)))

@@ -143,13 +143,14 @@ def _sin_over(s, x):
                      where=~(np.abs(x) <= 1e-150))
 
 
+def _as_result(x):
+    return float(x) if np.ndim(x) == 0 else x
+
+
 def sinc(x):
     """sin(x)/x with the removable singularity filled in (sinc(0) = 1)."""
     x = np.asarray(x, dtype=float)
-    out = _sin_over(np.sin(x), x)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return _as_result(_sin_over(np.sin(x), x))
 
 
 def _sinc_phasor(x, scale=None):

@@ -20,10 +20,11 @@ from operator import attrgetter
 import numpy as np
 
 from .constants import TWO_PI, um_from_omega, omega_from_um
-from .dispersion import (FiberSpec, _beta_exact, beta, beta1, beta2,
-                         effective_index, gamma_pump, gamma_pumps)
+from .dispersion import (FiberSpec, beta, beta1, beta2, effective_index,
+                         gamma_pump, gamma_pumps)
 from .errors import ConfigError, NoPhasematchError, RegimeError, SfwmError
-from .numerics import QuadratureSpec, _gauss_nodes, _sinc_phasor, find_roots
+from .numerics import (QuadratureSpec, _as_result, _gauss_nodes, _sinc_phasor,
+                       find_roots)
 
 # band scanned for phasematched frequencies [um]
 SCAN_BAND_UM = (0.35, 2.2)
@@ -42,13 +43,13 @@ class PumpSpec:
     rep_rate: float      # Hz (ignored in the CW regime)
 
     def __post_init__(self):
-        if not self.omega0 > 0:
+        if not (self.omega0 > 0 and math.isfinite(self.omega0)):
             raise ValueError("omega0 must be > 0")
-        if self.sigma < 0:
+        if not (self.sigma >= 0 and math.isfinite(self.sigma)):
             raise ValueError("sigma must be >= 0")
-        if self.avg_power < 0:
+        if not (self.avg_power >= 0 and math.isfinite(self.avg_power)):
             raise ValueError("avg_power must be >= 0")
-        if self.rep_rate < 0:
+        if not (self.rep_rate >= 0 and math.isfinite(self.rep_rate)):
             raise ValueError("rep_rate must be >= 0")
         if self.sigma > 0 and not self.rep_rate > 0:
             raise ValueError("pulsed pump needs a repetition rate")
@@ -155,10 +156,7 @@ def pump_envelope(pump, omega):
         raise RegimeError("spectral envelope undefined for a monochromatic pump")
     om = np.asarray(omega, dtype=float)
     pref = 2.0 ** 0.25 / (math.pi ** 0.25 * math.sqrt(pump.sigma))
-    out = pref * np.exp(-((om - pump.omega0) / pump.sigma) ** 2)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return _as_result(pref * np.exp(-((om - pump.omega0) / pump.sigma) ** 2))
 
 
 def nonlinear_phase(config):
@@ -183,11 +181,8 @@ def phase_mismatch(omega, omega_s, omega_i, config):
     fiber = config.fiber
     om = np.asarray(omega, dtype=float)
     conj = np.asarray(omega_s, dtype=float) + np.asarray(omega_i, dtype=float) - om
-    out = (beta(om, fiber) + beta(conj, fiber)
-           - beta(omega_s, fiber) - beta(omega_i, fiber) - nonlinear_phase(config))
-    if np.asarray(out).ndim == 0:
-        return float(out)
-    return out
+    return _as_result(beta(om, fiber) + beta(conj, fiber) - beta(omega_s, fiber)
+                      - beta(omega_i, fiber) - nonlinear_phase(config))
 
 
 def _pump_terms(config):
@@ -201,13 +196,14 @@ def _pump_terms_batch(configs):
     """``_pump_terms`` of many configs of one fiber, bit for bit, uncached.
 
     The betas of all their distinct pump carriers come from one exact
-    evaluation (``_beta_exact``), and their gammas from one
+    evaluation (the model's ``beta_exact``), and their gammas from one
     ``gamma_pumps`` batch.
     """
     fiber = configs[0].fiber
     carriers = list(dict.fromkeys(om for c in configs
                                   for om in (c.pump1.omega0, c.pump2.omega0)))
-    b = dict(zip(carriers, _beta_exact(np.array(carriers), fiber).tolist()))
+    b = dict(zip(carriers,
+                 fiber.dispersion.beta_exact(np.array(carriers)).tolist()))
     g = dict(zip(carriers, gamma_pumps(fiber, carriers)))
     return [(b[c.pump1.omega0] + b[c.pump2.omega0],
              _nonlinear_phase(c, g[c.pump1.omega0], g[c.pump2.omega0]))
@@ -226,10 +222,6 @@ def _mismatch_on_line(config, s_pumps, nl):
     total = config.omega_total
 
     def dk(om):
-        if np.ndim(om) == 0:
-            return float(s_pumps - beta(float(om), fiber)
-                         - beta(float(total - om), fiber) - nl)
-        om = np.asarray(om, dtype=float)
         return s_pumps - beta(om, fiber) - beta(total - om, fiber) - nl
 
     return dk
@@ -239,11 +231,11 @@ def _exact_line_mismatch(fiber, om, total, s_pumps, nl):
     """The scalar dk of ``_mismatch_on_line`` at every point of a flat array.
 
     ``total``, ``s_pumps`` and ``nl`` are per point or shared.  beta comes
-    from one exact evaluation of all 2n frequencies (``_beta_exact``), so
+    from one exact evaluation of all 2n frequencies (``beta_exact``), so
     each value has the bits of the scalar dk at that point.
     """
     om = np.asarray(om, dtype=float)
-    b = _beta_exact(np.concatenate([om, total - om]), fiber)
+    b = fiber.dispersion.beta_exact(np.concatenate([om, total - om]))
     return s_pumps - b[:om.size] - b[om.size:] - nl
 
 
@@ -479,11 +471,9 @@ def h_function(omega_s, omega_i, fiber):
     """Spectral weight omega_s omega_i beta1_s beta1_i / (n_s^2 n_i^2)."""
     oms = np.asarray(omega_s, dtype=float)
     omi = np.asarray(omega_i, dtype=float)
-    out = (oms * omi * beta1(oms, fiber) * beta1(omi, fiber)
-           / (effective_index(oms, fiber) ** 2 * effective_index(omi, fiber) ** 2))
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return _as_result(oms * omi * beta1(oms, fiber) * beta1(omi, fiber)
+                      / (effective_index(oms, fiber) ** 2
+                         * effective_index(omi, fiber) ** 2))
 
 
 def _pump_rule(config):

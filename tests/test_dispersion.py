@@ -10,9 +10,9 @@ from sfwmsim import _kernels_py, dispersion
 from sfwmsim import _kernels_py as kernels
 from sfwmsim.constants import (C, SELLMEIER_RANGE_UM, omega_from_um,
                                um_from_omega)
-from sfwmsim.dispersion import (_TABLE_PANELS, FiberSpec, TaylorDispersion,
-                                _amplitude, _beta_exact, _effective_areas,
-                                _mode_profiles, _neff_table, _table_eval,
+from sfwmsim.dispersion import (_MEMO_SIZE, _TABLE_PANELS, FiberSpec,
+                                StepIndexDispersion, TaylorDispersion,
+                                _amplitude, _effective_areas, _mode_profiles,
                                 beta, beta1, beta2, effective_area,
                                 effective_index, find_zero_dispersion,
                                 gamma_pump, gamma_pumps, gamma_sfwm,
@@ -236,6 +236,13 @@ class TestNeffTable:
         assert [beta1(float(x), fiber_b) for x in om] == list(b1)
         assert [beta2(float(x), fiber_b) for x in om] == list(b2)
 
+    @pytest.mark.parametrize("query", [effective_index, beta, beta1, beta2])
+    def test_query_keeps_the_shape(self, fiber_b, query):
+        om = omega_from_um(np.linspace(0.4, 2.0, 12))
+        got = query(om.reshape(3, 4), fiber_b)
+        assert got.shape == (3, 4)
+        assert got.tobytes() == query(om, fiber_b).tobytes()
+
     def test_scalars_and_short_arrays_stay_exact(self, fiber_b):
         om = omega_from_um(np.array([0.9, 1.1, 1.3]))
         exact = kernels.he11_solve(om, fiber_b.core_radius,
@@ -244,15 +251,15 @@ class TestNeffTable:
         assert list(effective_index(om, fiber_b)) == list(exact)
 
     def test_keyed_on_geometry_and_deterministic(self, fiber_a):
-        from sfwmsim.dispersion import _neff_table
         longer = FiberSpec(core_radius=fiber_a.core_radius,
                            air_fill_fraction=fiber_a.air_fill_fraction,
                            length=7.0, n2_kerr=3e-20)
         om = omega_from_um(np.linspace(0.5, 1.5, 9))
-        before = _neff_table(fiber_a.core_radius, fiber_a.air_fill_fraction)
+        before = fiber_a.dispersion.table
+        assert longer.dispersion is fiber_a.dispersion
         assert list(beta1(om, longer)) == list(beta1(om, fiber_a))
-        _neff_table.cache_clear()
-        after = _neff_table(fiber_a.core_radius, fiber_a.air_fill_fraction)
+        after = StepIndexDispersion(fiber_a.core_radius,
+                                    fiber_a.air_fill_fraction).table
         assert after[:2] == before[:2]
         assert np.array_equal(after[2], before[2])
 
@@ -268,8 +275,7 @@ class TestColumnWiseTable:
 
     @staticmethod
     def row_wise(om, fiber, order):
-        om_lo, per_x, coeffs = _neff_table(fiber.core_radius,
-                                           fiber.air_fill_fraction)
+        om_lo, per_x, coeffs = fiber.dispersion.table
         rows = coeffs.transpose(0, 2, 1)          # [derivative, panel, power]
         s = np.log(om / om_lo) * per_x
         k = np.minimum(s.astype(np.intp), _TABLE_PANELS - 1)
@@ -279,8 +285,7 @@ class TestColumnWiseTable:
     @staticmethod
     def points(fiber, n):
         """The two window edges, then every panel edge, then random points."""
-        om_lo, per_x, _ = _neff_table(fiber.core_radius,
-                                      fiber.air_fill_fraction)
+        om_lo, per_x, _ = fiber.dispersion.table
         window = omega_from_um(np.array(SELLMEIER_RANGE_UM[::-1]))
         edges = om_lo * np.exp(np.arange(1, _TABLE_PANELS) / per_x)
         fill = np.random.default_rng(n).uniform(window[0], window[1], n)
@@ -290,23 +295,22 @@ class TestColumnWiseTable:
     @pytest.mark.parametrize("n", [1, 3, 4, 990, 5000])
     def test_bits_of_the_row_wise_sum(self, fiber_a, n, order):
         om = self.points(fiber_a, n)
-        got = _table_eval(om, fiber_a, order)
+        got = fiber_a.dispersion._table_eval(om, order)
         want = self.row_wise(om, fiber_a, order)
         assert got.shape == want.shape == (order + 1, n)
         assert got.tobytes() == want.tobytes()
 
     def test_nan_panel_is_a_cutoff(self, fiber_a, monkeypatch):
-        om_lo, per_x, coeffs = _neff_table(fiber_a.core_radius,
-                                           fiber_a.air_fill_fraction)
+        model = fiber_a.dispersion
+        om_lo, per_x, coeffs = model.table
         broken = coeffs.copy()
         broken[:, :, 5] = np.nan
-        monkeypatch.setattr(dispersion, "_neff_table",
-                            lambda *geometry: (om_lo, per_x, broken))
+        monkeypatch.setattr(model, "table", (om_lo, per_x, broken))
         om = om_lo * np.exp(np.array([2.5, 5.5, 7.5]) / per_x)
-        assert np.isfinite(_table_eval(om[[0, 2]], fiber_a, 1)).all()
+        assert np.isfinite(model._table_eval(om[[0, 2]], 1)).all()
         with pytest.raises(ModeCutoffError,
                            match=re.escape(f"omega={om[1]:.6e}")):
-            _table_eval(om, fiber_a, 1)
+            model._table_eval(om, 1)
 
 
 class TestZeroDispersion:
@@ -433,6 +437,10 @@ class TestTaylorModel:
     def test_validation(self):
         with pytest.raises(ValueError):
             TaylorDispersion(reference_frequency=1e15, beta_coefficients=(1.0,))
+        for omega_ref in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="reference frequency"):
+                TaylorDispersion(reference_frequency=omega_ref,
+                                 beta_coefficients=(1.0, 2.0))
         with pytest.raises(ValueError):
             TaylorDispersion(reference_frequency=1e15,
                              beta_coefficients=(1.0, math.nan))
@@ -602,8 +610,48 @@ NORM_BITS = {
 }
 
 
+class TestScalarQueries:
+    """A scalar frequency gives a Python float from both models."""
+
+    @pytest.mark.parametrize("query", [effective_index, beta, beta1, beta2])
+    @pytest.mark.parametrize("scalar", [float, np.float64, np.array],
+                             ids=["float", "float64", "0-d array"])
+    @pytest.mark.parametrize("model", ["step-index", "taylor"])
+    def test_python_float(self, fiber_a, model, scalar, query):
+        fiber = fiber_a if model == "step-index" else taylor_fiber(
+            omega_from_um(0.708), (1.2e7, 4.9e-9, 3e-26, 1e-40))
+        om = omega_from_um(0.8)
+        got = query(scalar(om), fiber)
+        assert type(got) is float
+        assert got == query(om, fiber)
+
+
+class TestGeometryMemos:
+    """Each geometry keeps at most _MEMO_SIZE profiles and areas."""
+
+    def test_least_recently_used_goes(self, monkeypatch):
+        model = StepIndexDispersion(0.97e-6, 0.91)
+        monkeypatch.setattr(dispersion, "_mode_profiles",
+                            lambda oms, *geometry: [float(oms[0])])
+        monkeypatch.setattr(dispersion, "effective_area",
+                            lambda profiles: sum(profiles))
+        carriers = (1e15 + np.arange(_MEMO_SIZE + 1)).tolist()
+        for om in carriers[:-1]:
+            model.area((om,) * 4)
+        # touched, the first carrier becomes the most recent in both memos
+        assert model.area((carriers[0],) * 4) == 4e15
+        assert model.mode_profile(carriers[0]) == 1e15
+        assert len(model.profiles) == len(model.areas) == _MEMO_SIZE
+        model.area((carriers[-1],) * 4)
+        for memo, key in ((model.profiles, float), (model.areas,
+                                                    lambda om: (om,) * 4)):
+            assert len(memo) == _MEMO_SIZE
+            assert key(carriers[0]) in memo and key(carriers[-1]) in memo
+            assert key(carriers[1]) not in memo
+
+
 class TestExactArrayBeta:
-    """_beta_exact gives every point the bits of the scalar beta."""
+    """beta_exact gives every point the bits of the scalar beta."""
 
     @pytest.mark.parametrize("core_radius, fill",
                              [(0.97e-6, 0.91), (0.5e-6, 0.6), (20e-6, 0.91)])
@@ -611,20 +659,20 @@ class TestExactArrayBeta:
         fiber = FiberSpec(core_radius=core_radius, air_fill_fraction=fill,
                           length=1.0)
         om = omega_from_um(np.linspace(0.36, 2.1, 97))
-        got = _beta_exact(om, fiber)
+        got = fiber.dispersion.beta_exact(om)
         assert [v.hex() for v in got.tolist()] == \
             [float(beta(float(x), fiber)).hex() for x in om]
 
     def test_taylor_equals_scalar(self):
         fiber = taylor_fiber(omega_from_um(0.708), (1.2e7, 4.9e-9, 3e-26, 1e-40))
         om = omega_from_um(np.linspace(0.5, 1.2, 41))
-        assert [v.hex() for v in _beta_exact(om, fiber).tolist()] == \
+        assert [v.hex() for v in fiber.dispersion.beta_exact(om).tolist()] == \
             [beta(float(x), fiber).hex() for x in om]
 
     def test_range_checked(self, fiber_a):
         with pytest.raises(WavelengthRangeError):
-            _beta_exact(np.array([omega_from_um(0.8), 1e13, 2e15, 3e15]),
-                        fiber_a)
+            fiber_a.dispersion.beta_exact(
+                np.array([omega_from_um(0.8), 1e13, 2e15, 3e15]))
 
 
 class TestBatchedAreas:
@@ -684,6 +732,8 @@ class TestFiberSpecValidation:
     @pytest.mark.parametrize("kwargs", [
         {"core_radius": -1e-6}, {"air_fill_fraction": 0.0},
         {"air_fill_fraction": 1.0}, {"length": 0.0}, {"n2_kerr": 0.0},
+        {"core_radius": math.inf}, {"length": math.inf}, {"n2_kerr": math.inf},
+        {"core_radius": math.nan}, {"length": math.nan}, {"n2_kerr": math.nan},
     ])
     def test_invalid(self, kwargs):
         base = dict(core_radius=1e-6, air_fill_fraction=0.9, length=1.0)

@@ -7,7 +7,8 @@ import pytest
 from conftest import taylor_fiber
 from sfwmsim.constants import C, HBAR, omega_from_um
 from sfwmsim import efficiency
-from sfwmsim.dispersion import FiberSpec, _signal_idler, beta, beta1, beta2
+from sfwmsim.dispersion import (FiberSpec, StepIndexDispersion, _signal_idler,
+                                beta, beta1, beta2)
 from sfwmsim.efficiency import (_rotated_integrand, _rotated_window,
                                 eta_closed, eta_cw, eta_pulsed_numeric, l_max,
                                 operating_point, photons_per_pulse,
@@ -401,12 +402,15 @@ class TestCwEfficiency:
         with pytest.raises(RegimeError):
             eta_cw(cfg_dp)
 
-    def test_independent_of_table_build(self, cfg_cw_dp):
+    def test_independent_of_table_build(self, cfg_cw_dp, monkeypatch):
         # the dispersion table is built lazily; rebuilding it must not move
         # any result
-        from sfwmsim.dispersion import _neff_table
+        model = cfg_cw_dp.fiber.dispersion
         first = eta_cw(cfg_cw_dp).eta
-        _neff_table.cache_clear()
+        rebuilt = StepIndexDispersion(model.core_radius, model.fill).table
+        assert rebuilt[:2] == model.table[:2]
+        assert rebuilt[2].tobytes() == model.table[2].tobytes()
+        monkeypatch.setattr(model, "table", rebuilt)
         assert eta_cw(cfg_cw_dp).eta == first
 
     def test_pump_exchange_exact(self, cfg_cw_ndp):

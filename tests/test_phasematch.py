@@ -385,11 +385,17 @@ class TestOrientationAngles:
 
     def test_contour_fills_no_lru_cache(self, cfg_loop):
         # the warm-up fills what a geometry needs once (its n_eff table);
-        # a contour over another range then adds nothing to any cache
+        # a contour over another range then adds nothing to any cache, nor
+        # to the geometry's memos of mode profiles and effective areas
         caches = package_lru_caches()
+        model = cfg_loop.fiber.dispersion
         assert contour(cfg_loop, (0.70, 0.80), 5)
-        before = {name: c.cache_info().currsize for name, c in caches.items()}
+
+        def sizes():
+            return ({name: c.cache_info().currsize for name, c in caches.items()},
+                    len(model.profiles), len(model.areas))
+
+        before = sizes()
         assert contour(cfg_loop, (0.655, 0.855), 9)
-        assert {name: c.cache_info().currsize
-                for name, c in caches.items()} == before
+        assert sizes() == before
 

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from conftest import taylor_fiber
 from sfwmsim.constants import C, omega_from_um, um_from_omega
-from sfwmsim.dispersion import _a_eff_cached, beta, beta1, beta2
-from sfwmsim import sfwm
+from sfwmsim.dispersion import beta, beta1, beta2
+from sfwmsim import dispersion, sfwm
 from sfwmsim.errors import ModeCutoffError, NoPhasematchError, RegimeError
 from sfwmsim.numerics import integrate_1d
 from sfwmsim.sfwm import (_BLOCK_ELEMENTS, PumpSpec, SourceConfig,
@@ -50,6 +50,17 @@ class TestPeakPower:
                                                      rel=1e-12)
         assert peak_power(double_s) == pytest.approx(2 * peak_power(base),
                                                      rel=1e-12)
+
+
+class TestPumpSpecValidation:
+    @pytest.mark.parametrize("name", ["omega0", "sigma", "avg_power",
+                                      "rep_rate"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_non_finite(self, name, value):
+        base = dict(omega0=omega_from_um(0.708), sigma=3e12, avg_power=3e-4,
+                    rep_rate=80e6)
+        with pytest.raises(ValueError, match=name):
+            PumpSpec(**dict(base, **{name: value}))
 
 
 class TestPumpEnvelope:
@@ -485,34 +496,43 @@ class TestLockstepRoots:
     def test_one_exact_evaluation_per_step(self, cfg_loop, monkeypatch):
         configs = _repumped_loop(cfg_loop, np.linspace(0.68, 0.84, 9))
         steps, solves = [], []
-        find_roots, exact = sfwm.find_roots, sfwm._beta_exact
+        model = cfg_loop.fiber.dispersion
+        find_roots, exact = sfwm.find_roots, model.beta_exact
 
         def counted(f, brackets, tol):
             return find_roots(lambda lanes, x: steps.append(len(x)) or f(lanes, x),
                               brackets, tol)
 
         monkeypatch.setattr(sfwm, "find_roots", counted)
-        monkeypatch.setattr(sfwm, "_beta_exact",
-                            lambda om, fiber: solves.append(om.size) or exact(om, fiber))
+        monkeypatch.setattr(model, "beta_exact",
+                            lambda om: solves.append(om.size) or exact(om))
         sfwm.phasematch_roots_lockstep(configs)
         # one exact solve of the distinct pump carriers, then one of both
         # frequencies of every live lane per step
         assert solves == [len(configs)] + [2 * n for n in steps]
         assert len(steps) < sum(steps) / 4
 
-    def test_one_config_fills_the_pump_caches(self, cfg_loop):
-        # phasematch_roots takes the pump gamma from the per-carrier cache,
-        # where nonlinear_phase reads it next; the lockstep fills no cache
+    def test_one_config_fills_the_pump_caches(self, cfg_loop, monkeypatch):
+        # phasematch_roots takes the pump gamma from the per-geometry memos,
+        # where nonlinear_phase reads it next; the lockstep fills no memo
         cfg, = _repumped_loop(cfg_loop, [0.7531])
-        before = _a_eff_cached.cache_info()
+        model = cfg.fiber.dispersion
+        solved, profiles = [], dispersion._mode_profiles
+        monkeypatch.setattr(dispersion, "_mode_profiles", lambda oms, *geometry: (
+            solved.append(len(oms)) or profiles(oms, *geometry)))
+
+        def memo_sizes():
+            return len(model.profiles), len(model.areas)
+
+        before = memo_sizes()
         sfwm.phasematch_roots_lockstep([cfg])
-        assert _a_eff_cached.cache_info() == before
+        # the lockstep's one uncached batch of its pump carrier
+        assert (memo_sizes(), solved) == (before, [1])
         phasematch_roots(cfg)
-        filled = _a_eff_cached.cache_info()
-        assert filled.currsize == before.currsize + 1
+        # one profile solve fills both memos
+        assert (memo_sizes(), solved) == ((before[0] + 1, before[1] + 1), [1, 1])
         nonlinear_phase(cfg)
-        after = _a_eff_cached.cache_info()
-        assert (after.misses, after.hits) == (filled.misses, filled.hits + 2)
+        assert (memo_sizes(), solved) == ((before[0] + 1, before[1] + 1), [1, 1])
 
     def test_configs_share_the_fiber(self, cfg_dp, cfg_loop):
         with pytest.raises(ValueError):

@@ -31,9 +31,14 @@ def test_traced_entry_point_resolves(module, attribute, span):
 
 def test_package_cache_inventory():
     assert sorted(package_lru_caches()) == [
-        "sfwmsim.dispersion._a_eff_cached",
-        "sfwmsim.dispersion._mode_profile",
-        "sfwmsim.dispersion._neff_table",
+        "sfwmsim.dispersion._step_index",
         "sfwmsim.efficiency.operating_point",
         "sfwmsim.numerics._gauss_nodes",
     ]
+
+
+def test_taylor_k_is_bound_on_its_class():
+    # the tracer reads and replaces ``TaylorDispersion.__dict__["k"]``; a k
+    # inherited from a shared base class would break every traced run
+    from sfwmsim.dispersion import TaylorDispersion
+    assert "k" in TaylorDispersion.__dict__
