@@ -181,19 +181,23 @@ def _amplitude(rho, r, u, w, norm):
     The one amplitude formula of ``ModeProfile``, the normalisation and the
     overlap integrals.  ``r``, ``u``, ``w`` and ``norm`` are floats or
     arrays that broadcast against the array ``rho`` (one profile per row);
-    J0(u) and K0(w) are evaluated once per entry of ``u`` and ``w``.
+    J0(u) and K0(w) are evaluated once per entry, in the points' call.
     """
-    from scipy.special import j0 as _j0, k0 as _k0
     shape = rho.shape
     inside = rho < r
-    outside = ~inside
+
+    def ratio(fn, arg, at):
+        """fn(arg rho / r) / fn(arg) at the points ``at``, in one fn call."""
+        arg = np.asarray(arg, dtype=float)
+        x = (np.broadcast_to(arg, shape)[at] * rho[at]
+             / np.broadcast_to(r, shape)[at])
+        both = fn(np.concatenate([x, arg.ravel()]), rows=1)[0]
+        return both[:x.size] / np.broadcast_to(
+            both[x.size:].reshape(arg.shape), shape)[at]
+
     out = np.empty_like(rho)
-    out[inside] = (_j0(np.broadcast_to(u, shape)[inside] * rho[inside]
-                       / np.broadcast_to(r, shape)[inside])
-                   / np.broadcast_to(_j0(u), shape)[inside])
-    out[outside] = (_k0(np.broadcast_to(w, shape)[outside] * rho[outside]
-                        / np.broadcast_to(r, shape)[outside])
-                    / np.broadcast_to(_k0(w), shape)[outside])
+    out[inside] = ratio(kernels.j01, u, inside)
+    out[~inside] = ratio(kernels.k01, w, ~inside)
     out *= norm
     return out
 
@@ -244,14 +248,17 @@ class StepIndexDispersion:
     Which path serves which query:
 
     * n_eff and beta at a scalar frequency, or at an array of fewer than
-      _TABLE_MIN_POINTS frequencies, come from the exact solve,
-      ``kernels.he11_solve``, which runs such short queries in Python floats
-      with the bits of its array ladder.  A scalar is the one-point case of
-      that query, with its range and guidance checks, and is not cached.
+      _TABLE_MIN_POINTS frequencies, come from the exact solve (``exact``):
+      one Newton step from the table's n_eff, ``kernels.he11_solve_seeded``,
+      which falls back to the ladder ``kernels.he11_solve`` where the seed
+      or the step fails.  Short queries take the seed and the step in
+      Python floats, with the bits of the array path.  A scalar is the
+      one-point case of that query, with its range and guidance checks, and
+      is not cached.
     * n_eff and beta at larger arrays come from the table: a
       piecewise-Chebyshev fit of n_eff in x = ln omega over the whole
-      Sellmeier window, sampled from the exact solve (``table``).  It
-      agrees with the exact solve to a few 1e-14 absolute.
+      Sellmeier window, sampled from the ladder (``table``).  It agrees
+      with the exact solve to a few 1e-14 absolute.
     * ``beta_exact`` gives beta at every point of an array with the bits of
       the scalar query: one exact solve of the whole array (never the table).
       The lockstep root finding of the phase-matching contour evaluates each
@@ -285,7 +292,7 @@ class StepIndexDispersion:
         """Piecewise-Chebyshev table of n_eff(x), x = ln omega.
 
         The Sellmeier window is cut into _TABLE_PANELS equal panels in x; on
-        each, the exact ``he11_solve`` is sampled at _TABLE_NODES Chebyshev
+        each, the ladder ``he11_solve`` is sampled at _TABLE_NODES Chebyshev
         points of the first kind, and the truncated discrete cosine transform
         gives the least-squares Chebyshev fit of degree _TABLE_DEGREE.  The
         coefficients the fit drops are at the solver's rounding level (about
@@ -324,11 +331,14 @@ class StepIndexDispersion:
         coeffs.setflags(write=False)
         return om_lo, 1.0 / width, coeffs
 
-    def _table_eval(self, om, order):
+    def _table_eval(self, om, order, guided=True):
         """n_eff and its first ``order`` x-derivatives, shape (order + 1, n).
 
         ``om`` is a checked flat array.  Each point is evaluated on its own,
-        so a value does not depend on the other points of the query.
+        so a value does not depend on the other points of the query.  A NaN
+        panel raises ModeCutoffError, or with ``guided=False`` gives NaN.  A
+        float ``om`` gives (n_eff,) in floats with an array point's bits,
+        unchecked.
 
         The sum over the powers t^j runs column by column: per term, one
         gathered coefficient per point times one power of t, so temporaries
@@ -341,19 +351,26 @@ class StepIndexDispersion:
         one.
         """
         om_lo, per_x, coeffs = self.table
-        s = np.log(om / om_lo) * per_x
-        k = np.minimum(s.astype(np.intp), _TABLE_PANELS - 1)
+        point = type(om) is float
+        if point:       # NumPy's log: math.log differs in the last bit
+            s = float(np.log(om / om_lo)) * per_x
+            k = min(int(s), _TABLE_PANELS - 1) if s == s else 0
+            column = coeffs[0, :, k].tolist().__getitem__
+        else:
+            s = np.log(om / om_lo) * per_x
+            k = np.minimum(s.astype(np.intp), _TABLE_PANELS - 1)
+            coeffs = coeffs[:order + 1]
+            column = lambda j: coeffs[:, j].take(k, axis=1, mode="clip")
         t = 2.0 * (s - k) - 1.0
-        coeffs = coeffs[:order + 1]
 
         # terms and partial sums are formed in place: one new array per term
         def terms():
-            yield coeffs[:, 0].take(k, axis=1)       # times t^0 = 1
+            yield column(0)                         # times t^0 = 1
             power = t
             for j in range(1, _TABLE_DEGREE + 1):
                 if j > 1:
                     power = power * t
-                yield imul(coeffs[:, j].take(k, axis=1), power)
+                yield imul(column(j), power)
 
         ts = terms()
         pair = lambda: iadd(next(ts), next(ts))
@@ -361,13 +378,28 @@ class StepIndexDispersion:
         out += iadd(pair(), pair())
         for term in ts:
             out += term
-        _require_guided(out[0], om)
+        if point:
+            return (out,)
+        if guided:
+            _require_guided(out[0], om)
         return out
+
+    def _seed(self, om):
+        """b = (n^2 - ncl^2) / na2 of the table's n_eff: the exact solve's
+        seed, at a flat array or, in floats with the same bits, a float."""
+        sqrt = math.sqrt if type(om) is float else np.sqrt
+        ncl, na2 = kernels._guidance(om, self.core_radius, self.fill, sqrt)[:2]
+        n = self._table_eval(om, 0, guided=False)[0]
+        return (n * n - ncl * ncl) / na2
 
     def exact(self, omega):
         """Exact (neff, u, w) flat arrays, after the range and guidance checks."""
         om = _checked_omega(omega)
-        neff, u, w = kernels.he11_solve(om, self.core_radius, self.fill)
+        with np.errstate(invalid="ignore"):   # NaN omega: NaN seed, panel 0
+            seed = (self._seed(om) if om.size >= kernels._VECTOR_MIN_POINTS
+                    else [self._seed(o) for o in om.tolist()])
+        neff, u, w = kernels.he11_solve_seeded(om, self.core_radius, self.fill,
+                                               om, seed)
         _require_guided(neff, om)
         return neff, u, w
 
@@ -538,10 +570,18 @@ def _overlap_integrals(sets):
                         for profiles in sets])
 
     def integrand(owner, rho):
+        # per profile slot: u, w, norm and radius of each row's set, (rows, 1);
+        # one _amplitude call for all slots, where a slot equal to the one
+        # before it shares that slot's amplitudes
+        slots = params[owner // 2].transpose(1, 2, 0)[..., None]
+        fresh = [k == 0 or not np.array_equal(slots[k], slots[k - 1])
+                 for k in range(len(slots))]
+        u, w, norm, radius = slots[fresh].transpose(1, 0, 2, 3)
+        f = _amplitude(np.broadcast_to(rho, (len(u),) + rho.shape), radius, u,
+                       w, norm)
         out = np.ones_like(rho)
-        # per profile slot: u, w, norm and radius of each row's set, (rows, 1)
-        for u, w, norm, radius in params[owner // 2].transpose(1, 2, 0)[..., None]:
-            out = out * _amplitude(rho, radius, u, w, norm)
+        for k in np.cumsum(fresh) - 1:
+            out = out * f[k]
         return out * rho
 
     value, _error, _subdivisions = _levels(

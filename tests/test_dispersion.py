@@ -245,8 +245,7 @@ class TestNeffTable:
 
     def test_scalars_and_short_arrays_stay_exact(self, fiber_b):
         om = omega_from_um(np.array([0.9, 1.1, 1.3]))
-        exact = kernels.he11_solve(om, fiber_b.core_radius,
-                                   fiber_b.air_fill_fraction)[0]
+        exact = fiber_b.dispersion.exact(om)[0]
         assert [effective_index(float(x), fiber_b) for x in om] == list(exact)
         assert list(effective_index(om, fiber_b)) == list(exact)
 
@@ -555,17 +554,17 @@ AREA_GEOMETRY = {"A": (0.97e-6, 0.91), "B": (0.5e-6, 0.6),
 AREA_BITS = {
     ("A", "degenerate_708"): ("0x1.d463697ee9f29p-40",
                        "0x1.1bfa30dec46e8p-3"),
-    ("A", "degenerate_155"): ("0x1.263510631e8e2p-39",
-                       "0x1.9d0454b644223p-5"),
+    ("A", "degenerate_155"): ("0x1.263510631e8dep-39",
+                       "0x1.9d0454b644228p-5"),
     ("A", "distinct"): ("0x1.dc363a3129742p-40",
                  "0x1.93ba908736bd3p-3"),
     ("A", "distinct2"): ("0x1.db9b0ac79be06p-40",
                   "0x1.0957d327e9db0p-3"),
-    ("B", "degenerate_708"): ("0x1.4d5c83d2432aep-41",
-                       "0x1.8f005b203666bp-2"),
+    ("B", "degenerate_708"): ("0x1.4d5c83d2432b0p-41",
+                       "0x1.8f005b2036667p-2"),
     ("B", "degenerate_155"): ("0x1.c851cba4fc50dp-40",
                        "0x1.0a49d354c8790p-4"),
-    ("B", "distinct"): ("0x1.6774b404fd4adp-41",
+    ("B", "distinct"): ("0x1.6774b404fd4abp-41",
                  "0x1.3759f9d9f29bcp-1"),
     ("B", "distinct2"): ("0x1.60edf5fadbb73p-41",
                   "0x1.6c264de83707cp-2"),
@@ -581,7 +580,7 @@ AREA_BITS = {
 # float.hex of the profile norm per (geometry, carrier [um])
 NORM_BITS = {
     ("A", 0.708): "0x1.96dc1f37307b0p+16",
-    ("A", 1.55): "0x1.88669a2e6df09p+17",
+    ("A", 1.55): "0x1.88669a2e6defcp+17",
     ("A", 0.521): "0x1.333c94778379cp+16",
     ("A", 1.042): "0x1.1c6d14d8104acp+17",
     ("A", 0.6): "0x1.5e3ec58dc4d5ep+16",
@@ -589,10 +588,10 @@ NORM_BITS = {
     ("A", 0.75): "0x1.ac433c4537230p+16",
     ("A", 0.62): "0x1.68e91039d077dp+16",
     ("A", 0.95): "0x1.07005e343ea1fp+17",
-    ("B", 0.708): "0x1.a913d1f483af1p+18",
+    ("B", 0.708): "0x1.a913d1f483af8p+18",
     ("B", 1.55): "0x1.2b42e169d39b4p+19",
     ("B", 0.521): "0x1.4f89e9ae6889dp+18",
-    ("B", 1.042): "0x1.0ed7986eff22dp+19",
+    ("B", 1.042): "0x1.0ed7986eff229p+19",
     ("B", 0.6): "0x1.7781643ee837fp+18",
     ("B", 0.9): "0x1.f30d0a01e8c25p+18",
     ("B", 0.75): "0x1.bacfcfddd70a7p+18",

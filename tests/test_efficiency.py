@@ -360,7 +360,7 @@ class TestPairwiseConvolutionBits:
                                               pump2=pump))
         pairwise = float.fromhex("0x1.5f1ce41e5a25bp-24")
         assert abs(res.eta - pairwise) <= 1e-10 * pairwise
-        assert res.eta.hex() == "0x1.5f1ce41e4bbb5p-24"
+        assert res.eta.hex() == "0x1.5f1ce41e4bbadp-24"
         assert (res.diagnostics["quadrature_error"].hex()
                 == "0x1.4072b8defc137p+204")
         assert res.diagnostics["shell"].hex() == "0x1.3c8ab78d99978p-12"

@@ -18,14 +18,14 @@ from sfwmsim.sfwm import (PumpSpec, SourceConfig, nonlinear_phase,
 
 # 5-point contour of fiber B pumped at 0.75 um over 0.64-0.87 um
 CONTOUR_BITS = [
-    ("0x1.079095ee476aap+51", "0x1.ccc639f00e0f8p+48", "-0x1.ccc639f00e0f8p+48",
-     "-0x1.146deda0c011ep+4", "outer"),
-    ("0x1.079095ee476aap+51", "-0x1.ccc639f00e0f8p+48", "0x1.ccc639f00e0f8p+48",
-     "-0x1.22e48497cffb9p+6", "outer"),
-    ("0x1.079095ee476aap+51", "0x1.87a3e9824c480p+44", "-0x1.87a3e9824c480p+44",
-     "0x1.85b2afc70878cp+5", "inner"),
-    ("0x1.079095ee476aap+51", "-0x1.87a3e9824c480p+44", "0x1.87a3e9824c480p+44",
-     "0x1.4a4d5038f7875p+5", "inner"),
+    ("0x1.079095ee476aap+51", "0x1.ccc639f00e4b0p+48", "-0x1.ccc639f00e4b0p+48",
+     "-0x1.146deda0bf894p+4", "outer"),
+    ("0x1.079095ee476aap+51", "-0x1.ccc639f00e4b0p+48", "0x1.ccc639f00e4b0p+48",
+     "-0x1.22e48497d01dbp+6", "outer"),
+    ("0x1.079095ee476aap+51", "0x1.87a3e983a5980p+44", "-0x1.87a3e983a5980p+44",
+     "0x1.85b2afc7269d0p+5", "inner"),
+    ("0x1.079095ee476aap+51", "-0x1.87a3e983a5980p+44", "0x1.87a3e983a5980p+44",
+     "0x1.4a4d5038d9630p+5", "inner"),
     ("0x1.1ba339ee9fedbp+51", "0x1.5159f8b40b230p+49", "-0x1.5159f8b40b230p+49",
      "0x1.d436735637ccdp+1", "outer"),
     ("0x1.1ba339ee9fedbp+51", "-0x1.5159f8b40b230p+49", "0x1.5159f8b40b230p+49",
@@ -38,9 +38,9 @@ CONTOUR_BITS = [
      "0x1.2c4fb7972fe73p+6", "outer"),
     ("0x1.330519167b907p+51", "-0x1.6ba443dc4bc88p+49", "0x1.6ba443dc4bc88p+49",
      "0x1.dd82434680c60p+3", "outer"),
-    ("0x1.330519167b907p+51", "0x1.fcb1593347f00p+44", "-0x1.fcb1593347f00p+44",
+    ("0x1.330519167b907p+51", "0x1.fcb1593348c80p+44", "-0x1.fcb1593348c80p+44",
      "0x1.3c892376a0d74p+5", "inner"),
-    ("0x1.330519167b907p+51", "-0x1.fcb1593347f00p+44", "0x1.fcb1593347f00p+44",
+    ("0x1.330519167b907p+51", "-0x1.fcb1593348c80p+44", "0x1.fcb1593348c80p+44",
      "0x1.9376dc895f28bp+5", "inner"),
 ]
 
@@ -240,14 +240,18 @@ class TestContourErrorOrder:
         return out
 
     def poison(self, monkeypatch, omegas):
-        """Make the exact mode solve fail (NaN n_eff) at the given omegas."""
-        solve = kernels.he11_solve
+        """Make the exact mode solve fail (NaN n_eff) at the given omegas.
 
-        def failing(omega, core_radius, fill):
-            neff, u, w = solve(omega, core_radius, fill)
+        Every exact query passes the seeded solve, also where it falls back
+        to the ladder; the table build does not.
+        """
+        solve = kernels.he11_solve_seeded
+
+        def failing(omega, *args):
+            neff, u, w = solve(omega, *args)
             return np.where(np.isin(omega, omegas), np.nan, neff), u, w
 
-        monkeypatch.setattr(kernels, "he11_solve", failing)
+        monkeypatch.setattr(kernels, "he11_solve_seeded", failing)
 
     def test_lowest_pump_error_wins(self, cfg_loop, monkeypatch):
         xs = self.iterates(cfg_loop, monkeypatch)

@@ -130,6 +130,40 @@ def test_summary_prints_margin_and_cpu_per_workload(tool):
         "(not BENCH evidence)"]
 
 
+def _contour(lam, ds, theta):
+    return {"points": len(lam), "lambda_p_um": lam, "delta_s": ds,
+            "theta": theta}
+
+
+def test_contour_deviations_as_check_answers_measures_them(tool):
+    ref = _contour([0.7, 0.8], [2e14, -1e14], [10.0, -20.0])
+    got = _contour([0.7 * (1 + 3e-10), 0.8], [2e14, -1e14 * (1 + 6e-10)],
+                   [10.0 - 2e-5, -20.0 + 5e-5])
+    dev = tool.contour_deviations(got, ref)
+    assert dev["lambda_p_um/delta_s"] == pytest.approx(6e-10, rel=1e-5)
+    assert dev["theta"] == pytest.approx(5e-5, rel=1e-5)
+    # another point count: check_answers compares no value
+    assert tool.contour_deviations(_contour([0.7], [2e14], [10.0]), ref) == {}
+
+
+def test_largest_contour_deviations_and_their_line(tool):
+    ref = _contour([0.7], [2e14], [10.0])
+    rows = [("contour_cli", "contour_cli/0",
+             _contour([0.7], [2e14 * (1 + 9e-10)], [10.0]), ref),
+            ("contour_cli", "contour_cli/1",
+             _contour([0.7], [2e14], [10.0 + 1e-5]), ref),
+            ("sweep_pcf", "sweep_pcf/0", {"numeric": _column(1e-3)},
+             {"numeric": _column(2e-3)})]
+    contour = tool.largest_contour_deviations(rows)
+    assert contour["lambda_p_um/delta_s"][1] == "contour_cli/0"
+    assert contour["theta"][1] == "contour_cli/1"
+    assert tool.summary({}, {"contour_cli": 1.0}, contour) == [
+        "contour_cli: no quadrature_error check; largest deviation "
+        "lambda_p_um/delta_s 9e-10 (contour_cli/0) against 1e-09, theta "
+        "1e-05 (contour_cli/1) against 0.0001; in-process CPU 1.00 s "
+        "(not BENCH evidence)"]
+
+
 def _fake_workloads(tool, calls):
     """A stand-in for perfbench's workloads module: two pools of two entries,
     whose operation records the workload and input it runs and, as the

@@ -4,10 +4,14 @@
 table with a strict ``getattr``, so renaming or removing one of them breaks
 every traced benchmark run.  The file is loaded by path, as a plain module,
 without installing anything.  The package's functools caches are pinned by
-name, so a cache added or removed shows up as a test edit.
+name, so a cache added or removed shows up as a test edit.  SciPy is a test
+dependency only: running the package loads none of it.
 """
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -42,3 +46,28 @@ def test_taylor_k_is_bound_on_its_class():
     # inherited from a shared base class would break every traced run
     from sfwmsim.dispersion import TaylorDispersion
     assert "k" in TaylorDispersion.__dict__
+
+
+NO_SCIPY = """
+import sys
+import sfwmsim, sfwmsim.cli
+from sfwmsim.constants import omega_from_um
+from sfwmsim.dispersion import FiberSpec, beta, gamma_sfwm, mode_profile
+fiber = FiberSpec(core_radius=0.97e-6, air_fill_fraction=0.91, length=0.5)
+om_p, om_s = omega_from_um(0.708), omega_from_um(0.65)
+beta(om_p, fiber)
+mode_profile(om_p, fiber).amplitude(1e-6)
+gamma_sfwm(fiber, om_p, om_p, om_s, 2 * om_p - om_s)
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_runs_without_scipy():
+    # a fresh interpreter: this test process has SciPy loaded by other tests
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    out = subprocess.run([sys.executable, "-c", NO_SCIPY], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split("\n")[-2] == "[]"

@@ -6,10 +6,13 @@ every entry's answers and check_answers mismatches to OUT.json, and prints,
 per workload and column (numeric, cw), the smallest relative margin of the
 quadrature-error check and the entry that holds it (a margin of 0 fails on
 any rounding change), beside the CPU seconds the workload's operations took
-in this process.  That CPU figure is a first size of a gain from one
-process, without repeats or interleaving: it is not BENCH evidence.  What
-the operations write to standard error (the contour CLI's config summary)
-is discarded.
+in this process.  For the contour it prints the largest deviations
+``check_answers`` bounds, each with its entry: the relative one of the pump
+wavelengths and signal detunings (against 1e-9; the detunings sit at the
+root finder's rounding floor) and the absolute one of the angles.  That
+CPU figure is a first size of a gain from one process, without repeats or
+interleaving: it is not BENCH evidence.  What the operations write to
+standard error (the contour CLI's config summary) is discarded.
 ``--workload NAME`` (repeatable) runs only the pools of the named workloads,
 e.g. ``--workload contour_cli`` for a contour-only check; two files written
 with the same filter compare as any two files do.
@@ -34,6 +37,10 @@ import workloads as wl  # noqa: E402
 
 # requested quadrature error of each column, as workloads.check_answers has it
 QUAD_TOL = {"numeric": 1e-3, "cw": 1e-6}
+# check_answers' bounds of a contour entry: relative on lambda_p_um and
+# delta_s, absolute [deg] on theta
+CONTOUR_TOL = {"lambda_p_um/delta_s": wl.REL_TOL["frequency"],
+               "theta": wl.THETA_ABS_TOL_DEG}
 
 
 def quadrature_margins(answers, ref):
@@ -70,11 +77,43 @@ def smallest_margins(rows):
     return best
 
 
-def summary(margins, cpu):
+def contour_deviations(answers, ref):
+    """{CONTOUR_TOL key: largest deviation} of one contour entry.
+
+    The relative deviation of the pump wavelengths and signal detunings and
+    the absolute one of the angles [deg], as ``check_answers`` measures
+    them; {} where the point counts differ (or the reference has none) and
+    no value is compared.
+    """
+    if "points" not in ref or answers.get("points") != ref["points"]:
+        return {}
+    rel = [abs(a - r) / abs(r) if r else (0.0 if a == r else math.inf)
+           for key in ("lambda_p_um", "delta_s")
+           for a, r in zip(answers[key], ref[key])]
+    return {"lambda_p_um/delta_s": max(rel, default=0.0),
+            "theta": max((abs(a - r) for a, r in
+                          zip(answers["theta"], ref["theta"])), default=0.0)}
+
+
+def largest_contour_deviations(rows):
+    """{CONTOUR_TOL key: (deviation, entry)} over the contour rows of
+    ``rows`` (as ``smallest_margins`` takes them)."""
+    best = {}
+    for workload, entry, answers, ref in rows:
+        if workload != "contour_cli":
+            continue
+        for key, dev in contour_deviations(answers, ref).items():
+            if dev > best.get(key, (-1.0,))[0]:
+                best[key] = (dev, entry)
+    return best
+
+
+def summary(margins, cpu, contour=None):
     """One line per workload of ``cpu``: smallest margins and CPU seconds.
 
     ``margins`` is ``smallest_margins``' result; ``cpu`` maps a workload to
-    the in-process CPU seconds of its operations.
+    the in-process CPU seconds of its operations; ``contour`` is
+    ``largest_contour_deviations``' result, printed on the contour's line.
     """
     lines = []
     for workload, seconds in cpu.items():
@@ -83,6 +122,11 @@ def summary(margins, cpu):
                           for name in QUAD_TOL if name in columns)
         check = (f"smallest quadrature_error margin {check}" if check
                  else "no quadrature_error check")
+        if workload == "contour_cli" and contour:
+            check += "; largest deviation " + ", ".join(
+                f"{key} {contour[key][0]:.3g} ({contour[key][1]}) "
+                f"against {tol:g}" for key, tol in CONTOUR_TOL.items()
+                if key in contour)
         lines.append(f"{workload}: {check}; in-process CPU {seconds:.2f} s "
                      "(not BENCH evidence)")
     return lines
@@ -114,7 +158,8 @@ def run_pool(src, out, workloads=None):
     with open(out, "w", encoding="utf-8") as fh:
         json.dump(result, fh, indent=1, sort_keys=True)
     bad = sum(bool(r["bad"]) for r in result.values())
-    for line in summary(smallest_margins(rows), cpu):
+    for line in summary(smallest_margins(rows), cpu,
+                        largest_contour_deviations(rows)):
         print(line)
     print(f"{len(result)} entries, {bad} failing check_answers")
 
