@@ -7,7 +7,6 @@ non-numeric or non-finite values are rejected with the offending field path.
 """
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 
@@ -156,5 +155,6 @@ def load_config(path):
 
 def config_digest(path):
     """Hex SHA-256 of the config file bytes."""
+    import hashlib      # here, so that importing the package maps no libcrypto
     with open(path, "rb") as fh:
         return hashlib.sha256(fh.read()).hexdigest()

@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .constants import C, HBAR, TWO_PI
+from .constants import C, HBAR, TWO_PI, omega_from_um
 from .dispersion import (_signal_idler, beta, beta1, effective_index,
                          gamma_sfwm)
 from .errors import DivergenceError, RegimeError, WindowError
@@ -185,19 +185,19 @@ def _rotated_integrand(config):
 
     On a row the mismatch phase separates: x_k = q_k(u) - phi(v), with
     q_k = L/2 (beta(omega_k) + beta(u - omega_k) - nl) over the pump nodes
-    and phi = L/2 (beta_s + beta_i).  The amplitudes a_k and phases q_k
-    depend on u only; they are evaluated once per distinct u, for all new
-    rows of a block in one vectorised call, and kept for the later levels.
-    Since sinc(x) e^{ix} = (e^{2ix} - 1)/(2ix),
+    and phi = L/2 (beta_s + beta_i).  Since
+    sinc(x) e^{ix} = (e^{2ix} - 1)/(2ix),
 
         f = [e^{-2i phi} sum_k a_k e^{2i q_k} / x_k - sum_k a_k / x_k] / (2i)
 
     (``_sinc_phasor_sum``): the exponentials are per (row, k) and per
     (row, v), and each (pump node, v) element costs one reciprocal in
     place of a sin and a cos.  Where |x| < 1e-3 the two sums cancel, so
-    those elements take sinc(x) e^{ix} directly.  The kernel block holds
-    about four real arrays per element, so it takes twice the elements of
-    the pair-wise one.
+    those elements take sinc(x) e^{ix} directly.  The amplitudes a_k,
+    phases q_k and phasor rows [Re, Im of a_k e^{2i q_k}, a_k] depend on u
+    only: each call evaluates them for its new u in one batch, into a store
+    its chunks and kernel blocks read, and keeps only its own u, because an
+    outer node's rows recur only within its inner integral.
     """
     fiber = config.fiber
     L = fiber.length
@@ -206,23 +206,27 @@ def _rotated_integrand(config):
     pref2 = math.pi * p1.sigma * p2.sigma / 2.0
     pump_nodes, weights, beta_nodes, env1 = _pump_rule(config)
 
-    # u -> (amplitudes, phases) over the pump nodes: an outer node's rows
-    # recur at every level of its inner integral
-    pump_terms = {}
+    store = {}      # u -> (phasor rows, q_k) of the latest call's rows
 
-    def kernel(u, phi):
-        """|f|^2 / pref2 of a block of rows, from their phases phi."""
-        keys = u[:, 0].tolist()
-        new = [k for k in dict.fromkeys(keys) if k not in pump_terms]
+    def rows(u, v):
+        keys = dict.fromkeys(u[:, 0].tolist())
+        for k in store.keys() - keys:
+            del store[k]
+        new = [k for k in keys if k not in store]
         if new:
             conj = np.asarray(new)[:, None] - pump_nodes
             amp = weights * env1 * pump_envelope(p2, conj)
             q_u = 0.5 * L * (beta_nodes + beta(conj, fiber) - nl)
-            pump_terms.update(zip(new, zip(amp, q_u)))
-        terms = [pump_terms[k] for k in keys]
-        amp = np.asarray([a for a, _ in terms])
-        q_u = np.asarray([q for _, q in terms])
-        F = _sinc_phasor_sum(amp, q_u, phi)
+            amp_e = amp * np.exp(2j * q_u)
+            st = np.stack([amp_e.real, amp_e.imag, amp], axis=1)
+            store.update(zip(new, zip(st, q_u)))
+        # a chunk's query holds two points (signal, idler) per element of v
+        return _in_row_blocks(chunk, 2, u, v, _BLOCK_ELEMENTS)
+
+    def kernel(u, phi):
+        """|f|^2 / pref2 of a block of rows, from their phases phi."""
+        st, q_u = zip(*[store[k] for k in u[:, 0].tolist()])
+        F = _sinc_phasor_sum(np.asarray(st), np.asarray(q_u), phi)
         return F.real ** 2 + F.imag ** 2
 
     def chunk(u, v):
@@ -231,8 +235,7 @@ def _rotated_integrand(config):
         return h * pref2 * _in_row_blocks(kernel, pump_nodes.size, u, phi,
                                           _SEPARABLE_BLOCK_ELEMENTS)
 
-    # a chunk's query holds two points (signal, idler) per element of v
-    return lambda u, v: _in_row_blocks(chunk, 2, u, v, _BLOCK_ELEMENTS)
+    return rows
 
 
 def _ring_strips(inner, outer):
@@ -384,7 +387,8 @@ def eta_cw(config):
     midpoint (the mirror peak lives on the other side) and keeps at least
     half the distance to either pump carrier (near-degenerate emission
     around the pumps is phasematched too, but it is a different emission
-    band and is not counted).
+    band and is not counted); signal and idler stay inside the dispersion
+    model's ``band_um``.
     """
     if not config.is_cw:
         raise RegimeError("eta_cw requires monochromatic pumps (sigma = 0); "
@@ -406,14 +410,19 @@ def eta_cw(config):
     slope = abs(op.b1_i - op.b1_s)
     h_lo = h_up = 400.0 / (L * slope)
 
+    lam_lo, lam_hi = fiber.dispersion.band_um
+    om_lo, om_hi = ((omega_from_um(lam_hi), omega_from_um(lam_lo))
+                    if lam_lo > 0 else (-math.inf, math.inf))
+    band_lo, band_hi = max(om_lo, total - om_hi), min(om_hi, total - om_lo)
+
     def clamp(lo_half, up_half):
-        lo_cap = om_c - half
+        lo_cap = min(om_c - half, om_c - band_lo)
         for om_pump in (p1.omega0, p2.omega0):
             if om_pump < om_c:
                 lo_cap = min(lo_cap, 0.5 * (om_c - om_pump))
             else:
                 up_half = min(up_half, 0.5 * (om_pump - om_c))
-        return min(lo_half, lo_cap), up_half
+        return min(lo_half, lo_cap), min(up_half, band_hi - om_c)
 
     def integrand(om):
         beta_s, beta_i, h = _signal_idler(om, total - om, fiber)

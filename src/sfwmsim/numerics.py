@@ -37,8 +37,9 @@ convolution element by element, at one sin and one cos each, for the joint
 spectral amplitude (``jsa``, ``jsa_grid``).  ``_sinc_phasor_sum`` contracts
 it over the pump nodes when x separates into a per-node phase minus a
 per-column phase, as on the rows of the pulsed integrand of either fiber
-model: one reciprocal per element, with ``_sinc_phasor`` only for the
-elements within 1e-3 of x = 0.
+model: one reciprocal per element, formed in place, with ``_sinc_phasor``
+only for the elements within 1e-3 of x = 0; the caller forms the per-node
+phasors once per row.
 """
 from __future__ import annotations
 
@@ -179,32 +180,33 @@ def _sinc_phasor(x, scale=None):
 _NEAR_ZERO = 1e-3
 
 
-def _sinc_phasor_sum(amp, q, phi):
+def _sinc_phasor_sum(st, q, phi):
     """F[p, j] = sum_k amp[p, k] sinc(x) e^{ix}, x = q[p, k] - phi[p, j].
 
-    ``amp`` and ``q`` have shape (P, K), ``phi`` (P, n).  Separable through
-    sinc(x) e^{ix} = (e^{2ix} - 1) / (2ix):
+    ``q`` has shape (P, K) and ``phi`` (P, n); ``st`` (P, 3, K) holds the
+    caller's phasor rows [Re(amp e^{2iq}), Im(amp e^{2iq}), amp].  Separable
+    through sinc(x) e^{ix} = (e^{2ix} - 1) / (2ix):
 
         F = [e^{-2i phi} sum_k amp e^{2iq} / x - sum_k amp / x] / (2i),
 
-    so the exponentials are per (p, k) and per (p, j), and each element
-    costs one subtraction and one reciprocal.  Both sums are one real
-    stacked ``matmul`` of [Re(amp e^{2iq}), Im(amp e^{2iq}), amp] against
-    1/x, so each row is contracted on its own and equals a one-row call
-    bit for bit.  Where |x| < _NEAR_ZERO the two terms cancel; those
-    elements drop out of the sums and add amp sinc(x) e^{ix} instead.
+    so each element costs one subtraction and one reciprocal, formed in
+    place.  Both sums are one real stacked ``matmul`` of the phasor rows
+    against 1/x, so each row is contracted on its own and equals a one-row
+    call bit for bit.  Where |x| < _NEAR_ZERO the two terms cancel; those
+    elements take amp sinc(x) e^{ix}, then drop out of the sums (1/x = 0).
     """
     x = q[:, :, None] - phi[:, None, :]
     near = np.abs(x) < _NEAR_ZERO
     any_near = near.any()
-    recip = 1.0 / (np.where(near, np.inf, x) if any_near else x)
-    amp_e = amp * np.exp(2j * q)
-    sums = np.matmul(np.stack([amp_e.real, amp_e.imag, amp], axis=1), recip)
+    if any_near:
+        p, k, j = np.nonzero(near)
+        terms = _sinc_phasor(x[p, k, j], st[p, 2, k])
+        x[near] = np.inf
+    sums = np.matmul(st, np.divide(1.0, x, out=x))
     w = np.exp(-2j * phi)
     F = 0.5j * (sums[:, 2] - w * (sums[:, 0] + 1j * sums[:, 1]))
     if any_near:
-        p, k, j = np.nonzero(near)
-        np.add.at(F, (p, j), _sinc_phasor(x[p, k, j], amp[p, k]))
+        np.add.at(F, (p, j), terms)
     return F
 
 

@@ -518,9 +518,10 @@ def _pump_rule(config):
 # dispersion query, made once per chunk of rows with at most this many
 # signal and idler points (273 rows of 15 nodes), so that the chunk rather
 # than the size of a refinement level sets its memory.  The separable block
-# holds about four real arrays per element, so twice the elements keep a
-# like working set: on step-index sweep rows 2 ** 14 ran about 20% faster
-# than 2 ** 13 at the same peak RSS, and 2 ** 15 no faster than 2 ** 14.
+# peaks at about 17 bytes per element (x, whose 1/x is formed in place, a
+# transient |x| and the near-zero mask; tracemalloc), so it takes twice the
+# elements: on step-index sweep rows 2 ** 14 ran about 20% faster than
+# 2 ** 13 at the same peak RSS, and 2 ** 15 no faster than 2 ** 14.
 # On Taylor sweep rows 2 ** 13 ran slower than 2 ** 14, and 2 ** 15 won
 # 15 of 20 interleaved benchmark pairs by less than their spread.
 _BLOCK_ELEMENTS = 2 ** 13

@@ -1,11 +1,13 @@
 import csv
 import json
+import math
 from dataclasses import replace
 
 import pytest
 
 from sfwmsim import cli, efficiency
 from sfwmsim.config_io import parse_config
+from sfwmsim.constants import omega_from_um, um_from_omega
 from sfwmsim.efficiency import eta_closed, eta_cw, eta_pulsed_numeric
 from sfwmsim.errors import (BracketError, ConfigError, DivergenceError,
                             ModeCutoffError, NoPhasematchError,
@@ -119,6 +121,22 @@ class TestSubcommands:
         assert record["results"]["cw"]["method"] == "cw"
         assert record["results"]["cw"]["eta"] > 0
         assert set(read_manifest(out)) == MANIFEST_KEYS
+
+    def test_cw_window_stays_inside_the_band(self, tmp_path, cw):
+        # the doubling CW window of a short fiber once took the idler past
+        # the Sellmeier window (3.7 um), and the command exited 2
+        data = dict(cw, fiber=dict(FIBER_A, length_m=0.05))
+        code, out = run(tmp_path, "efficiency", data, "--method", "cw",
+                        out="eta.json")
+        assert code == 0
+        with open(out, encoding="utf-8") as fh:
+            result = json.load(fh)["results"]["cw"]
+        assert math.isfinite(result["eta"]) and result["eta"] > 0
+        total = 2 * omega_from_um(CW_708["wavelength_um"])
+        lams = [um_from_omega(om) for edge in result["diagnostics"]["window"]
+                for om in (edge, total - edge)]
+        assert all(0.21 < lam < 3.7 for lam in lams)
+        assert max(lams) == pytest.approx(3.7, rel=1e-9)
 
     def test_closed_efficiency_writes_strict_json(self, tmp_path):
         # equal carriers with unequal powers: the pumps never walk off, so
@@ -261,15 +279,6 @@ class TestPackageErrorExitCodes:
         prefix = "config error" if code == 2 else "numerical failure"
         assert f"{prefix}: injected" in capsys.readouterr().err
         assert not (tmp_path / "gamma.json").exists()
-
-    def test_cw_window_past_the_sellmeier_window(self, tmp_path, cw, capsys):
-        # the doubling CW window of a short fiber takes the idler past
-        # 3.7 um
-        data = dict(cw, fiber=dict(FIBER_A, length_m=0.05))
-        code, _ = run(tmp_path, "efficiency", data, "--method", "cw")
-        assert code == cli.EXIT_CONFIG
-        assert ("config error: wavelength 5.5027 um outside Sellmeier "
-                "validity") in capsys.readouterr().err
 
     def test_window_error_is_a_numerical_failure(self, tmp_path, cw,
                                                  monkeypatch, capsys):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import taylor_fiber
-from sfwmsim.constants import C, HBAR, omega_from_um
+from sfwmsim.constants import C, HBAR, omega_from_um, um_from_omega
 from sfwmsim import efficiency
 from sfwmsim.dispersion import (FiberSpec, StepIndexDispersion, _signal_idler,
                                 beta, beta1, beta2)
@@ -289,6 +289,40 @@ class TestRotatedIntegrand:
         assert block.shape == (p, n)
         assert block.tobytes() == one_by_one.tobytes()
 
+    @pytest.mark.parametrize("taylor", [False, True])
+    def test_pump_store_lives_one_call(self, cfg_dp, taylor, monkeypatch):
+        # each call evaluates the pump terms of its new frequency sums u once,
+        # in one batch, and keeps only the u of its own rows
+        u_lo, u_hi, v_lo, v_hi = _rotated_window(cfg_dp, operating_point(cfg_dp))
+        cfg = as_taylor(cfg_dp) if taylor else cfg_dp
+        ua, ub, uc, ud = np.linspace(u_lo, u_hi, 4)
+        v = np.linspace(v_lo, v_hi, 15)
+        evaluated = {"pump_envelope": [], "beta": []}
+
+        def counted(name, fn):
+            def wrapper(arg, other):
+                conj = other if name == "pump_envelope" else arg
+                evaluated[name].append(conj.shape[0])
+                return fn(arg, other)
+            return wrapper
+
+        rows = _rotated_integrand(cfg)
+        for name in evaluated:
+            monkeypatch.setattr(efficiency, name,
+                                counted(name, getattr(efficiency, name)))
+
+        calls = [(ua, ua, ub, uc, ub), (ub, uc, uc, ud), (ua, ud)]
+        values = [rows(np.array(us)[:, None], np.tile(v, (len(us), 1)))
+                  for us in calls]
+        # call 1: a, b, c new; call 2: d new, a dropped; call 3: a again,
+        # b and c dropped
+        assert evaluated == {"pump_envelope": [3, 1, 1], "beta": [3, 1, 1]}
+        monkeypatch.undo()
+        for us, got in zip(calls, values):
+            for r, u in enumerate(us):
+                fresh = _rotated_integrand(cfg)(np.full((1, 1), u), v[None, :])
+                assert got[r].tobytes() == fresh[0].tobytes()
+
 
 class TestSignalIdlerQuery:
     """The integrands' one query has the bits of beta and h_function."""
@@ -401,6 +435,19 @@ class TestCwEfficiency:
     def test_pulsed_config_rejected(self, cfg_dp):
         with pytest.raises(RegimeError):
             eta_cw(cfg_dp)
+
+    @pytest.mark.parametrize("length", [0.01, 0.05, 0.1])
+    def test_window_stays_inside_the_band(self, cfg_cw_dp, length):
+        # a short fiber's doubling window once took the idler past the
+        # Sellmeier window (3.7 um) and raised WavelengthRangeError
+        cfg = with_length(cfg_cw_dp, length)
+        res = eta_cw(cfg)
+        assert math.isfinite(res.eta) and res.eta > 0
+        lam_lo, lam_hi = cfg.fiber.dispersion.band_um
+        lams = [um_from_omega(om) for edge in res.diagnostics["window"]
+                for om in (edge, cfg.omega_total - edge)]
+        assert all(lam_lo <= lam <= lam_hi for lam in lams)
+        assert max(lams) == pytest.approx(lam_hi, rel=1e-12)
 
     def test_independent_of_table_build(self, cfg_cw_dp, monkeypatch):
         # the dispersion table is built lazily; rebuilding it must not move

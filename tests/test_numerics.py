@@ -694,6 +694,30 @@ class TestSincPhasor:
         assert got[1] == 1.0 and got[2] == 1.0 + 1e-200j
 
 
+def phasor_rows(amp, q):
+    """[Re(amp e^{2iq}), Im(amp e^{2iq}), amp] of shape (P, 3, K), formed as
+    the pulsed integrand forms them."""
+    amp_e = amp * np.exp(2j * q)
+    return np.stack([amp_e.real, amp_e.imag, amp], axis=1)
+
+
+def sinc_phasor_sum_reference(amp, q, phi):
+    """The earlier body of ``_sinc_phasor_sum``, which formed the phasor rows
+    on every call and 1/x out of place; the kernel must keep its bits."""
+    x = q[:, :, None] - phi[:, None, :]
+    near = np.abs(x) < 1e-3
+    any_near = near.any()
+    recip = 1.0 / (np.where(near, np.inf, x) if any_near else x)
+    amp_e = amp * np.exp(2j * q)
+    sums = np.matmul(np.stack([amp_e.real, amp_e.imag, amp], axis=1), recip)
+    w = np.exp(-2j * phi)
+    F = 0.5j * (sums[:, 2] - w * (sums[:, 0] + 1j * sums[:, 1]))
+    if any_near:
+        p, k, j = np.nonzero(near)
+        np.add.at(F, (p, j), _sinc_phasor(x[p, k, j], amp[p, k]))
+    return F
+
+
 class TestSincPhasorSum:
     """``_sinc_phasor_sum`` against the direct sum of sinc(x) e^{ix}."""
 
@@ -730,17 +754,40 @@ class TestSincPhasorSum:
     def test_matches_direct_sum(self, k):
         for seed in range(3):
             amp, q, phi = self.block(k, 10 * k + seed)
-            got = _sinc_phasor_sum(amp, q, phi)
+            got = _sinc_phasor_sum(phasor_rows(amp, q), q, phi)
             want = self.direct(amp, q, phi)
             assert got.shape == want.shape == (4, 15)
             peak = np.max(np.abs(want), axis=1)
             assert np.all(np.max(np.abs(got - want), axis=1) <= 1e-12 * peak)
 
+    @pytest.mark.parametrize("k", [33, 60, 180])
+    def test_reference_bits(self, k):
+        # forced near-zero elements, one row whose every element is near
+        # zero, and a block with none; the inputs stay as they were
+        amp, q, phi = self.block(k, 7 * k)
+        rng = np.random.default_rng(k)
+        amp = np.vstack([amp, rng.uniform(0.05, 1.0, (1, k))])
+        q = np.vstack([q, 5.0 + rng.uniform(-4e-4, 4e-4, (1, k))])
+        phi = np.vstack([phi, 5.0 + rng.uniform(-4e-4, 4e-4, (1, 15))])
+        for rows in (slice(None), slice(1, 4)):
+            a, qr, ph = amp[rows], q[rows], phi[rows]
+            rows_in = phasor_rows(a, qr)
+            before = [arr.copy() for arr in (rows_in, qr, ph)]
+            got = _sinc_phasor_sum(rows_in, qr, ph)
+            want = sinc_phasor_sum_reference(a, qr, ph)
+            assert got.tobytes() == want.tobytes()
+            for arr, copy in zip((rows_in, qr, ph), before):
+                assert arr.tobytes() == copy.tobytes()
+        assert np.all(np.abs(q[4][:, None] - phi[4]) < 1e-3)
+
     def test_nan_maps_to_nan(self):
         amp = np.ones((1, 3))
-        got = _sinc_phasor_sum(amp, np.array([[0.5, math.nan, 2.0]]),
-                               np.array([[0.5, 1.0]]))
+        q = np.array([[0.5, math.nan, 2.0]])
+        phi = np.array([[0.5, 1.0]])
+        got = _sinc_phasor_sum(phasor_rows(amp, q), q, phi)
         assert np.isnan(got).all()
+        want = sinc_phasor_sum_reference(amp, q, phi)
+        assert got.tobytes() == want.tobytes()
 
 
 def test_repeat_runs_bit_identical():

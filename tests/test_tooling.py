@@ -5,8 +5,10 @@ table with a strict ``getattr``, so renaming or removing one of them breaks
 every traced benchmark run.  The file is loaded by path, as a plain module,
 without installing anything.  The package's functools caches are pinned by
 name, so a cache added or removed shows up as a test edit.  SciPy is a test
-dependency only: running the package loads none of it.
+dependency only: running the package loads none of it, and neither does it
+load ``hashlib`` (whose ``_hashlib`` maps OpenSSL's libcrypto).
 """
+import hashlib
 import importlib
 import importlib.util
 import os
@@ -71,3 +73,35 @@ def test_runs_without_scipy():
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     assert out.stdout.split("\n")[-2] == "[]"
+
+
+NO_OPENSSL = """
+import sys
+import sfwmsim, sfwmsim.cli
+from sfwmsim.dispersion import FiberSpec
+from sfwmsim.efficiency import eta_cw, eta_pulsed_numeric
+from sfwmsim.sfwm import PumpSpec, SourceConfig
+fiber = FiberSpec(core_radius=0.97e-6, air_fill_fraction=0.91, length=0.5)
+for pump in (PumpSpec.from_units(0.708, 3.0, 0.3, 80.0),
+             PumpSpec.from_units(0.708, 0.0, 0.3)):
+    config = SourceConfig(fiber=fiber, pump1=pump, pump2=pump)
+    (eta_cw if config.is_cw else eta_pulsed_numeric)(config)
+print(sorted(m for m in ("_hashlib", "hashlib") if m in sys.modules))
+"""
+
+
+def test_runs_without_openssl():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    out = subprocess.run([sys.executable, "-c", NO_OPENSSL], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split("\n")[-2] == "[]"
+
+
+def test_config_digest_is_the_sha256_of_the_bytes(tmp_path):
+    from sfwmsim.config_io import config_digest
+    path = tmp_path / "config.json"
+    path.write_bytes(b'{"fiber": {"length_m": 0.5}}\n')
+    assert config_digest(path) == hashlib.sha256(path.read_bytes()).hexdigest()
