@@ -3,11 +3,12 @@
 JSON configs carry the physics; flags pick the analysis and output shape.
 Six subcommands: ``dispersion``, ``gamma``, ``efficiency``, ``sweep``,
 ``jsa`` and ``contour``; only ``sweep`` and ``contour`` take ``--svg``,
-which adds a figure next to the CSV.  Every output file gets a RunManifest
-sidecar (<out>.manifest.json) with the config digest, tool version,
-timestamp and the command line as ``main`` received it.  Exit codes: 0
-success; 2 when the input asks what the model cannot answer (ConfigError,
-RegimeError, DivergenceError, WavelengthRangeError, ModeCutoffError); 3 for
+which adds a figure next to the CSV.  One function, ``_write``, writes
+every output file and its RunManifest sidecar (<out>.manifest.json) with
+the config digest, tool version, timestamp and the command line as
+``main`` received it.  Exit codes: 0 success; 2 when the input asks what
+the model cannot answer (ConfigError, RegimeError, DivergenceError,
+WavelengthRangeError, ModeCutoffError) or an output cannot be written; 3 for
 every other package error, a numerical failure (NonConvergenceError,
 WindowError, NoPhasematchError, OverlapError, BracketError).
 ``gamma``'s per-pump keys follow the stored pump order (lower carrier
@@ -18,6 +19,7 @@ from __future__ import annotations
 import argparse
 import csv
 import datetime
+import io
 import json
 import shlex
 import sys
@@ -54,7 +56,21 @@ def _fmt(value):
     return f"{value:.12g}"
 
 
-def _write_manifest(out_path, args):
+def _csv(header, rows):
+    """CSV text of a table: numbers through ``_fmt``, strings as they are."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows([v if isinstance(v, str) else _fmt(v) for v in row]
+                     for row in rows)
+    return buf.getvalue()
+
+
+def _write(path, text, args):
+    """Write one output file and its RunManifest (<path>.manifest.json).
+
+    An output that cannot be written is a ConfigError naming its path.
+    """
     manifest = {
         "config_sha256": config_digest(args.config),
         "tool": "sfwmsim",
@@ -63,9 +79,14 @@ def _write_manifest(out_path, args):
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "command": args.command_line,
     }
-    with open(f"{out_path}.manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    sidecar = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+    for name, body in ((path, text), (f"{path}.manifest.json", sidecar)):
+        try:
+            with open(name, "w", newline="", encoding="utf-8") as fh:
+                fh.write(body)
+        except OSError as exc:
+            raise ConfigError(f"cannot write output: {exc}",
+                              field=str(name)) from exc
 
 
 def _echo_summary(config):
@@ -142,16 +163,10 @@ def cmd_dispersion(config, args):
         zdws = find_zero_dispersion(config.fiber, (lo, hi))
     except SfwmError:
         zdws = []
-    out = args.out or "dispersion.csv"
-    with open(out, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["lambda_um", "n_eff", "beta1_ps_per_m",
-                         "beta2_ps2_per_m"])
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
-        for z in zdws:
-            fh.write(f"# zero_dispersion_um,{z:.9g}\n")
-    _write_manifest(out, args)
+    text = _csv(["lambda_um", "n_eff", "beta1_ps_per_m", "beta2_ps2_per_m"],
+                rows)
+    text += "".join(f"# zero_dispersion_um,{z:.9g}\n" for z in zdws)
+    _write(args.out or "dispersion.csv", text, args)
     return 0
 
 
@@ -177,9 +192,7 @@ def cmd_gamma(config, args):
 def _emit_json(record, args):
     text = json.dumps(record, indent=2, sort_keys=True) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        _write_manifest(args.out, args)
+        _write(args.out, text, args)
     else:
         sys.stdout.write(text)
 
@@ -271,20 +284,15 @@ def cmd_sweep(config, args):
     failures = sum(not etas for _x, etas, _p, _e in rows)
 
     out = args.out or "sweep.csv"
-    with open(out, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([col, *columns, "pairs_per_second", "error"])
-        for x, etas, pairs, error in rows:
-            writer.writerow([_fmt(x), *(_fmt(etas.get(c)) for c in columns),
-                             _fmt(pairs), error])
-    _write_manifest(out, args)
+    _write(out, _csv([col, *columns, "pairs_per_second", "error"],
+                     [(x, *(etas.get(c) for c in columns), pairs, error)
+                      for x, etas, pairs, error in rows]), args)
     if args.svg:
         series = {c: [etas.get(c) for _x, etas, _p, _e in rows]
                   for c in columns}
-        svgmod.line_plot(f"{out}.svg", [x for x, *_ in rows], series,
-                         col, "conversion efficiency",
-                         title=f"sweep: {args.parameter}")
-        _write_manifest(f"{out}.svg", args)
+        _write(f"{out}.svg", svgmod.line_plot(
+            [x for x, *_ in rows], series, col, "conversion efficiency",
+            title=f"sweep: {args.parameter}"), args)
     if failures > 0.1 * len(rows):
         print(f"error: {failures}/{len(rows)} sweep points failed",
               file=sys.stderr)
@@ -294,18 +302,12 @@ def cmd_sweep(config, args):
 
 def cmd_jsa(config, args):
     grid = jsa_grid(config, n_s=args.points, n_i=args.points)
-    out = args.out or "jsa.csv"
     s_axis, i_axis, amp = grid.as_arrays()
-    with open(out, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["omega_s_rad_s", "omega_i_rad_s",
-                         "re_amplitude", "im_amplitude"])
-        for i_s, om_s in enumerate(s_axis):
-            for i_i, om_i in enumerate(i_axis):
-                val = amp[i_s, i_i]
-                writer.writerow([_fmt(float(om_s)), _fmt(float(om_i)),
-                                 _fmt(val.real), _fmt(val.imag)])
-    _write_manifest(out, args)
+    rows = [(float(om_s), float(om_i), a.real, a.imag)
+            for om_s, row in zip(s_axis, amp) for om_i, a in zip(i_axis, row)]
+    _write(args.out or "jsa.csv", _csv(["omega_s_rad_s", "omega_i_rad_s",
+                                        "re_amplitude", "im_amplitude"],
+                                       rows), args)
     return 0
 
 
@@ -319,18 +321,14 @@ def cmd_contour(config, args):
                                            p.branch != "outer",
                                            -p.detuning_signal))
     out = args.out or "contour.csv"
-    with open(out, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["lambda_p_um", "delta_s_rad_s", "delta_i_rad_s",
-                         "theta_si_deg", "branch"])
-        for p in points:
-            writer.writerow([_fmt(p.pump_wavelength_um),
-                             _fmt(p.detuning_signal), _fmt(p.detuning_idler),
-                             _fmt(p.theta_si), p.branch])
-    _write_manifest(out, args)
+    _write(out, _csv(["lambda_p_um", "delta_s_rad_s", "delta_i_rad_s",
+                      "theta_si_deg", "branch"],
+                     [(p.pump_wavelength_um, p.detuning_signal,
+                       p.detuning_idler, p.theta_si, p.branch)
+                      for p in points]), args)
     if args.svg:
-        svgmod.contour_plot(f"{out}.svg", points, title="phasematching loop")
-        _write_manifest(f"{out}.svg", args)
+        _write(f"{out}.svg",
+               svgmod.contour_plot(points, title="phasematching loop"), args)
     return 0
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import fields, replace
 
 from .constants import N2_SILICA_DEFAULT, omega_from_um
 from .dispersion import FiberSpec, TaylorDispersion
@@ -20,7 +21,8 @@ _FIBER_KEYS = {"core_radius_um", "air_fill_fraction", "length_m",
                "n2_m2_per_W", "taylor"}
 _TAYLOR_KEYS = {"lambda_ref_um", "beta"}
 _PUMP_KEYS = {"wavelength_um", "sigma_THz", "avg_power_mW", "rep_rate_MHz"}
-_QUAD_KEYS = {"rel_tol", "abs_tol", "panel_order", "max_subdivisions"}
+# in QuadratureSpec's field order, the order the fields are checked in
+_QUAD_KEYS = tuple(f.name for f in fields(QuadratureSpec))
 _TOP_KEYS = {"fiber", "pump1", "pump2", "quadrature"}
 
 
@@ -40,7 +42,7 @@ def _require_number(value, path):
 def _check_keys(obj, allowed, path):
     if not isinstance(obj, dict):
         raise ConfigError("expected an object", field=path)
-    unknown = set(obj) - allowed
+    unknown = set(obj).difference(allowed)
     if unknown:
         raise ConfigError(f"unknown field(s) {sorted(unknown)}", field=path)
 
@@ -114,14 +116,8 @@ def _parse_quadrature(obj):
                                       field=f"quadrature.{key}")
                 value = int(value)
             kwargs[key] = value
-    defaults = CONFIG_QUADRATURE
     try:
-        return QuadratureSpec(
-            rel_tol=kwargs.get("rel_tol", defaults.rel_tol),
-            abs_tol=kwargs.get("abs_tol", defaults.abs_tol),
-            max_subdivisions=kwargs.get("max_subdivisions",
-                                        defaults.max_subdivisions),
-            panel_order=kwargs.get("panel_order", defaults.panel_order))
+        return replace(CONFIG_QUADRATURE, **kwargs)
     except ValueError as exc:
         raise ConfigError(str(exc), field="quadrature") from exc
 

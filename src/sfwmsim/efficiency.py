@@ -388,7 +388,9 @@ def eta_cw(config):
     half the distance to either pump carrier (near-degenerate emission
     around the pumps is phasematched too, but it is a different emission
     band and is not counted); signal and idler stay inside the dispersion
-    model's ``band_um``.
+    model's ``band_um``.  ``diagnostics["band_capped"]`` says whether the
+    final window was clipped there, on the signal or the idler side: its
+    eta then counts only the emission inside the band.
     """
     if not config.is_cw:
         raise RegimeError("eta_cw requires monochromatic pumps (sigma = 0); "
@@ -416,13 +418,16 @@ def eta_cw(config):
     band_lo, band_hi = max(om_lo, total - om_hi), min(om_hi, total - om_lo)
 
     def clamp(lo_half, up_half):
-        lo_cap = min(om_c - half, om_c - band_lo)
+        """(lower, upper) half-widths and whether the band clipped either."""
+        lo_half = min(lo_half, om_c - half)
         for om_pump in (p1.omega0, p2.omega0):
             if om_pump < om_c:
-                lo_cap = min(lo_cap, 0.5 * (om_c - om_pump))
+                lo_half = min(lo_half, 0.5 * (om_c - om_pump))
             else:
                 up_half = min(up_half, 0.5 * (om_pump - om_c))
-        return min(lo_half, lo_cap), min(up_half, band_hi - om_c)
+        lo_band, up_band = om_c - band_lo, band_hi - om_c
+        return (min(lo_half, lo_band), min(up_half, up_band),
+                bool(lo_band < lo_half or up_band < up_half))
 
     def integrand(om):
         beta_s, beta_i, h = _signal_idler(om, total - om, fiber)
@@ -432,7 +437,7 @@ def eta_cw(config):
     quad_err = 0.0
     window = None
     for expansion in range(MAX_EXPANSIONS + 1):
-        lo_half, up_half = clamp(h_lo, h_up)
+        lo_half, up_half, band_capped = clamp(h_lo, h_up)
         window = (om_c - lo_half, om_c + up_half)
         res = integrate_1d(integrand, window[0], window[1], config.quadrature)
         value = res.value
@@ -454,4 +459,4 @@ def eta_cw(config):
         eta=eta, pairs_per_second=eta * pump_photon_rate(config), method="cw",
         diagnostics={"center": op.center, "gamma": op.gamma, "window": window,
                      "expansions": expansion, "quadrature_error": quad_err,
-                     "integral": value})
+                     "integral": value, "band_capped": band_capped})

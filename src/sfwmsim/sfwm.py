@@ -210,29 +210,15 @@ def _pump_terms_batch(configs):
             for c in configs]
 
 
-def _mismatch_on_line(config, s_pumps, nl):
-    """Callable: phase mismatch on the energy-conservation line.
+def _exact_line_mismatch(fiber, om, total, s_pumps, nl):
+    """Phase mismatch on the energy-conservation line at a flat array om.
 
     dk(om) = s_pumps - beta(om) - beta(total - om) - nl (``_pump_terms``),
-    total = omega_1 + omega_2: a float through the exact scalar solve for a
-    scalar signal frequency om, the array path for an array.
-    ``_exact_line_mismatch`` and the CW integrand take the same terms.
-    """
-    fiber = config.fiber
-    total = config.omega_total
-
-    def dk(om):
-        return s_pumps - beta(om, fiber) - beta(total - om, fiber) - nl
-
-    return dk
-
-
-def _exact_line_mismatch(fiber, om, total, s_pumps, nl):
-    """The scalar dk of ``_mismatch_on_line`` at every point of a flat array.
-
-    ``total``, ``s_pumps`` and ``nl`` are per point or shared.  beta comes
-    from one exact evaluation of all 2n frequencies (``beta_exact``), so
-    each value has the bits of the scalar dk at that point.
+    total = omega_1 + omega_2; ``total``, ``s_pumps`` and ``nl`` are per
+    point or shared.  beta comes from one exact evaluation of all 2n
+    frequencies (``beta_exact``), so each value has the bits of the exact
+    scalar solve at that point.  The scan and the CW integrand take the
+    same terms through the array ``beta``.
     """
     om = np.asarray(om, dtype=float)
     b = fiber.dispersion.beta_exact(np.concatenate([om, total - om]))
@@ -272,11 +258,13 @@ def _scan_band(config):
     return lo, hi
 
 
-def _crossings(config, dk, band):
-    """Scan of ``band`` with the array dk: (lo, hi, dk(lo) == 0) of each
-    interval to refine (``_signal_crossings``), in scan order."""
+def _crossings(config, s_pumps, nl, band):
+    """Scan of ``band`` with the array mismatch: (lo, hi, dk(lo) == 0) of
+    each interval to refine (``_signal_crossings``), in scan order."""
+    fiber = config.fiber
     grid = np.linspace(*band, _SCAN_POINTS)
-    vals = dk(grid)
+    vals = (s_pumps - beta(grid, fiber) - beta(config.omega_total - grid, fiber)
+            - nl)
     return [(grid[i], grid[i + 1], vals[i] == 0.0)
             for i in _signal_crossings(config, grid, vals)]
 
@@ -345,10 +333,10 @@ def phasematch_roots_lockstep(configs):
       Brent step of all the live lanes is one exact array evaluation of
       the mismatch (``_exact_line_mismatch``: one mode solve per step).
 
-    Each root has the bits of ``find_root`` on the scalar mismatch.  Where
-    a batch raises a package error (SfwmError), its configs or lanes are
-    evaluated one at a time through the scalar mismatch, so each gets the
-    error it raises there.  A NoPhasematchError is one config's answer.
+    Each root has the bits of ``find_root`` on the exact mismatch of one
+    point.  Where a batch raises a package error (SfwmError), its configs
+    or lanes are evaluated one at a time, so each gets the error it raises
+    there.  A NoPhasematchError is one config's answer.
     Any other package error ends the run where a sequential run over the
     configs would end: the configs below it finish, and the entries above
     it are None.
@@ -392,9 +380,8 @@ def _roots_lockstep(configs, cached):
             pass       # redone one config at a time below
     if pumps is None:
         pumps = each(bands, lambda k: _pump_terms(configs[k]))
-    dks = {k: _mismatch_on_line(configs[k], *pumps[k]) for k in pumps}
     # one scan at a time, so only its crossings are kept
-    scans = each(dks, lambda k: _crossings(configs[k], dks[k], bands[k]))
+    scans = each(pumps, lambda k: _crossings(configs[k], *pumps[k], bands[k]))
 
     # one lane per crossing, in sequential order: its config and outcome
     # (the root where the scan hit a zero, else refined below)
@@ -419,7 +406,8 @@ def _roots_lockstep(configs, cached):
             values = []
             for n, xn in zip(ids, x):
                 try:
-                    values.append(dks[owner[n]](xn))
+                    values.append(_exact_line_mismatch(
+                        fiber, [xn], *terms[:, n]).item())
                 except SfwmError as exc:
                     values.append(exc)
             return values
@@ -463,8 +451,9 @@ def solve_phasematch_center(config, branch="outer", side="signal-above"):
     om_sig = distinct[index]
     om_s, om_i = (om_sig, total - om_sig) if side == "signal-above" \
         else (total - om_sig, om_sig)
-    dk = _mismatch_on_line(config, *_pump_terms(config))
-    return PhasematchCenter(omega_s=om_s, omega_i=om_i, residual=dk(om_sig))
+    residual = _exact_line_mismatch(config.fiber, [om_sig], total,
+                                    *_pump_terms(config)).item()
+    return PhasematchCenter(omega_s=om_s, omega_i=om_i, residual=residual)
 
 
 def h_function(omega_s, omega_i, fiber):

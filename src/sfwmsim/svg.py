@@ -1,11 +1,17 @@
 """Dependency-free SVG figures: a log-y line plot for ``sweep`` and a
 scatter of the phasematching loop for ``contour``.
 
+Each function returns the figure as text; the CLI writes it to a file.
 Figures are a convenience; the CSV files are the contract.
 """
 from __future__ import annotations
 
 import math
+
+# figure size and the plot rectangle's margins, in pixels
+WIDTH, HEIGHT = 640, 440
+LEFT, RIGHT, TOP, BOTTOM = 70, 20, 30, 50
+PLOT_W, PLOT_H = WIDTH - LEFT - RIGHT, HEIGHT - TOP - BOTTOM
 
 
 def _ticks(lo, hi, n=5):
@@ -29,15 +35,52 @@ def _color_for_angle(theta_deg):
     return f"hsl({hue:.0f},85%,45%)"
 
 
-def line_plot(path, xs, ys_by_label, x_label, y_label, title=""):
-    """Write a multi-series line plot on a log10 y axis.
+def _px(x, lo, hi):
+    """Pixel column of x on an axis running from lo to hi."""
+    return LEFT + PLOT_W * (x - lo) / (hi - lo)
+
+
+def _py(y, lo, hi):
+    """Pixel row of y on an axis running from lo (bottom) to hi (top)."""
+    return TOP + PLOT_H * (1.0 - (y - lo) / (hi - lo))
+
+
+def _frame(title, x_label, y_label, x_lo, x_hi, tick_marks):
+    """The parts every figure shares: (head, x ticks, axis labels).
+
+    head opens the svg and draws the background, the title and the plot
+    rectangle; each x tick is labelled with its value below the plot,
+    under a tick mark if ``tick_marks``.
+    """
+    head = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" '
+            f'height="{HEIGHT}" font-family="sans-serif" font-size="11">',
+            f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
+            f'<text x="{WIDTH/2:.0f}" y="16" text-anchor="middle" '
+            f'font-size="13">{title}</text>',
+            f'<rect x="{LEFT}" y="{TOP}" width="{PLOT_W}" height="{PLOT_H}" '
+            'fill="none" stroke="black"/>']
+    bottom = TOP + PLOT_H
+    ticks = []
+    for t in _ticks(x_lo, x_hi):
+        x = _px(t, x_lo, x_hi)
+        if tick_marks:
+            ticks.append(f'<line x1="{x:.1f}" y1="{bottom}" x2="{x:.1f}" '
+                         f'y2="{bottom+4}" stroke="black"/>')
+        ticks.append(f'<text x="{x:.1f}" y="{bottom+16}" '
+                     f'text-anchor="middle">{t:.4g}</text>')
+    mid_y = TOP + PLOT_H / 2
+    labels = [f'<text x="{LEFT+PLOT_W/2:.0f}" y="{HEIGHT-10}" '
+              f'text-anchor="middle">{x_label}</text>',
+              f'<text x="16" y="{mid_y:.0f}" text-anchor="middle" '
+              f'transform="rotate(-90 16 {mid_y:.0f})">{y_label}</text>']
+    return head, ticks, labels
+
+
+def line_plot(xs, ys_by_label, x_label, y_label, title=""):
+    """SVG text of a multi-series line plot on a log10 y axis.
 
     A y-value that is None, non-finite or not positive breaks the polyline.
     """
-    width, height = 640, 440
-    ml, mr, mt, mb = 70, 20, 30, 50
-    pw, ph = width - ml - mr, height - mt - mb
-
     finite_x = [x for x in xs if x is not None and math.isfinite(x)]
     all_y = [y for ys in ys_by_label.values() for y in ys
              if y is not None and math.isfinite(y) and y > 0]
@@ -52,97 +95,60 @@ def line_plot(path, xs, ys_by_label, x_label, y_label, title=""):
     if y_hi == y_lo:
         y_hi = y_lo + 1.0
 
-    def px(x):
-        return ml + pw * (x - x_lo) / (x_hi - x_lo)
-
-    def py(log_y):
-        return mt + ph * (1.0 - (log_y - y_lo) / (y_hi - y_lo))
-
-    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-             f'height="{height}" font-family="sans-serif" font-size="11">',
-             f'<rect width="{width}" height="{height}" fill="white"/>',
-             f'<text x="{width/2:.0f}" y="16" text-anchor="middle" '
-             f'font-size="13">{title}</text>']
-    # axes
-    parts.append(f'<rect x="{ml}" y="{mt}" width="{pw}" height="{ph}" '
-                 'fill="none" stroke="black"/>')
-    for t in _ticks(x_lo, x_hi):
-        parts.append(f'<line x1="{px(t):.1f}" y1="{mt+ph}" x2="{px(t):.1f}" '
-                     f'y2="{mt+ph+4}" stroke="black"/>')
-        parts.append(f'<text x="{px(t):.1f}" y="{mt+ph+16}" '
-                     f'text-anchor="middle">{t:.4g}</text>')
+    head, x_ticks, labels = _frame(title, x_label, y_label, x_lo, x_hi,
+                                   tick_marks=True)
+    parts = head + x_ticks
     for t in _ticks(y_lo, y_hi):
         # short ranges tick between decades: label the value at the tick
         label = (f"1e{round(t)}" if abs(t - round(t)) < 1e-9
                  else f"{10 ** t:.3g}")
-        parts.append(f'<line x1="{ml-4}" y1="{py(t):.1f}" x2="{ml}" '
-                     f'y2="{py(t):.1f}" stroke="black"/>')
-        parts.append(f'<text x="{ml-8}" y="{py(t)+3:.1f}" '
+        y = _py(t, y_lo, y_hi)
+        parts.append(f'<line x1="{LEFT-4}" y1="{y:.1f}" x2="{LEFT}" '
+                     f'y2="{y:.1f}" stroke="black"/>')
+        parts.append(f'<text x="{LEFT-8}" y="{y+3:.1f}" '
                      f'text-anchor="end">{label}</text>')
-    parts.append(f'<text x="{ml+pw/2:.0f}" y="{height-10}" '
-                 f'text-anchor="middle">{x_label}</text>')
-    parts.append(f'<text x="16" y="{mt+ph/2:.0f}" text-anchor="middle" '
-                 f'transform="rotate(-90 16 {mt+ph/2:.0f})">{y_label}</text>')
+    parts += labels
 
     palette = ["#c62828", "#1565c0", "#2e7d32", "#6a1b9a", "#ef6c00"]
     for idx, (label, ys) in enumerate(ys_by_label.items()):
         color = palette[idx % len(palette)]
         run = []
-        for x, y in zip(xs, ys):
+        # a closing (None, None) ends the last run
+        for x, y in [*zip(xs, ys), (None, None)]:
             if (x is not None and y is not None and math.isfinite(x)
                     and math.isfinite(y) and y > 0):
-                run.append(f"{px(x):.1f},{py(math.log10(y)):.1f}")
+                run.append(f"{_px(x, x_lo, x_hi):.1f},"
+                           f"{_py(math.log10(y), y_lo, y_hi):.1f}")
             elif run:
                 parts.append(f'<polyline points="{" ".join(run)}" fill="none" '
                              f'stroke="{color}" stroke-width="1.5"/>')
                 run = []
-        if run:
-            parts.append(f'<polyline points="{" ".join(run)}" fill="none" '
-                         f'stroke="{color}" stroke-width="1.5"/>')
-        parts.append(f'<text x="{ml+pw-6}" y="{mt+14+13*idx}" text-anchor="end" '
-                     f'fill="{color}">{label}</text>')
+        parts.append(f'<text x="{LEFT+PLOT_W-6}" y="{TOP+14+13*idx}" '
+                     f'text-anchor="end" fill="{color}">{label}</text>')
     parts.append("</svg>")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(parts))
+    return "\n".join(parts)
 
 
-def contour_plot(path, points, title=""):
-    """Scatter of the detuning loop, color-coded by orientation angle."""
-    width, height = 640, 440
-    ml, mr, mt, mb = 70, 20, 30, 50
-    pw, ph = width - ml - mr, height - mt - mb
+def contour_plot(points, title=""):
+    """SVG text of the detuning loop, color-coded by orientation angle."""
     if not points:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write('<svg xmlns="http://www.w3.org/2000/svg" width="200" '
-                     'height="40"><text x="10" y="20">empty contour</text></svg>')
-        return
+        return ('<svg xmlns="http://www.w3.org/2000/svg" width="200" '
+                'height="40"><text x="10" y="20">empty contour</text></svg>')
     xs = [p.pump_wavelength_um for p in points]
     ys = [p.detuning_signal for p in points]
     x_lo, x_hi = min(xs), max(xs)
     y_lo, y_hi = min(ys), max(ys)
     x_hi = x_hi if x_hi > x_lo else x_lo + 1
     y_hi = y_hi if y_hi > y_lo else y_lo + 1
-    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-             f'height="{height}" font-family="sans-serif" font-size="11">',
-             f'<rect width="{width}" height="{height}" fill="white"/>',
-             f'<text x="{width/2:.0f}" y="16" text-anchor="middle" '
-             f'font-size="13">{title}</text>',
-             f'<rect x="{ml}" y="{mt}" width="{pw}" height="{ph}" '
-             'fill="none" stroke="black"/>',
-             f'<text x="{ml+pw/2:.0f}" y="{height-10}" text-anchor="middle">'
-             'pump wavelength (um)</text>',
-             f'<text x="16" y="{mt+ph/2:.0f}" text-anchor="middle" '
-             f'transform="rotate(-90 16 {mt+ph/2:.0f})">detuning (rad/s)</text>']
-    for t in _ticks(x_lo, x_hi):
-        x = ml + pw * (t - x_lo) / (x_hi - x_lo)
-        parts.append(f'<text x="{x:.1f}" y="{mt+ph+16}" '
-                     f'text-anchor="middle">{t:.4g}</text>')
+    head, x_ticks, labels = _frame(title, "pump wavelength (um)",
+                                   "detuning (rad/s)", x_lo, x_hi,
+                                   tick_marks=False)
+    parts = head + labels + x_ticks
     for p in points:
-        x = ml + pw * (p.pump_wavelength_um - x_lo) / (x_hi - x_lo)
-        y = mt + ph * (1.0 - (p.detuning_signal - y_lo) / (y_hi - y_lo))
+        x = _px(p.pump_wavelength_um, x_lo, x_hi)
+        y = _py(p.detuning_signal, y_lo, y_hi)
         r = 3 if p.branch == "outer" else 2
         parts.append(f'<circle cx="{x:.1f}" cy="{y:.1f}" r="{r}" '
                      f'fill="{_color_for_angle(p.theta_si)}"/>')
     parts.append("</svg>")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(parts))
+    return "\n".join(parts)

@@ -137,6 +137,7 @@ class TestSubcommands:
                 for om in (edge, total - edge)]
         assert all(0.21 < lam < 3.7 for lam in lams)
         assert max(lams) == pytest.approx(3.7, rel=1e-9)
+        assert result["diagnostics"]["band_capped"] is True
 
     def test_closed_efficiency_writes_strict_json(self, tmp_path):
         # equal carriers with unequal powers: the pumps never walk off, so
@@ -288,6 +289,38 @@ class TestPackageErrorExitCodes:
         assert code == cli.EXIT_NUMERIC
         assert ("numerical failure: cw window did not converge within 4 "
                 "expansions") in capsys.readouterr().err
+
+
+class TestUnwritableOutput:
+    """An output that cannot be written is a config error naming its path,
+    never a traceback."""
+
+    def check(self, capsys, code, path):
+        assert code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"config error: {path}: cannot write output:" in err
+        assert "Traceback" not in err
+
+    def test_csv_in_a_missing_directory(self, tmp_path, pulsed, capsys):
+        code, out = run(tmp_path, "dispersion", pulsed, "--range", "0.6:0.9",
+                        "--points", "2", out="missing/dispersion.csv")
+        self.check(capsys, code, out)
+        assert not (tmp_path / "missing").exists()
+
+    def test_json_in_a_missing_directory(self, tmp_path, pulsed, capsys):
+        code, out = run(tmp_path, "gamma", pulsed, out="missing/gamma.json")
+        self.check(capsys, code, out)
+        assert not (tmp_path / "missing").exists()
+
+    def test_svg_path_is_a_directory(self, tmp_path, cw, capsys):
+        (tmp_path / "sweep.csv.svg").mkdir()
+        code, out = run(tmp_path, "sweep", cw, "--parameter", "length",
+                        "--range", "0.25:0.5", "--points", "2", "--svg",
+                        out="sweep.csv")
+        self.check(capsys, code, f"{out}.svg")
+        # the CSV and its manifest are written before the figure
+        assert len(read_csv(out)) == 2
+        assert set(read_manifest(out)) == MANIFEST_KEYS
 
 
 class TestNonPositiveWavelength:

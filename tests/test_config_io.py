@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from copy import deepcopy
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -114,6 +118,28 @@ def test_integral_quadrature_fields_parse(value):
                         ).quadrature
     assert (quad.panel_order, quad.max_subdivisions) == (15, 15)
     assert type(quad.panel_order) is type(quad.max_subdivisions) is int
+
+
+def test_first_invalid_quadrature_field_independent_of_hash_seed(tmp_path):
+    # every quadrature field invalid: the error names the first in
+    # QuadratureSpec's field order, whatever order string hashing gives sets
+    path = write(tmp_path, edited("quadrature", {
+        "rel_tol": "tight", "abs_tol": math.nan, "max_subdivisions": 1.5,
+        "panel_order": 15.9}))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    errors = set()
+    for seed in range(6):
+        env = dict(os.environ, PYTHONHASHSEED=str(seed),
+                   PYTHONPATH=os.pathsep.join(
+                       [src] + os.environ.get("PYTHONPATH", "").split(
+                           os.pathsep)))
+        out = subprocess.run([sys.executable, "-m", "sfwmsim.cli", "gamma",
+                              "--config", path], env=env, capture_output=True,
+                             text=True, timeout=120)
+        assert out.returncode == cli.EXIT_CONFIG
+        errors.add(out.stderr)
+    assert errors == {"config error: quadrature.rel_tol: expected a number, "
+                      "got 'tight'\n"}
 
 
 def test_unreadable_path_names_the_path(tmp_path, capsys):

@@ -448,6 +448,21 @@ class TestCwEfficiency:
                 for om in (edge, cfg.omega_total - edge)]
         assert all(lam_lo <= lam <= lam_hi for lam in lams)
         assert max(lams) == pytest.approx(lam_hi, rel=1e-12)
+        assert res.diagnostics["band_capped"] is True
+
+    @pytest.mark.parametrize("length", [0.5, 1.0])
+    def test_window_inside_the_band_is_not_capped(self, cfg_cw_dp, length):
+        res = eta_cw(with_length(cfg_cw_dp, length))
+        assert res.diagnostics["band_capped"] is False
+
+    @pytest.mark.parametrize("length", [0.1, 1.0])
+    def test_taylor_band_never_caps(self, length):
+        om0 = omega_from_um(0.708)
+        pump = PumpSpec.from_units(0.708, 0.0, 0.3)
+        fiber = taylor_fiber(om0, (1.2e7, 4.87e-9, -1e-26, 0.0, 1e-55),
+                             length=length)
+        res = eta_cw(SourceConfig(fiber=fiber, pump1=pump, pump2=pump))
+        assert res.diagnostics["band_capped"] is False
 
     def test_independent_of_table_build(self, cfg_cw_dp, monkeypatch):
         # the dispersion table is built lazily; rebuilding it must not move

@@ -21,11 +21,9 @@ def test_angle_colours_run_blue_to_red(theta, hue):
     assert _color_for_angle(theta).startswith(f"hsl({hue},")
 
 
-def test_log_line_plot_breaks_at_unplottable_values(tmp_path):
-    path = tmp_path / "sweep.svg"
-    line_plot(path, [1.0, 2.0, 3.0, 4.0], {"eta": [1e-3, None, -1.0, 1e-1]},
-              "length_m", "conversion efficiency")
-    text = path.read_text(encoding="utf-8")
+def test_log_line_plot_breaks_at_unplottable_values():
+    text = line_plot([1.0, 2.0, 3.0, 4.0], {"eta": [1e-3, None, -1.0, 1e-1]},
+                     "length_m", "conversion efficiency")
     assert text.startswith("<svg") and text.endswith("</svg>")
     assert len(re.findall(r"<polyline ", text)) == 2
     assert "nan" not in text and "inf" not in text
@@ -35,10 +33,8 @@ def test_log_line_plot_breaks_at_unplottable_values(tmp_path):
 
 @pytest.mark.parametrize("ys", [[1e-3, 1e-2, 1e-1], [2e-10, 3e-10, 5e-10]],
                          ids=["two_decades", "under_one_decade"])
-def test_log_tick_labels_state_the_value_at_their_height(tmp_path, ys):
-    path = tmp_path / "sweep.svg"
-    line_plot(path, [1.0, 2.0, 3.0], {"eta": ys}, "length_m", "eta")
-    text = path.read_text(encoding="utf-8")
+def test_log_tick_labels_state_the_value_at_their_height(ys):
+    text = line_plot([1.0, 2.0, 3.0], {"eta": ys}, "length_m", "eta")
     # y ticks and their labels sit left of the plot area
     ticks = re.findall(r'<line x1="66" y1="([^"]+)"', text)
     labels = re.findall(r'<text x="62" y="[^"]+" text-anchor="end">([^<]+)<',
@@ -59,17 +55,14 @@ def point(lam_um, branch, theta):
                         detuning_idler=-1e13, theta_si=theta, branch=branch)
 
 
-def test_contour_plot_marks_outer_points_larger(tmp_path):
-    path = tmp_path / "contour.svg"
-    contour_plot(path, [point(0.74, "outer", -45.0),
-                        point(0.75, "inner", 10.0),
-                        point(0.76, "inner", 80.0)])
-    radii = re.findall(r'<circle [^>]* r="(\d)"', path.read_text("utf-8"))
+def test_contour_plot_marks_outer_points_larger():
+    text = contour_plot([point(0.74, "outer", -45.0),
+                         point(0.75, "inner", 10.0),
+                         point(0.76, "inner", 80.0)])
+    radii = re.findall(r'<circle [^>]* r="(\d)"', text)
     assert radii == ["3", "2", "2"]
 
 
-def test_empty_contour_writes_placeholder(tmp_path):
-    path = tmp_path / "contour.svg"
-    contour_plot(path, [])
-    text = path.read_text(encoding="utf-8")
+def test_empty_contour_writes_placeholder():
+    text = contour_plot([])
     assert "empty contour" in text and "<circle" not in text
