@@ -373,7 +373,8 @@ def build_parser():
 
     p = sub.add_parser("jsa", help="joint spectral amplitude grid")
     common(p)
-    p.add_argument("--points", type=_positive_int, default=64)
+    p.add_argument("--points", type=_positive_int, default=64,
+                   help="grid points per axis")
 
     p = sub.add_parser("contour", help="phasematching loop vs pump wavelength")
     common(p)

@@ -18,15 +18,13 @@ from functools import lru_cache
 import numpy as np
 
 from .constants import C, HBAR, TWO_PI, omega_from_um
-from .dispersion import (_signal_idler, beta, beta1, effective_index,
-                         gamma_sfwm)
+from .dispersion import _signal_idler, beta1, effective_index, gamma_sfwm
 from .errors import DivergenceError, RegimeError, WindowError
 from .numerics import (_sinc_phasor_sum, erf_ratio, integrate_1d,
                        integrate_2d, integrate_2d_windows, sinc)
 from .sfwm import (_BLOCK_ELEMENTS, _SEPARABLE_BLOCK_ELEMENTS, _SINC_EXTENT,
-                   PhasematchCenter, _in_row_blocks, _pump_rule, _pump_terms,
-                   h_function, nonlinear_phase, peak_power, pump_envelope,
-                   solve_phasematch_center)
+                   PhasematchCenter, _in_row_blocks, _pump_rows, _pump_terms,
+                   h_function, peak_power, solve_phasematch_center)
 
 # Convergence threshold on the relative contribution of a freshly added
 # boundary shell.  The joint intensity falls off as 1/x^2 along the
@@ -170,41 +168,24 @@ def _rotated_integrand(config):
 
     Returns ``rows(u, v)``, the integrand ``integrate_2d`` calls: ``u`` of
     shape (P, 1) holds the frequency sum of each row and ``v`` of shape
-    (P, n) its frequency differences; the values have v's shape.  Rows go
-    ``_in_row_blocks`` in two sizes.  A chunk of rows holding at most
-    ``_BLOCK_ELEMENTS`` signal and idler points makes one ``_signal_idler``
-    query for h, beta_s and beta_i, for either fiber model; a dispersion
-    query pays a fixed cost per call, and the chunk, not the whole level,
-    bounds the memory it reads.  Inside a chunk the pump sum runs in kernel
-    blocks of ``_SEPARABLE_BLOCK_ELEMENTS`` (row, pump node, v) elements.
-    The query is pointwise and each row is contracted over the pump nodes
-    on its own (a stacked ``matmul``), so a row's values equal those of a
+    (P, n) its frequency differences; the values have v's shape.  f is that
+    of ``jsa_grid``'s core: a row's pump terms depend on u only
+    (``sfwm._pump_rows``), and ``_sinc_phasor_sum`` contracts them against
+    the row's phases L/2 (beta_s + beta_i).  Each call evaluates the pump
+    terms of its new u in one batch into a store, and keeps only its own u:
+    an outer node's rows recur only within its inner integral.  Rows go
+    ``_in_row_blocks`` in two sizes: a chunk of at most ``_BLOCK_ELEMENTS``
+    signal and idler points makes one ``_signal_idler`` query for h, beta_s
+    and beta_i (a query pays a fixed cost per call, and the chunk, not the
+    level, bounds its memory), and the kernel runs in blocks of
+    ``_SEPARABLE_BLOCK_ELEMENTS`` (row, pump node, v) elements.  The query
+    is pointwise and each row is contracted on its own, so a row equals a
     one-row call bit for bit, whatever the chunks and blocks.
-    Algebraically identical to ``h_function * |f|^2`` with f from
-    ``_pump_convolution`` (a property the tests assert).
-
-    On a row the mismatch phase separates: x_k = q_k(u) - phi(v), with
-    q_k = L/2 (beta(omega_k) + beta(u - omega_k) - nl) over the pump nodes
-    and phi = L/2 (beta_s + beta_i).  Since
-    sinc(x) e^{ix} = (e^{2ix} - 1)/(2ix),
-
-        f = [e^{-2i phi} sum_k a_k e^{2i q_k} / x_k - sum_k a_k / x_k] / (2i)
-
-    (``_sinc_phasor_sum``): the exponentials are per (row, k) and per
-    (row, v), and each (pump node, v) element costs one reciprocal in
-    place of a sin and a cos.  Where |x| < 1e-3 the two sums cancel, so
-    those elements take sinc(x) e^{ix} directly.  The amplitudes a_k,
-    phases q_k and phasor rows [Re, Im of a_k e^{2i q_k}, a_k] depend on u
-    only: each call evaluates them for its new u in one batch, into a store
-    its chunks and kernel blocks read, and keeps only its own u, because an
-    outer node's rows recur only within its inner integral.
     """
     fiber = config.fiber
     L = fiber.length
-    p1, p2 = config.pump1, config.pump2
-    nl = nonlinear_phase(config)
-    pref2 = math.pi * p1.sigma * p2.sigma / 2.0
-    pump_nodes, weights, beta_nodes, env1 = _pump_rule(config)
+    pref2 = math.pi * config.pump1.sigma * config.pump2.sigma / 2.0
+    size, pump_rows = _pump_rows(config)
 
     store = {}      # u -> (phasor rows, q_k) of the latest call's rows
 
@@ -214,12 +195,7 @@ def _rotated_integrand(config):
             del store[k]
         new = [k for k in keys if k not in store]
         if new:
-            conj = np.asarray(new)[:, None] - pump_nodes
-            amp = weights * env1 * pump_envelope(p2, conj)
-            q_u = 0.5 * L * (beta_nodes + beta(conj, fiber) - nl)
-            amp_e = amp * np.exp(2j * q_u)
-            st = np.stack([amp_e.real, amp_e.imag, amp], axis=1)
-            store.update(zip(new, zip(st, q_u)))
+            store.update(zip(new, zip(*pump_rows(np.asarray(new)))))
         # a chunk's query holds two points (signal, idler) per element of v
         return _in_row_blocks(chunk, 2, u, v, _BLOCK_ELEMENTS)
 
@@ -232,7 +208,7 @@ def _rotated_integrand(config):
     def chunk(u, v):
         beta_s, beta_i, h = _signal_idler(0.5 * (u + v), 0.5 * (u - v), fiber)
         phi = 0.5 * L * (beta_s + beta_i)
-        return h * pref2 * _in_row_blocks(kernel, pump_nodes.size, u, phi,
+        return h * pref2 * _in_row_blocks(kernel, size, u, phi,
                                           _SEPARABLE_BLOCK_ELEMENTS)
 
     return rows

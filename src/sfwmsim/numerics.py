@@ -32,14 +32,14 @@ yields each abscissa and is sent f there.  ``find_root`` drives one;
 vectorised f per step for all of them, and each lane gets the bits of its
 own ``find_root``.
 
-``_sinc_phasor`` forms the phase-matching factor sinc(x) e^{ix} of the pump
-convolution element by element, at one sin and one cos each, for the joint
-spectral amplitude (``jsa``, ``jsa_grid``).  ``_sinc_phasor_sum`` contracts
-it over the pump nodes when x separates into a per-node phase minus a
-per-column phase, as on the rows of the pulsed integrand of either fiber
-model: one reciprocal per element, formed in place, with ``_sinc_phasor``
-only for the elements within 1e-3 of x = 0; the caller forms the per-node
-phasors once per row.
+``_sinc_phasor_sum`` is the one pump-convolution kernel: it contracts the
+phase-matching factor sinc(x) e^{ix} over the pump nodes on rows of
+constant frequency sum, where x separates into a per-node phase minus a
+per-pair phase.  The joint spectral amplitude (``jsa``, ``jsa_grid``, a
+row per pair) and the pulsed integrand of either fiber model take it: one
+reciprocal per element, formed in place, with ``_sinc_phasor`` (one sin
+and one cos) only for the elements within 1e-3 of x = 0; the caller forms
+the per-node phasors once per row.
 """
 from __future__ import annotations
 
@@ -154,21 +154,18 @@ def sinc(x):
     return _as_result(_sin_over(np.sin(x), x))
 
 
-def _sinc_phasor(x, scale=None):
+def _sinc_phasor(x, scale):
     """scale * sinc(x) * e^{ix} as one complex array, from one sin and one cos.
 
-    Serves the pair-wise pump convolution of the joint spectral amplitude
-    (``jsa``, ``jsa_grid``) and the near-zero terms of
-    ``_sinc_phasor_sum``.  Bit for bit the same product formed with NumPy's
+    Serves the near-zero terms of ``_sinc_phasor_sum``, where its two
+    reciprocal sums cancel.  Bit for bit the same product formed with NumPy's
     complex exp: that exp gives (cos x, sin x) exactly, and a real times a
     complex rounds each part once, so the real factor scale * sinc(x),
     formed first, times cos x and sin x rounds alike, without a second sin,
     complex temporaries or a complex multiply.
     """
     s = np.sin(x)
-    t = _sin_over(s, x)
-    if scale is not None:
-        t = scale * t
+    t = scale * _sin_over(s, x)
     out = np.empty(t.shape, dtype=complex)
     np.multiply(t, np.cos(x), out=out.real)
     np.multiply(t, s, out=out.imag)
@@ -284,7 +281,9 @@ def _levels(f, count, a, b, spec):
     (count, *k), errors and subdivisions (count,), or raises the
     NonConvergenceError (with its best estimate) of the lowest-numbered
     integral to reach the subdivision cap, as a sequential run would: the
-    integrals below it run to the end, the ones above it are dropped.
+    integrals below it run to the end, the ones above it are dropped.  A
+    level that would pass ``max_subdivisions`` splits only the leftmost
+    panels up to it, so a failure counts exactly the cap.
 
     Live panels are rows of arrays (edges, owner, value, error of the split
     that made them), grouped by owner.  A split is accepted on the global
@@ -328,9 +327,19 @@ def _levels(f, count, a, b, spec):
         # the stop weighs the pending errors, per value component
         stop = (_maxnorm(_fold(first, run, err)) <= tol)[run]
         finished.append(_take(stop, owner, lo, val, err))
-        owner, lo, hi, val, tol = _take(~stop, owner, lo, hi, val, tol[run])
+        owner, lo, hi, val, err, tol = _take(~stop, owner, lo, hi, val, err,
+                                             tol[run])
         if not owner.size:
             break
+        # at most the remaining budget of splits, leftmost first
+        if owner.size > spec.max_subdivisions - subdivisions.max():
+            first, run = _runs(owner)
+            held = (np.arange(owner.size) - first[run]
+                    >= spec.max_subdivisions - subdivisions[owner])
+            if held.any():
+                finished.append(_take(held, owner, lo, val, err))
+                failed = min(failed, int(owner[held].min()))
+                owner, lo, hi, val, tol = _take(~held, owner, lo, hi, val, tol)
         mid = 0.5 * (lo + hi)
         twin = np.repeat(owner, 2)
         twin_lo = np.stack([lo, mid], axis=1).ravel()

@@ -23,8 +23,8 @@ from .constants import TWO_PI, um_from_omega, omega_from_um
 from .dispersion import (FiberSpec, beta, beta1, beta2, effective_index,
                          gamma_pump, gamma_pumps)
 from .errors import ConfigError, NoPhasematchError, RegimeError, SfwmError
-from .numerics import (QuadratureSpec, _as_result, _gauss_nodes, _sinc_phasor,
-                       find_roots)
+from .numerics import (QuadratureSpec, _as_result, _gauss_nodes,
+                       _sinc_phasor_sum, find_roots)
 
 # band scanned for phasematched frequencies [um]
 SCAN_BAND_UM = (0.35, 2.2)
@@ -500,14 +500,37 @@ def _pump_rule(config):
     return nodes, weights, beta(nodes, fiber), pump_envelope(p1, nodes)
 
 
-# Largest block (rows x pump nodes x columns) the pair-wise pump
-# convolution of jsa and jsa_grid evaluates at once.  It bounds the working
-# set (a dozen arrays of this size, 128 KiB each when complex) while
-# amortizing the per-call cost.  It also bounds the pulsed integrand's
-# dispersion query, made once per chunk of rows with at most this many
-# signal and idler points (273 rows of 15 nodes), so that the chunk rather
-# than the size of a refinement level sets its memory.  The separable block
-# peaks at about 17 bytes per element (x, whose 1/x is formed in place, a
+def _pump_rows(config):
+    """(K, rows): the K ``_pump_rule`` nodes, and the pump terms of rows of
+    constant frequency sum u, for the joint amplitude and the pulsed integrand.
+
+    On such a row L dk/2 = q_k(u) - phi, with q_k = L/2 (beta(omega_k) +
+    beta(u - omega_k) - nl) over the pump nodes and phi = L/2 (beta_s +
+    beta_i).  ``rows(u)`` gives, for a flat array of sums, the phasor rows
+    st (P, 3, K) = [Re, Im of a_k e^{2i q_k}, a_k], with amplitudes
+    a_k = w_k alpha1(omega_k) alpha2(u - omega_k), and q (P, K): what
+    ``_sinc_phasor_sum`` takes.
+    """
+    fiber = config.fiber
+    L = fiber.length
+    nl = nonlinear_phase(config)
+    nodes, weights, beta_nodes, env1 = _pump_rule(config)
+
+    def rows(u):
+        conj = u[:, None] - nodes
+        amp = weights * env1 * pump_envelope(config.pump2, conj)
+        q = 0.5 * L * (beta_nodes + beta(conj, fiber) - nl)
+        amp_e = amp * np.exp(2j * q)
+        return np.stack([amp_e.real, amp_e.imag, amp], axis=1), q
+
+    return nodes.size, rows
+
+
+# Largest dispersion query, made once per chunk of rows (the integrand's
+# signal and idler points, 273 rows of 15 nodes; the joint amplitude's pump
+# terms), so that the chunk rather than the call sets its memory.  The kernel
+# (``_sinc_phasor_sum``) runs in blocks of (row, pump node, pair) elements:
+# it peaks at about 17 bytes per element (x, whose 1/x is formed in place, a
 # transient |x| and the near-zero mask; tracemalloc), so it takes twice the
 # elements: on step-index sweep rows 2 ** 14 ran about 20% faster than
 # 2 ** 13 at the same peak RSS, and 2 ** 15 no faster than 2 ** 14.
@@ -518,72 +541,18 @@ _SEPARABLE_BLOCK_ELEMENTS = 2 * _BLOCK_ELEMENTS
 
 
 def _in_row_blocks(fn, n_nodes, a, b, elements=_BLOCK_ELEMENTS):
-    """``fn(a, b)`` over the rows of ``a`` and ``b`` (shape (P, n)) in blocks.
-
-    A block holds as many whole rows as fit in ``elements`` with
-    ``n_nodes`` values per element of ``b`` (pump nodes, or the signal and
-    idler points of a dispersion query); the results are joined in row
-    order.
-    """
+    """``fn(a, b)`` over the rows of ``a`` and ``b`` (shape (P, n)) in blocks
+    of as many whole rows as fit in ``elements`` with ``n_nodes`` values
+    (pump nodes, or query points) per element of ``b``, joined in order."""
     step = max(1, elements // (n_nodes * b.shape[1]))
     return np.concatenate([fn(a[r:r + step], b[r:r + step])
                            for r in range(0, len(b), step)])
 
 
-def _pump_convolution(config):
-    """Joint spectral amplitude f(omega_s, omega_i) for paired arrays.
-
-    Serves ``jsa`` and ``jsa_grid``, whose pairs are general; the pulsed
-    efficiency contracts its rotated rows through the separable block of
-    ``efficiency._rotated_integrand`` instead.
-
-    Builds the nonlinear phase and the fixed ``_pump_rule`` once; each call
-    evaluates every pair in one pump integral, whose envelope product
-    suppresses pairs far from energy conservation.  The pairs are a flat
-    array or a block of rows (P, n); each row is contracted over the pump
-    nodes on its own (a stacked ``matmul``), so a row's values do not
-    depend on the other rows of the block, and rows are evaluated
-    ``_in_row_blocks``, which bounds the working set.  Each (pump node,
-    pair) element costs one sin and one cos (``_sinc_phasor``); the complex
-    exp of sinc times e^{ix} took a second sin for the same bits.  The
-    contraction stays one complex ``matmul``, because two real ones round
-    differently.
-    """
-    if config.is_cw:
-        raise RegimeError("joint spectral amplitude requires pulsed pumps")
-    fiber = config.fiber
-    L = fiber.length
-    p1, p2 = config.pump1, config.pump2
-    nl = nonlinear_phase(config)
-    om_nodes, weights, beta_nodes, env1 = _pump_rule(config)
-    pref = math.sqrt(math.pi * p1.sigma * p2.sigma / 2.0)
-
-    def block(oms, omi):
-        total = oms + omi
-        beta_s = beta(oms, fiber)
-        beta_i = beta(omi, fiber)
-        # pump nodes on the second-to-last axis: (..., nodes, pairs)
-        conj = total[..., None, :] - om_nodes[:, None]
-        dk = (beta_nodes[:, None]
-              + beta(conj.ravel(), fiber).reshape(conj.shape)
-              - beta_s[..., None, :] - beta_i[..., None, :] - nl)
-        x = 0.5 * L * dk
-        amp = env1[:, None] * pump_envelope(p2, conj)
-        return np.matmul(weights, _sinc_phasor(x, amp))
-
-    def f(omega_s, omega_i):
-        oms = np.atleast_1d(np.asarray(omega_s, dtype=float))
-        omi = np.atleast_1d(np.asarray(omega_i, dtype=float))
-        if oms.ndim == 1:
-            return pref * block(oms, omi)
-        return pref * _in_row_blocks(block, om_nodes.size, oms, omi)
-
-    return f
-
-
 def jsa(omega_s, omega_i, config):
-    """Joint spectral amplitude f(omega_s, omega_i) (complex scalar)."""
-    return complex(_pump_convolution(config)(float(omega_s), float(omega_i))[0])
+    """Joint spectral amplitude f(omega_s, omega_i): a one-pair jsa_grid."""
+    return jsa_grid(config, (omega_s, omega_s, omega_i, omega_i),
+                    1, 1).amplitude[0][0]
 
 
 # main-region size of the mismatch-phase argument covered by the default
@@ -641,19 +610,33 @@ def _clamp_window(window, center, config):
 def jsa_grid(config, window=None, n_s=64, n_i=64):
     """Sample the joint amplitude on a rectangular grid (row s, column i).
 
-    The whole grid is one block of rows for the pump convolution; each row
-    is contracted on its own, so a row equals a one-row call bit for bit.
-    Raises ValueError unless ``n_s`` and ``n_i`` are at least 1.
+    Each pair is a one-element row of constant frequency sum for
+    ``_sinc_phasor_sum``, with beta from one query of both axes.  The pairs
+    go ``_in_row_blocks``, a chunk of pairs querying their ``_pump_rows``
+    at once, each pair on its own, so a row equals a one-row call bit for
+    bit.  Raises ValueError unless ``n_s`` and ``n_i`` are at least 1.
     """
     if n_s < 1 or n_i < 1:
         raise ValueError(f"jsa_grid needs n_s, n_i >= 1, got {n_s}, {n_i}")
+    if config.is_cw:
+        raise RegimeError("joint spectral amplitude requires pulsed pumps")
     if window is None:
         window = jsa_window(config)
     s_lo, s_hi, i_lo, i_hi = window
     s_axis = np.linspace(s_lo, s_hi, n_s)
     i_axis = np.linspace(i_lo, i_hi, n_i)
-    om_s, om_i = np.meshgrid(s_axis, i_axis, indexing="ij")
-    amp = _pump_convolution(config)(om_s, om_i)
+    fiber = config.fiber
+    beta_si = beta(np.concatenate([s_axis, i_axis]), fiber)
+    phi = 0.5 * fiber.length * (beta_si[:n_s, None] + beta_si[n_s:])
+    size, pump_rows = _pump_rows(config)
+    pref = math.sqrt(math.pi * config.pump1.sigma * config.pump2.sigma / 2.0)
+
+    def kernel(u, phi):
+        return _sinc_phasor_sum(*pump_rows(u), phi)
+
+    u = (s_axis[:, None] + i_axis).ravel()
+    amp = pref * _in_row_blocks(kernel, size, u, phi.reshape(-1, 1))
+    amp = amp.reshape(n_s, n_i)
     return JointSpectrumGrid(omega_s_axis=tuple(float(v) for v in s_axis),
                              omega_i_axis=tuple(float(v) for v in i_axis),
                              amplitude=tuple(tuple(complex(v) for v in row)

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from sfwmsim.constants import omega_from_um
-from sfwmsim.dispersion import FiberSpec, TaylorDispersion
-from sfwmsim.sfwm import PumpSpec, SourceConfig
+from sfwmsim.dispersion import FiberSpec, TaylorDispersion, beta
+from sfwmsim.sfwm import PumpSpec, SourceConfig, nonlinear_phase
 
 
 @pytest.fixture(scope="session")
@@ -63,6 +63,41 @@ def taylor_fiber(omega_ref, coeffs, core_radius=0.97e-6, fill=0.91,
                      length=length,
                      taylor=TaylorDispersion(reference_frequency=omega_ref,
                                              beta_coefficients=tuple(coeffs)))
+
+
+def pump_integral(cfg, omega_s, omega_i, panels=32, order=48):
+    """Joint amplitude f at the pairs (omega_s, omega_i), from its definition.
+
+    f = sqrt(pi s1 s2 / 2) int dw a1(w) a2(u - w) sinc(x) e^{ix}, with
+    u = omega_s + omega_i, x = L/2 (beta(w) + beta(u - w) - beta(omega_s)
+    - beta(omega_i) - nl) and the Gaussian amplitudes
+    a(w) = (2/pi)^(1/4) sigma^(-1/2) exp(-((w - w0)/sigma)^2), by a fixed
+    composite Gauss-Legendre rule of ``panels`` x ``order`` nodes over
+    pump 1's carrier +- 8 sigma1, where a1 falls to e^-64 of its peak.
+    It shares only beta and the nonlinear phase with the package.
+    """
+    p1, p2 = cfg.pump1, cfg.pump2
+    fiber = cfg.fiber
+    oms = np.asarray(omega_s, dtype=float)[..., None]    # pairs x nodes
+    omi = np.asarray(omega_i, dtype=float)[..., None]
+    x, w = np.polynomial.legendre.leggauss(order)
+    edges = np.linspace(p1.omega0 - 8 * p1.sigma, p1.omega0 + 8 * p1.sigma,
+                        panels + 1)
+    half = 0.5 * np.diff(edges)[:, None]
+    nodes = (0.5 * (edges[:-1, None] + edges[1:, None]) + half * x).ravel()
+    weights = (half * w).ravel()
+    conj = oms + omi - nodes
+    phase = 0.5 * fiber.length * (beta(nodes, fiber) + beta(conj, fiber)
+                                  - beta(oms, fiber) - beta(omi, fiber)
+                                  - nonlinear_phase(cfg))
+
+    def amplitude(pump, om):
+        return ((2 / np.pi) ** 0.25 / np.sqrt(pump.sigma)
+                * np.exp(-((om - pump.omega0) / pump.sigma) ** 2))
+
+    integrand = (amplitude(p1, nodes) * amplitude(p2, conj)
+                 * np.sinc(phase / np.pi) * np.exp(1j * phase))
+    return np.sqrt(np.pi * p1.sigma * p2.sigma / 2) * (integrand @ weights)
 
 
 def linear_fit_r2(x, y):

@@ -172,8 +172,21 @@ class TestSubcommands:
         code, out = run(tmp_path, "jsa", pulsed, "--points", "4",
                         out="jsa.csv")
         assert code == 0
-        assert len(read_csv(out)) == 16
+        rows = read_csv(out)
+        assert len(rows) == 16
         assert set(read_manifest(out)) == MANIFEST_KEYS
+        # 4 evenly spaced points per axis, within the CSV's 12 significant
+        # digits
+        for key in ("omega_s_rad_s", "omega_i_rad_s"):
+            axis = sorted({float(r[key]) for r in rows})
+            assert len(axis) == 4
+            steps = [b - a for a, b in zip(axis, axis[1:])]
+            rounding = 10.0 ** (math.floor(math.log10(axis[-1])) - 11)
+            assert max(steps) - min(steps) <= 2 * rounding
+        code, out = run(tmp_path, "jsa", pulsed, "--points", "1",
+                        out="one.csv")
+        assert code == 0
+        assert len(read_csv(out)) == 1
 
     def test_contour(self, tmp_path):
         loop = {"fiber": {"core_radius_um": 0.5, "air_fill_fraction": 0.6,

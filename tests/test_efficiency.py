@@ -4,9 +4,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import taylor_fiber
+from conftest import pump_integral, taylor_fiber
 from sfwmsim.constants import C, HBAR, omega_from_um, um_from_omega
-from sfwmsim import efficiency
+from sfwmsim import efficiency, sfwm
 from sfwmsim.dispersion import (FiberSpec, StepIndexDispersion, _signal_idler,
                                 beta, beta1, beta2)
 from sfwmsim.efficiency import (_rotated_integrand, _rotated_window,
@@ -15,9 +15,8 @@ from sfwmsim.efficiency import (_rotated_integrand, _rotated_window,
                                 pump_photon_rate, sigma_max)
 from sfwmsim.errors import DivergenceError, RegimeError, WindowError
 from sfwmsim.sfwm import (_BLOCK_ELEMENTS, _SEPARABLE_BLOCK_ELEMENTS, PumpSpec,
-                          SourceConfig, _pump_convolution, _pump_rule,
-                          h_function, jsa, nonlinear_phase,
-                          solve_phasematch_center)
+                          SourceConfig, _pump_rule, h_function, jsa,
+                          nonlinear_phase, solve_phasematch_center)
 
 PHOTONS_PER_PULSE_REF = 13365579.49501524   # sqrt(2 pi) P / (hbar w0 sigma)
 
@@ -249,7 +248,9 @@ class TestRotatedIntegrand:
         pytest.param("cfg_ndp", True, id="cfg_ndp-taylor")])
     def test_matches_h_times_jsa_intensity(self, name, taylor, request):
         # the pulsed integrand factors the pump convolution over the
-        # frequency sum u; slice by slice it is h |f|^2 of the joint spectrum
+        # frequency sum u; slice by slice it is h |f|^2 of the joint
+        # spectrum, f here from the pump integral by a fixed high-order
+        # rule (conftest.pump_integral)
         cfg = request.getfixturevalue(name)
         op = operating_point(cfg)
         _, _, v_lo, v_hi = _rotated_window(cfg, op)
@@ -257,12 +258,11 @@ class TestRotatedIntegrand:
             cfg = as_taylor(cfg)
         v = np.linspace(v_lo, v_hi, 101)
         rows = _rotated_integrand(cfg)
-        jsa_pairs = _pump_convolution(cfg)
         sigma_c = math.hypot(cfg.pump1.sigma, cfg.pump2.sigma)
         for u in (cfg.omega_total, cfg.omega_total + sigma_c):
             om_s, om_i = 0.5 * (u + v), 0.5 * (u - v)
             want = (h_function(om_s, om_i, cfg.fiber)
-                    * np.abs(jsa_pairs(om_s, om_i)) ** 2)
+                    * np.abs(pump_integral(cfg, om_s, om_i)) ** 2)
             got = rows(np.full((1, 1), u), v[None, :])[0]
             assert np.max(np.abs(got - want)) <= 1e-7 * np.max(want)
 
@@ -307,9 +307,8 @@ class TestRotatedIntegrand:
             return wrapper
 
         rows = _rotated_integrand(cfg)
-        for name in evaluated:
-            monkeypatch.setattr(efficiency, name,
-                                counted(name, getattr(efficiency, name)))
+        for name in evaluated:    # the pump rows come from sfwm._pump_rows
+            monkeypatch.setattr(sfwm, name, counted(name, getattr(sfwm, name)))
 
         calls = [(ua, ua, ub, uc, ub), (ub, uc, uc, ud), (ua, ud)]
         values = [rows(np.array(us)[:, None], np.tile(v, (len(us), 1)))
@@ -375,11 +374,11 @@ class TestWindowError:
 
 
 class TestPairwiseConvolutionBits:
-    """Pinned bits of the pump convolution in both its forms.
+    """Pinned bits of the separable pump convolution, each beside the value
+    the pair-wise convolution it replaced gave.
 
-    ``jsa`` and ``jsa_grid`` take the pair-wise ``_pump_convolution``; a
-    pulsed eta, here on a Taylor fiber, takes the separable block of the
-    rotated integrand.
+    A pulsed eta, here on a Taylor fiber, takes the separable block of the
+    rotated integrand, and ``jsa`` a row of one pair through the same core.
     """
 
     def test_taylor_pulsed_eta(self):
@@ -402,8 +401,13 @@ class TestPairwiseConvolutionBits:
     def test_jsa_value(self, cfg_ndp):
         center = solve_phasematch_center(cfg_ndp)
         f = jsa(center.omega_s + 1e12, center.omega_i - 2e12, cfg_ndp)
-        assert f.real.hex() == "0x1.13027cf13027ep+33"
-        assert f.imag.hex() == "-0x1.4009d5c2c1a59p+38"
+        # the pair-wise convolution gave 0x1.13027cf13027ep+33 and
+        # -0x1.4009d5c2c1a59p+38, about 9e-11 relative off
+        pairwise = complex(float.fromhex("0x1.13027cf13027ep+33"),
+                           float.fromhex("-0x1.4009d5c2c1a59p+38"))
+        assert abs(f - pairwise) <= 1e-9 * abs(pairwise)
+        assert f.real.hex() == "0x1.13027cee392dep+33"
+        assert f.imag.hex() == "-0x1.4009d5c2470d9p+38"
 
 
 class TestDeterminism:

@@ -6,16 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import taylor_fiber
+from conftest import pump_integral, taylor_fiber
 from sfwmsim.constants import C, omega_from_um, um_from_omega
 from sfwmsim.dispersion import beta, beta1, beta2
 from sfwmsim import dispersion, sfwm
 from sfwmsim.errors import ModeCutoffError, NoPhasematchError, RegimeError
 from sfwmsim.numerics import integrate_1d
 from sfwmsim.sfwm import (_BLOCK_ELEMENTS, PumpSpec, SourceConfig,
-                          _pump_convolution, _pump_rule, h_function, jsa,
-                          jsa_grid, jsa_window, nonlinear_phase, peak_power,
-                          phase_mismatch, phasematch_roots, pump_envelope,
+                          _pump_rule, h_function, jsa, jsa_grid, jsa_window,
+                          nonlinear_phase, peak_power, phase_mismatch,
+                          phasematch_roots, pump_envelope,
                           solve_phasematch_center)
 
 PEAK_POWER_REF = 4.488100654516117        # 300 uW, 3 THz, 80 MHz
@@ -278,15 +278,20 @@ class TestJsa:
         assert fractions[0] > fractions[1] > fractions[2]
 
 
+# fiber A's Taylor fit at 708 nm, truncated at beta4
+TAYLOR_A_708 = (12709608.91856346, 4.972458401064144e-09,
+                1.7257388265561942e-27, 6.591119073571425e-41,
+                -5.586155955194142e-56)
+
+
 class TestJsaGrid:
     @pytest.mark.parametrize("n_i", [4, 17])
     @pytest.mark.parametrize("taylor", [False, True])
     @pytest.mark.parametrize("name", ["cfg_dp", "cfg_ndp"])
     def test_one_block_equals_per_row_assembly(self, name, taylor, n_i,
                                                request):
-        # the grid is one block of rows for the pump convolution; each row
-        # must equal the one-row call that assembled it before, across the
-        # memory blocks
+        # jsa_grid hands the core its pairs in chunks; each row must equal
+        # the one-row grid that would assemble it, across at least two chunks
         cfg = request.getfixturevalue(name)
         window = jsa_window(cfg)
         if taylor:
@@ -294,14 +299,39 @@ class TestJsaGrid:
             cfg = replace(cfg, fiber=taylor_fiber(
                 om, (beta(om, cfg.fiber), beta1(om, cfg.fiber),
                      beta2(om, cfg.fiber))))
-        per_block = _BLOCK_ELEMENTS // (_pump_rule(cfg)[0].size * n_i)
-        n_s = 2 * per_block + 3
+        per_chunk = _BLOCK_ELEMENTS // _pump_rule(cfg)[0].size
+        n_s = 2 * per_chunk // n_i + 3
         grid = jsa_grid(cfg, window=window, n_s=n_s, n_i=n_i)
-        f = _pump_convolution(cfg)
-        i_axis = np.asarray(grid.omega_i_axis)
-        rows = tuple(tuple(complex(v) for v in f(np.full(n_i, om_s), i_axis))
+        rows = tuple(jsa_grid(cfg, window=(om_s, om_s) + window[2:],
+                              n_s=1, n_i=n_i).amplitude[0]
                      for om_s in grid.omega_s_axis)
         assert grid.amplitude == rows
+
+    @pytest.mark.parametrize("name", ["cfg_dp", "cfg_ndp", "taylor"])
+    def test_matches_pump_integral(self, name, request):
+        # against the pump integral by a fixed high-order rule
+        # (conftest.pump_integral): the default window, a window with
+        # unequal steps, and jsa's one pair
+        if name == "taylor":
+            cfg = request.getfixturevalue("cfg_dp")
+            cfg = replace(cfg, fiber=taylor_fiber(omega_from_um(0.708),
+                                                  TAYLOR_A_708, length=0.3))
+        else:
+            cfg = request.getfixturevalue(name)
+        s_lo, s_hi, i_lo, i_hi = window = jsa_window(cfg)
+        default = jsa_grid(cfg, window=window, n_s=9, n_i=9)
+        uneven = jsa_grid(cfg, window=(s_lo, s_hi, i_lo, 0.5 * (i_lo + i_hi)),
+                          n_s=7, n_i=6)
+        peak = np.max(np.abs(default.as_arrays()[2]))
+        for grid in (default, uneven):
+            s_axis, i_axis, amp = grid.as_arrays()
+            want = pump_integral(cfg, s_axis[:, None], i_axis[None, :])
+            assert np.max(np.abs(amp - want)) <= 1e-8 * peak
+        center = solve_phasematch_center(cfg)
+        for d_s, d_i in ((0.0, 0.0), (1e12, -2e12), (-4e12, 1.5e12)):
+            om_s, om_i = center.omega_s + d_s, center.omega_i + d_i
+            want = pump_integral(cfg, om_s, om_i)
+            assert abs(jsa(om_s, om_i, cfg) - want) <= 1e-8 * peak
 
     def test_values_finite_and_symmetric(self, cfg_dp):
         grid = jsa_grid(cfg_dp, n_s=24, n_i=24)
