@@ -150,7 +150,19 @@ def load_config(path):
 
 
 def config_digest(path):
-    """Hex SHA-256 of the config file bytes."""
-    import hashlib      # here, so that importing the package maps no libcrypto
+    """Hex SHA-256 of the config file bytes.
+
+    CPython's built-in SHA-256 (``_sha2`` on 3.12+, ``_sha256`` before)
+    hashes them, so a run maps no OpenSSL libcrypto; ``hashlib`` is the
+    fallback where neither module exists, as in some FIPS builds.  All
+    three give the same digest.
+    """
+    try:
+        from _sha2 import sha256
+    except ImportError:
+        try:
+            from _sha256 import sha256
+        except ImportError:
+            from hashlib import sha256
     with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
+        return sha256(fh.read()).hexdigest()

@@ -238,6 +238,25 @@ def _memo(memo, key, compute):
     return memo[key]
 
 
+def _cheb2poly(c):
+    """Power-basis coefficients of the Chebyshev series ``c``, with the bits
+    of numpy's ``cheb2poly``: trailing zeros trimmed (one term kept), then
+    its recurrence, one series operation at a time in its order."""
+    nonzero = np.flatnonzero(c)
+    c = c[:nonzero[-1] + 1 if nonzero.size else 1]
+    if c.size < 3:
+        return c
+    c0, c1 = c[-2:-1], c[-1:]
+    for ci in c[-3::-1]:
+        x1 = np.concatenate((c1[:1] * 0, c1)) * 2     # 2 t c1
+        x1[:c0.size] += c0
+        c0, c1 = -c1, x1
+        c0[0] += ci                                   # c_i - c1
+    x1 = np.concatenate((c1[:1] * 0, c1))
+    x1[:c0.size] += c0
+    return x1
+
+
 class StepIndexDispersion:
     """k(omega) of the step-index model of one geometry, and its state.
 
@@ -299,14 +318,14 @@ class StepIndexDispersion:
         1e-15); kept, they are amplified by differentiation (beta1 then errs
         by 9e-12 relative instead of 2e-12).  The fit is stored in the power
         basis of the panel coordinate t in [-1, 1], together with its first
-        two x derivatives.  It is (omega_lo, panels per unit x, coeffs) with
-        coeffs[d, j, k] the coefficient of t^j in d^d n_eff / dx^d on panel
-        k: the power index comes before the panel index, so ``_table_eval``
-        gathers one power's coefficients for all its points with one
-        ``take``.  A panel holding a failed solve holds NaN and fails the
-        guidance check on query.
+        two x derivatives; ``_cheb2poly`` and the derivative step have the
+        bits of numpy's ``cheb2poly`` and ``polyder``.  It is (omega_lo,
+        panels per unit x, coeffs) with coeffs[d, j, k] the coefficient of
+        t^j in d^d n_eff / dx^d on panel k: the power index comes before the
+        panel index, so ``_table_eval`` gathers one power's coefficients for
+        all its points with one ``take``.  A panel holding a failed solve
+        holds NaN and fails the guidance check on query.
         """
-        from numpy.polynomial import chebyshev, polynomial
         om_lo = omega_from_um(SELLMEIER_RANGE_UM[1])
         om_hi = omega_from_um(SELLMEIER_RANGE_UM[0])
         width = math.log(om_hi / om_lo) / _TABLE_PANELS
@@ -322,11 +341,11 @@ class StepIndexDispersion:
         cheb[:, 0] *= 0.5
         coeffs = np.zeros((3, _TABLE_PANELS, _TABLE_DEGREE + 1))
         for k, c in enumerate(cheb):
-            power = chebyshev.cheb2poly(c)          # trailing zeros come trimmed
+            power = _cheb2poly(c)               # trailing zeros come trimmed
             coeffs[0, k, :power.size] = power
-        for d in (1, 2):
-            coeffs[d, :, :-1] = polynomial.polyder(coeffs[d - 1],
-                                                   scl=2.0 / width, axis=1)
+        for d in (1, 2):                            # as numpy's polyder
+            coeffs[d, :, :-1] = (np.arange(1, _TABLE_DEGREE + 1)
+                                 * (coeffs[d - 1, :, 1:] * (2.0 / width)))
         coeffs = np.ascontiguousarray(coeffs.transpose(0, 2, 1))
         coeffs.setflags(write=False)
         return om_lo, 1.0 / width, coeffs

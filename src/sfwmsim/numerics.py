@@ -112,7 +112,7 @@ def bracket_root(f, lo, hi):
 # as float.hex of np.polynomial.legendre.leggauss(15) gives it (a test pins
 # the bits).  As constants, the default integrals depend on no LAPACK build
 # and make no eigen-solve, which costs about 0.75 MB of resident memory on
-# first use; other orders (the pump rule's) still come from leggauss.
+# first use; other orders (the pump rule's) come from ``_leggauss``.
 _GAUSS_15_NODES = (
     "-0x1.f9da27c32e6d0p-1", "-0x1.dfe24c4f8b447p-1", "-0x1.b248221fffd63p-1",
     "-0x1.72e6e181ab3c4p-1", "-0x1.245676f08f3a4p-1", "-0x1.939c69257d6b6p-2",
@@ -129,13 +129,48 @@ _GAUSS_15_WEIGHTS = (
 )
 
 
+def _legval(x, c):
+    """Legendre series ``c`` (two terms or more) at ``x``, by Clenshaw's
+    recurrence in the order of operations of NumPy 2.4.6's ``legval``, which
+    groups ``c1 * ((nd - 1) / nd)``."""
+    nd, c0, c1 = len(c), c[-2], c[-1]
+    for i in range(3, len(c) + 1):
+        nd -= 1
+        c0, c1 = (c[-i] - c1 * ((nd - 1) / nd),
+                  c0 + c1 * x * ((2 * nd - 1) / nd))
+    return c0 + c1 * x
+
+
+def _leggauss(n):
+    """Gauss-Legendre nodes and weights of order n >= 2, with the bits of
+    NumPy 2.4.6's ``leggauss`` (``test_every_rule_is_leggauss`` checks them
+    against the installed NumPy): the eigenvalues of the symmetric scaled
+    companion matrix of P_n (Golub & Welsch), one Newton step, then weights
+    from P_n' P_(n-1), symmetrised and scaled to sum to 2."""
+    scl = 1. / np.sqrt(2 * np.arange(n) + 1)
+    off = np.arange(1, n) * scl[:-1] * scl[1:]
+    x = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
+    c = np.zeros(n + 1)
+    c[-1] = 1.0
+    k = np.arange(n)
+    df = _legval(x, np.where((n - k) % 2, 2.0 * k + 1, 0.0))  # P_n' series
+    x -= _legval(x, c) / df
+    fm = _legval(x, c[1:])
+    fm /= np.abs(fm).max()
+    df /= np.abs(df).max()
+    w = 1 / (fm * df)
+    w = (w + w[::-1]) / 2
+    x = (x - x[::-1]) / 2
+    w *= 2. / w.sum()
+    return x, w
+
+
 @lru_cache(maxsize=32)
 def _gauss_nodes(order):
     if order == 15:
         return (np.array([float.fromhex(h) for h in _GAUSS_15_NODES]),
                 np.array([float.fromhex(h) for h in _GAUSS_15_WEIGHTS]))
-    x, w = np.polynomial.legendre.leggauss(order)
-    return x, w
+    return _leggauss(order)
 
 
 def _sin_over(s, x):

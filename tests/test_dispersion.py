@@ -312,6 +312,55 @@ class TestColumnWiseTable:
             model._table_eval(om, 1)
 
 
+class TestTableConversion:
+    """The table's power-basis coefficients and their derivatives have the
+    bits numpy.polynomial's ``cheb2poly`` and ``polyder`` give them."""
+
+    @staticmethod
+    def numpy_table(series, width):
+        from numpy.polynomial import chebyshev, polynomial
+        coeffs = np.zeros((3, len(series), series[0].size))
+        for k, c in enumerate(series):
+            power = chebyshev.cheb2poly(c)
+            coeffs[0, k, :power.size] = power
+        for d in (1, 2):
+            coeffs[d, :, :-1] = polynomial.polyder(coeffs[d - 1],
+                                                   scl=2.0 / width, axis=1)
+        return coeffs.transpose(0, 2, 1)
+
+    @pytest.mark.parametrize("core_radius, fill", [(0.97e-6, 0.91),
+                                                   (0.5e-6, 0.6)],
+                             ids=["fiber_a", "fiber_b"])
+    def test_bits_of_numpy_polynomial(self, core_radius, fill, monkeypatch):
+        series = []
+        convert = dispersion._cheb2poly
+
+        def recording(c):
+            series.append(c.copy())
+            return convert(c)
+
+        monkeypatch.setattr(dispersion, "_cheb2poly", recording)
+        _, _, coeffs = StepIndexDispersion(core_radius, fill).table
+        window = omega_from_um(np.array(SELLMEIER_RANGE_UM))
+        width = math.log(window[0] / window[1]) / _TABLE_PANELS
+        assert len(series) == _TABLE_PANELS
+        assert coeffs.tobytes() == self.numpy_table(series, width).tobytes()
+
+    def test_series_with_trailing_zeros(self):
+        from numpy.polynomial import chebyshev
+        rng = np.random.default_rng(29)
+        cases = [np.zeros(4), np.array([0.0, -0.0]), np.array([2.0, 0.0, 0.0]),
+                 np.array([1.0, 2.0, 1.0, 0.0])]
+        for size in range(1, 16):
+            for zeros in range(size + 1):
+                c = rng.standard_normal(size)
+                c[size - zeros:] = 0.0
+                cases += [c, np.round(4 * c)]     # small integers cancel
+        for c in cases:
+            got = dispersion._cheb2poly(c)
+            assert got.tobytes() == chebyshev.cheb2poly(c).tobytes(), c
+
+
 class TestZeroDispersion:
     def test_single_zdw_fiber(self, fiber_a):
         zdws = find_zero_dispersion(fiber_a, (0.5, 1.2))

@@ -328,6 +328,16 @@ class TestPanelSums:
                              np.polynomial.legendre.leggauss(15)):
             assert got.tobytes() == want.tobytes()
 
+    def test_every_rule_is_leggauss(self):
+        # the pump rule asks for orders 32-180, panel rules for >= 2.
+        # Specific to NumPy 2.4.6's legval grouping, c1 * ((nd - 1) / nd):
+        # a NumPy that groups (c1 * (nd - 1)) / nd gives other leggauss bits
+        # and fails here, while _gauss_nodes keeps 2.4.6's
+        for order in [2, 3, 4, 7] + list(range(16, 201)):
+            for got, want in zip(_gauss_nodes(order),
+                                 np.polynomial.legendre.leggauss(order)):
+                assert got.tobytes() == want.tobytes(), order
+
     def test_one_value_per_node(self):
         _, w = _gauss_nodes(15)
         with pytest.raises(ValueError):

@@ -98,7 +98,7 @@ def test_smallest_margins_per_workload(tool):
             ("contour_cli", "contour_cli/0", {"points": 3}, {"points": 3})]
     # a reference whose error equals the allowance has margin exactly 0,
     # and a failing entry a negative one
-    assert tool.smallest_margins(rows) == {
+    assert tool.smallest_margins(tool.all_margins(rows)) == {
         "sweep_pcf": {"numeric": (0.0, "sweep_pcf/0")},
         "sweep_taylor": {"numeric": (-1.5, "sweep_taylor/4")},
         "contour_cli": {}}
@@ -111,7 +111,7 @@ def test_smallest_margin_of_each_column(tool):
              {"numeric": _column(1e-3), "cw": _column(2e-6)}, ref),
             ("sweep_taylor", "sweep_taylor/36",
              {"numeric": _column(1.5e-3), "cw": _column(1e-6)}, ref)]
-    assert tool.smallest_margins(rows) == {"sweep_taylor": {
+    assert tool.smallest_margins(tool.all_margins(rows)) == {"sweep_taylor": {
         "numeric": (0.25, "sweep_taylor/36"), "cw": (0.0, "sweep_taylor/18")}}
 
 
@@ -128,6 +128,42 @@ def test_summary_prints_margin_and_cpu_per_workload(tool):
         "(not BENCH evidence)",
         "contour_cli: no quadrature_error check; in-process CPU 7.00 s "
         "(not BENCH evidence)"]
+
+
+def test_low_margins_list_every_column_below_the_floor(tool):
+    # allowed: numeric 2e-3 and cw 2e-6, the reference's achieved errors
+    ref = {"numeric": _column(4e-3), "cw": _column(4e-6)}
+    rows = [("sweep_taylor", "sweep_taylor/18",
+             {"numeric": _column(2e-3), "cw": _column(4e-6)}, ref),
+            ("sweep_taylor", "sweep_taylor/36",
+             {"numeric": _column(4e-3 * (1 - 4.2e-7)), "cw": _column(2e-6)},
+             ref),
+            ("sweep_taylor", "sweep_taylor/47",
+             {"numeric": _column(4e-3 * (1 - 2.2e-6))}, ref),
+            ("sweep_pcf", "sweep_pcf/0", {"numeric": _column(2e-3)}, ref),
+            ("contour_cli", "contour_cli/0", {"points": 3}, {"points": 3})]
+    found = tool.all_margins(rows)
+    low = tool.low_margins(found)
+    # smallest first, each column on its own; a workload without one is
+    # absent
+    assert [(name, entry) for _, name, entry in low["sweep_taylor"]] == [
+        ("cw", "sweep_taylor/18"), ("numeric", "sweep_taylor/36"),
+        ("numeric", "sweep_taylor/47")]
+    assert low["sweep_taylor"][1][0] == pytest.approx(4.2e-7, rel=1e-6)
+    assert set(low) == {"sweep_taylor"}
+    # every margin is kept, those above the floor too, ties in row order
+    assert found["sweep_pcf"] == [(0.5, "numeric", "sweep_pcf/0")]
+    assert [(name, entry) for _, name, entry in found["sweep_taylor"]][3:] == [
+        ("numeric", "sweep_taylor/18"), ("cw", "sweep_taylor/36")]
+    assert found["contour_cli"] == []
+    lines = tool.summary(tool.smallest_margins(found),
+                         {"sweep_taylor": 2.0, "sweep_pcf": 1.0}, None, low)
+    assert lines[1:] == [
+        "sweep_taylor: 3 quadrature_error margins below 0.001: cw 0 "
+        "(sweep_taylor/18), numeric 4.2e-07 (sweep_taylor/36), numeric "
+        "2.2e-06 (sweep_taylor/47)",
+        "sweep_pcf: smallest quadrature_error margin numeric 0.5 "
+        "(sweep_pcf/0); in-process CPU 1.00 s (not BENCH evidence)"]
 
 
 def _contour(lam, ds, theta):

@@ -6,10 +6,12 @@ every entry's answers and check_answers mismatches to OUT.json, and prints,
 per workload and column (numeric, cw), the smallest relative margin of the
 quadrature-error check and the entry that holds it (a margin of 0 fails on
 any rounding change), beside the CPU seconds the workload's operations took
-in this process.  For the contour it prints the largest deviations
-``check_answers`` bounds, each with its entry: the relative one of the pump
-wavelengths and signal detunings (against 1e-9; the detunings sit at the
-root finder's rounding floor) and the absolute one of the angles.  That
+in this process, and then every column whose margin is below 1e-3, with its
+entry: the whole set of columns that a change moving their bits may fail.
+For the contour it prints the largest deviations ``check_answers`` bounds,
+each with its entry: the relative one of the pump wavelengths and signal
+detunings (against 1e-9; the detunings sit at the root finder's rounding
+floor) and the absolute one of the angles.  That
 CPU figure is a first size of a gain from one process, without repeats or
 interleaving: it is not BENCH evidence.  What the operations write to
 standard error (the contour CLI's config summary) is discarded.
@@ -41,6 +43,8 @@ QUAD_TOL = {"numeric": 1e-3, "cw": 1e-6}
 # delta_s, absolute [deg] on theta
 CONTOUR_TOL = {"lambda_p_um/delta_s": wl.REL_TOL["frequency"],
                "theta": wl.THETA_ABS_TOL_DEG}
+# quadrature margins below this are listed one by one
+MARGIN_FLOOR = 1e-3
 
 
 def quadrature_margins(answers, ref):
@@ -61,20 +65,41 @@ def quadrature_margins(answers, ref):
     return margins
 
 
-def smallest_margins(rows):
-    """{workload: {column: (margin, entry)}} of the smallest margins.
+def all_margins(rows):
+    """{workload: [(margin, column, entry), ...]} of every quadrature margin,
+    smallest first (ties in row order).
 
-    ``rows`` holds (workload, entry, answers, reference answers).  Each
-    column has its own minimum, so a column at margin 0 does not hide how
-    close the other one comes; a workload without such a column maps to {}.
+    ``rows`` holds (workload, entry, answers, reference answers); a workload
+    without such a column maps to [].
     """
-    best = {}
+    found = {}
     for workload, entry, answers, ref in rows:
-        columns = best.setdefault(workload, {})
-        for name, m in quadrature_margins(answers, ref).items():
-            if m < columns.get(name, (math.inf,))[0]:
-                columns[name] = (m, entry)
-    return best
+        found.setdefault(workload, []).extend(
+            (m, name, entry)
+            for name, m in quadrature_margins(answers, ref).items())
+    return {workload: sorted(margins, key=lambda t: t[0])
+            for workload, margins in found.items()}
+
+
+def smallest_margins(found):
+    """{workload: {column: (margin, entry)}} of the smallest margins of
+    ``all_margins``' result ``found``.
+
+    Each column has its own minimum, so a column at margin 0 does not hide how
+    close the other one comes.
+    """
+    return {workload: {name: (m, entry)
+                       for m, name, entry in reversed(margins)}
+            for workload, margins in found.items()}
+
+
+def low_margins(found):
+    """{workload: [(margin, column, entry), ...]} of every margin of
+    ``all_margins``' result ``found`` below MARGIN_FLOOR, smallest first; a
+    workload with none is absent."""
+    return {workload: [t for t in margins if t[0] < MARGIN_FLOOR]
+            for workload, margins in found.items()
+            if margins and margins[0][0] < MARGIN_FLOOR}
 
 
 def contour_deviations(answers, ref):
@@ -97,7 +122,7 @@ def contour_deviations(answers, ref):
 
 def largest_contour_deviations(rows):
     """{CONTOUR_TOL key: (deviation, entry)} over the contour rows of
-    ``rows`` (as ``smallest_margins`` takes them)."""
+    ``rows`` (as ``all_margins`` takes them)."""
     best = {}
     for workload, entry, answers, ref in rows:
         if workload != "contour_cli":
@@ -108,12 +133,14 @@ def largest_contour_deviations(rows):
     return best
 
 
-def summary(margins, cpu, contour=None):
+def summary(margins, cpu, contour=None, low=None):
     """One line per workload of ``cpu``: smallest margins and CPU seconds.
 
     ``margins`` is ``smallest_margins``' result; ``cpu`` maps a workload to
     the in-process CPU seconds of its operations; ``contour`` is
     ``largest_contour_deviations``' result, printed on the contour's line.
+    ``low`` is ``low_margins``' result: a workload with margins in it gets
+    a second line that lists them.
     """
     lines = []
     for workload, seconds in cpu.items():
@@ -129,6 +156,12 @@ def summary(margins, cpu, contour=None):
                 if key in contour)
         lines.append(f"{workload}: {check}; in-process CPU {seconds:.2f} s "
                      "(not BENCH evidence)")
+        if low and low.get(workload):
+            lines.append(
+                f"{workload}: {len(low[workload])} quadrature_error margins "
+                f"below {MARGIN_FLOOR:g}: " + ", ".join(
+                    f"{name} {m:.3g} ({entry})"
+                    for m, name, entry in low[workload]))
     return lines
 
 
@@ -158,8 +191,9 @@ def run_pool(src, out, workloads=None):
     with open(out, "w", encoding="utf-8") as fh:
         json.dump(result, fh, indent=1, sort_keys=True)
     bad = sum(bool(r["bad"]) for r in result.values())
-    for line in summary(smallest_margins(rows), cpu,
-                        largest_contour_deviations(rows)):
+    found = all_margins(rows)
+    for line in summary(smallest_margins(found), cpu,
+                        largest_contour_deviations(rows), low_margins(found)):
         print(line)
     print(f"{len(result)} entries, {bad} failing check_answers")
 
